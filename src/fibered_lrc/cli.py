@@ -9,25 +9,24 @@ import argparse
 import itertools
 import sys
 
-from .construction import (build_evaluation_set, find_nice_orbits,
-                           recovery_indices, specialize_P, surface_params)
+from .construction import (build_evaluation_set, defining_coefficients,
+                           find_nice_orbits, recovery_indices, specialize_P,
+                           surface_params)
 from .elliptic_verify import (NonSquareTwist, SingularFiber,
                               discriminant_profile, horizontal_sum_two_torsion,
                               verify_vertical_sum)
-from .gf import FieldTooLarge, parse_field_label
+from .gf import TABLE_LIMIT, FieldTooLarge, parse_field_label
 from .lrc_code import (basis, code_profile, distance_b1, distance_lower_bound,
                        encode, f_min_message, generator_matrix, min_distance)
-from .newton_arc import (defining_coefficients, lower_hull, monomial_valuations,
-                         pole_degree, segment_polynomials,
-                         splitting_at_infinity, support_set_at_infinity)
+from .newton_arc import (lower_hull, monomial_valuations, pole_degree,
+                         segment_polynomials, splitting_at_infinity,
+                         support_set_at_infinity)
 from .recovery import ErasurePattern, repair
 from .serialize import (ParseError, SchemaMismatch, codeword_from_dict,
                         codeword_to_dict, evaluation_set_from_profile,
                         load_json, profile_from_dict, profile_to_dict,
                         save_json, write_table_csv)
 from .simulate import BadScenario, run_simulation, storage_scenario
-
-MAX_TABLE_ORDER = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,6 +53,16 @@ def _orbits_arg(text: str):
         return tuple(int(tok) for tok in text.split(",") if tok != "")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _threads_arg(text: str):
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"--threads must be >= 1, got {value}")
+    return value
 
 
 def _erase_arg(text: str):
@@ -112,7 +121,7 @@ def run_table(field, r: int = 3, max_subsets: int = 255, threads: int = 1):
     Subsets enumerate in (b, subset) order and cap at max_subsets; delta
     is None on b=1 rows, where d = 8 exactly is the sharper statement.
     """
-    if field.order > MAX_TABLE_ORDER:
+    if field.order > TABLE_LIMIT:
         raise FieldTooLarge(
             f"table enumeration supports order <= 2^20, got {field.order}")
     sp = surface_params(field, r)
@@ -304,7 +313,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--field", type=_field_arg, default=None,
                         help="base field as p^m, e.g. 7^2 or 13")
     common.add_argument("--r", type=int, default=3, help="locality (odd, >= 3)")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=_threads_arg, default=1,
+                        help="worker processes, at most the CPU count")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="output file (default stdout)")
 

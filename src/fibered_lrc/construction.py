@@ -24,7 +24,12 @@ import math
 from dataclasses import dataclass
 
 from .gf import FieldSpec, OrderNotDivisible
-from .poly import UniPoly, all_roots, poly, splits_completely_distinct
+from .poly import (UniPoly, all_roots, constant, poly,
+                   splits_completely_distinct)
+
+
+class BadLocality(ValueError):
+    """r is not an odd integer >= 3."""
 
 
 class NoAdmissibleBase(ValueError):
@@ -77,47 +82,37 @@ def surface_params(field: FieldSpec, r: int) -> SurfaceParams:
     return SurfaceParams(field, r, q, m, zeta)
 
 
-_COEFF_CACHE: dict[SurfaceParams, tuple[UniPoly, ...]] = {}
+_COEFF_CACHE: dict[tuple[FieldSpec, int], tuple[UniPoly, ...]] = {}
 
 
-def p_coefficient_polys(params: SurfaceParams) -> tuple[UniPoly, ...]:
+def defining_coefficients(field: FieldSpec, r: int) -> tuple[UniPoly, ...]:
     """Coefficients of P_t(T) as polynomials in t, indexed by power of T.
 
     P_t(T) = T^{r+1} + 2 T^{(r+1)/2} - T^3 + T^2 (t^{r+1}+1) - T t^{r+1} + 1,
     with coincident powers of T merged (for r=3 the T^2 coefficient becomes
-    t^4 + 3).
+    t^4 + 3).  It is also the defining polynomial of the x/t function field.
     """
-    if params in _COEFF_CACHE:
-        return _COEFF_CACHE[params]
-    fld, r = params.field, params.r
-    rp1 = r + 1
-    acc: list[dict[int, int]] = [dict() for _ in range(rp1 + 1)]
-
-    def bump(tpow_coeffs: dict[int, int], s: int):
-        for tp, c in tpow_coeffs.items():
-            acc[s][tp] = fld.add(acc[s].get(tp, 0), c)
-
-    one = 1
-    bump({0: one}, rp1)                       # T^{r+1}
-    bump({0: fld.add(one, one)}, rp1 // 2)    # 2 T^{(r+1)/2}
-    bump({0: fld.neg(one)}, 3)                # -T^3
-    bump({rp1: one, 0: one}, 2)               # T^2 (t^{r+1} + 1)
-    bump({rp1: fld.neg(one)}, 1)              # -T t^{r+1}
-    bump({0: one}, 0)                         # +1
-    out = []
-    for s in range(rp1 + 1):
-        coeffs = [0] * (max(acc[s], default=-1) + 1)
-        for tp, c in acc[s].items():
-            coeffs[tp] = c
-        out.append(poly(fld, coeffs))
-    result = tuple(out)
-    _COEFF_CACHE[params] = result
-    return result
+    if r < 3 or r % 2 == 0:
+        raise BadLocality(f"locality must be an odd integer >= 3, got {r}")
+    key = (field, r)
+    if key not in _COEFF_CACHE:
+        rp1 = r + 1
+        one = constant(field, 1)
+        t_rp1 = poly(field, [0] * rp1 + [1])
+        coeffs = [poly(field, [])] * (rp1 + 1)
+        coeffs[0] = one
+        coeffs[1] = -t_rp1
+        coeffs[2] = t_rp1 + one
+        coeffs[3] = coeffs[3] - one
+        coeffs[rp1 // 2] = coeffs[rp1 // 2] + constant(field, 2)
+        coeffs[rp1] = one
+        _COEFF_CACHE[key] = tuple(coeffs)
+    return _COEFF_CACHE[key]
 
 
 def specialize_P(params: SurfaceParams, tbar: int) -> UniPoly:
     """P_t(T) with t specialized to a field element."""
-    cps = p_coefficient_polys(params)
+    cps = defining_coefficients(params.field, params.r)
     return poly(params.field, [c.eval_at(tbar) for c in cps])
 
 
@@ -234,7 +229,7 @@ def _rhs_cubic(fld: FieldSpec, r: int, x: int, t: int) -> int:
     """x^3 - x^2 (t^{r+1} + 1) + x t^{r+1}."""
     u = fld.pow(t, r + 1)
     x2 = fld.mul(x, x)
-    term = fld.mul(fld.mul(x2, x), 1)
+    term = fld.mul(x2, x)
     term = fld.sub(term, fld.mul(x2, fld.add(u, 1)))
     return fld.add(term, fld.mul(x, u))
 

@@ -11,17 +11,16 @@ to orders {8, 8, 2, 2, 2, 2} over the t-line.
 from dataclasses import dataclass
 from typing import Optional
 
-from .construction import EvaluationSet, SurfaceParams
+from .construction import BadLocality, EvaluationSet, SurfaceParams
 from .gf import FieldSpec
-from .lrc_code import BadLocality
-from .poly import UniPoly, factor_monic, poly
+from .poly import constant, factor_monic, poly
 
 
 class SingularFiber(Exception):
     """The requested fiber is not a smooth curve."""
 
 
-class PointNotOnCurve(Exception):
+class PointNotOnCurve(ArithmeticError):
     pass
 
 
@@ -44,6 +43,12 @@ O = CurvePoint()
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over a field.
+
+    Smooth by construction: a zero discriminant raises SingularFiber here,
+    so the group law never has to check it.
+    """
+
     field: FieldSpec
     a1: int
     a2: int
@@ -51,41 +56,19 @@ class WeierstrassCurve:
     a4: int
     a6: int
 
+    def __post_init__(self):
+        if self.discriminant == 0:
+            raise SingularFiber(
+                f"Weierstrass model over {self.field.label} is singular")
+
     def _int(self, n: int) -> int:
         return n % self.field.p
 
     @property
-    def b2(self) -> int:
-        f = self.field
-        return f.add(f.mul(self.a1, self.a1), f.mul(self._int(4), self.a2))
-
-    @property
-    def b4(self) -> int:
-        f = self.field
-        return f.add(f.mul(self._int(2), self.a4), f.mul(self.a1, self.a3))
-
-    @property
-    def b6(self) -> int:
-        f = self.field
-        return f.add(f.mul(self.a3, self.a3), f.mul(self._int(4), self.a6))
-
-    @property
-    def b8(self) -> int:
-        f = self.field
-        s = f.mul(f.mul(self.a1, self.a1), self.a6)
-        s = f.add(s, f.mul(self._int(4), f.mul(self.a2, self.a6)))
-        s = f.sub(s, f.mul(self.a1, f.mul(self.a3, self.a4)))
-        s = f.add(s, f.mul(self.a2, f.mul(self.a3, self.a3)))
-        return f.sub(s, f.mul(self.a4, self.a4))
-
-    @property
     def discriminant(self) -> int:
         f = self.field
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        d = f.neg(f.mul(f.mul(b2, b2), b8))
-        d = f.sub(d, f.mul(self._int(8), f.mul(b4, f.mul(b4, b4))))
-        d = f.sub(d, f.mul(self._int(27), f.mul(b6, b6)))
-        return f.add(d, f.mul(self._int(9), f.mul(b2, f.mul(b4, b6))))
+        coeffs = (f.elem(a) for a in (self.a1, self.a2, self.a3, self.a4, self.a6))
+        return _discriminant(*coeffs, lambda n: f.elem(self._int(n))).val
 
     def contains(self, pt: CurvePoint) -> bool:
         if pt.is_infinity:
@@ -114,8 +97,6 @@ def ec_neg(curve: WeierstrassCurve, pt: CurvePoint) -> CurvePoint:
 
 
 def ec_add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    if curve.discriminant == 0:
-        raise SingularFiber("group law needs a smooth curve")
     if p.is_infinity:
         _require_on_curve(curve, q)
         return q
@@ -193,13 +174,12 @@ def horizontal_sum_two_torsion(es: EvaluationSet, l: int, i: int) -> bool:
     two, four = 2 % fld.p, 4 % fld.p
     a4 = fld.neg(fld.mul(four, fld.mul(A, B)))
     curve = WeierstrassCurve(fld, 0, 0, 0, a4, 0)
-    if curve.discriminant == 0:
-        raise SingularFiber("target Weierstrass model is singular")
     total = O
     for j in range(es.params.r + 1):
         pt = es.points[es.point_index(l, i, j)]
-        assert fld.mul(pt.y, pt.y) == fld.add(
-            fld.mul(A, fld.pow(pt.t, 4)), B), "point off the quartic model"
+        if fld.mul(pt.y, pt.y) != fld.add(fld.mul(A, fld.pow(pt.t, 4)), B):
+            raise PointNotOnCurve(
+                f"(t, y) = ({pt.t}, {pt.y}) is off the quartic model")
         w = fld.add(pt.y, fld.mul(alpha, fld.mul(pt.t, pt.t)))
         img = CurvePoint(
             fld.mul(two, fld.mul(alpha, w)),
@@ -220,7 +200,8 @@ def discriminant_profile(params: SurfaceParams):
     a2 = -(t4 + one)
     a4 = t4
     zero = poly(fld, [])
-    delta = _family_discriminant(fld, zero, a2, zero, a4, zero)
+    delta = _discriminant(zero, a2, zero, a4, zero,
+                          lambda n: constant(fld, n % fld.p))
     profile = [("t=infinity", 24 - delta.degree)]
     weighted = 24 - delta.degree
     for g, mult in factor_monic(delta):
@@ -232,19 +213,21 @@ def discriminant_profile(params: SurfaceParams):
         profile.append((label, mult))
         weighted += mult * g.degree
     profile.sort(key=lambda it: (-it[1], it[0]))
-    assert weighted == 24
+    if weighted != 24:
+        raise ArithmeticError(f"vanishing orders weigh {weighted}, not 24")
     return profile
 
 
-def _family_discriminant(fld, a1: UniPoly, a2: UniPoly, a3: UniPoly,
-                         a4: UniPoly, a6: UniPoly) -> UniPoly:
-    def c(n):
-        return poly(fld, [n % fld.p])
+def _discriminant(a1, a2, a3, a4, a6, const):
+    """Discriminant of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
-    b2 = a1 * a1 + c(4) * a2
-    b4 = c(2) * a4 + a1 * a3
-    b6 = a3 * a3 + c(4) * a6
-    b8 = (a1 * a1 * a6 + c(4) * a2 * a6 - a1 * a3 * a4
+    Ring-generic: the coefficients need +, -, unary - and *, and const(n)
+    is the integer n in their ring (field elements or polynomials in t).
+    """
+    b2 = a1 * a1 + const(4) * a2
+    b4 = const(2) * a4 + a1 * a3
+    b6 = a3 * a3 + const(4) * a6
+    b8 = (a1 * a1 * a6 + const(4) * a2 * a6 - a1 * a3 * a4
           + a2 * a3 * a3 - a4 * a4)
-    return (-(b2 * b2 * b8) - c(8) * b4 * b4 * b4 - c(27) * b6 * b6
-            + c(9) * b2 * b4 * b6)
+    return (-(b2 * b2 * b8) - const(8) * b4 * b4 * b4 - const(27) * b6 * b6
+            + const(9) * b2 * b4 * b6)

@@ -4,12 +4,18 @@ A field of order p^m is a :class:`FieldSpec`.  Elements are plain integers
 in ``range(p**m)``: the element ``sum(c_i * w**i)`` (``w`` the class of X
 modulo the defining polynomial) is encoded as ``sum(c_i * p**i)``.
 
-Construction is reproducible: for a given order the modulus defaults to the
-lexicographically least monic irreducible polynomial over F_p of the right
-degree (coefficient vectors compared low-degree-first), and the generator is
-the least element of full multiplicative order under the same ordering.
-Multiplication, inversion and powers go through log/antilog tables; addition
-is digit-wise base p.  Orders above 2**20 are rejected.
+Construction is reproducible and runs in two steps.  The prime field F_p
+comes first, in integer arithmetic: its generator is the least primitive
+root, found with ``pow``.  For m > 1, polynomials over that F_p
+(:class:`poly.UniPoly`) then pick the modulus, by default the
+lexicographically least monic irreducible polynomial of degree m
+(coefficient vectors compared low-degree-first, Rabin's test), and the
+generator, the least element of full multiplicative order under the same
+ordering.  The exp/log tables are filled by walking the F_p-linear map
+"multiply by the generator", an m x m matrix over F_p applied to the digit
+vectors of all elements at once.  Addition is digit-wise base p; F_p
+multiplies integers mod p; everything else goes through the log/antilog
+tables.  Orders above 2**20 are rejected.
 
 Two orderings are used deliberately:
 
@@ -92,105 +98,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Polynomial helpers over F_p (coefficient lists, ascending degree).  Only
-# used while bootstrapping a field: irreducibility tests and generator search
-# run before any log table exists.
-
-def _ptrim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df:
-        c = a[-1]
-        if c:
-            off = len(a) - 1 - df
-            for i in range(df):
-                a[off + i] = (a[off + i] - c * f[i]) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        bm = [(c * inv_lead) % p for c in b]
-        a, b = bm, _pmod(a, bm, p)
-    return a
-
-
-def _ppowmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    cur = _pmod(base, f, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, cur, p), f, p)
-        cur = _pmod(_pmul(cur, cur, p), f, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    d = len(f) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    if f[0] == 0:  # divisible by X
-        return False
-    # frob[j] = X^(p^j) mod f via repeated Frobenius
-    frob = [_pmod([0, 1], f, p)]
-    for _ in range(d - 1):
-        frob.append(_ppowmod(frob[-1], p, f, p))
-
-    def x_power(j: int) -> list[int]:
-        return frob[j] if j <= d - 1 else _ppowmod(frob[-1], p ** (j - (d - 1)), f, p)
-
-    if x_power(d) != _pmod([0, 1], f, p):
-        return False
-    for ell in _prime_factors(d):
-        g = list(x_power(d // ell))
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p
-        if len(_pgcd(f, _ptrim(g), p)) != 1:
-            return False
-    return True
-
-
-def _digits(v: int, p: int, m: int) -> list[int]:
-    out = []
-    for _ in range(m):
-        out.append(v % p)
-        v //= p
-    return out
-
-
-def _undigits(ds, p: int) -> int:
-    out = 0
-    for d in reversed(list(ds)):
-        out = out * p + d
-    return out
-
-
 class FieldSpec:
     """A finite field of order p^m with log/antilog tables.
 
@@ -228,14 +135,6 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec({self.label})"
 
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     def elem(self, v: int) -> "FieldElement":
         if not 0 <= v < self.order:
             raise ValueError(f"element {v} out of range for {self.label}")
@@ -270,6 +169,8 @@ class FieldSpec:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        if self.m == 1:
+            return a * b % self.p
         if a == 0 or b == 0:
             return 0
         return int(self._exp[int(self._log[a]) + int(self._log[b])])
@@ -427,10 +328,50 @@ class FieldElement:
 _FIELD_CACHE: dict[tuple, FieldSpec] = {}
 
 
-def _lex_monic_polys(p: int, m: int):
-    """Monic degree-m coefficient vectors in lexicographic order (c0 first)."""
-    for tail in itertools.product(range(p), repeat=m):
-        yield list(tail) + [1]
+def _walk_tables(p: int, m: int, modulus: tuple[int, ...], gen: int,
+                 step) -> FieldSpec:
+    """Fill exp/log by walking v -> step[v] = gen * v from 1."""
+    q = p ** m
+    powers, cur = [], 1
+    for _ in range(q - 1):
+        powers.append(cur)
+        cur = step[cur]
+    exp = np.array(powers + powers, dtype=np.int32)
+    log = np.full(q, -1, dtype=np.int32)
+    log[exp[:q - 1]] = np.arange(q - 1, dtype=np.int32)
+    if (log[1:] < 0).any():
+        raise RuntimeError("generator order check failed")
+    return FieldSpec(p, m, modulus, gen, exp, log)
+
+
+def _prime_field(p: int, modulus: tuple[int, int]) -> FieldSpec:
+    cofactors = [(p - 1) // ell for ell in _prime_factors(p - 1)]
+    gen = next(g for g in range(1, p)
+               if all(pow(g, e, p) != 1 for e in cofactors))
+    return _walk_tables(p, 1, modulus, gen, [v * gen % p for v in range(p)])
+
+
+def _extension_field(fp: FieldSpec, m: int, modulus: tuple[int, ...]) -> FieldSpec:
+    from .poly import poly, pow_mod, x_poly
+
+    p, q = fp.p, fp.p ** m
+    f, one = poly(fp, modulus), poly(fp, [1])
+    cofactors = [(q - 1) // ell for ell in _prime_factors(q - 1)]
+    # generator: least element (construction ordering) of order q-1
+    for digits in itertools.product(range(p), repeat=m):
+        g = poly(fp, digits)
+        if not g.is_zero and all(pow_mod(g, e, f) != one for e in cofactors):
+            break
+    # row k of the matrix of multiplication by g holds the digits of g X^k
+    rows, row = [], g
+    for _ in range(m):
+        rows.append(row.coeffs + (0,) * (m - len(row.coeffs)))
+        row = row * x_poly(fp) % f
+    place = p ** np.arange(m, dtype=np.int64)
+    digits = np.arange(q, dtype=np.int64)[:, None] // place % p
+    step = (digits @ np.array(rows, dtype=np.int64) % p @ place).tolist()
+    gen = sum(c * p**i for i, c in enumerate(g.coeffs))
+    return _walk_tables(p, m, modulus, gen, step)
 
 
 def make_field(p: int, m: int, modulus=None) -> FieldSpec:
@@ -453,72 +394,28 @@ def make_field(p: int, m: int, modulus=None) -> FieldSpec:
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise ReducibleModulus(
                 f"modulus must be monic of degree {m}: {modulus}")
-        if not _is_irreducible(list(modulus), p):
-            raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
-
     key = (p, m, modulus)
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]
 
-    default_key = None
-    if modulus is None:
-        default_key = key
-        for cand in _lex_monic_polys(p, m):
-            if _is_irreducible(cand, p):
-                modulus = tuple(cand)
-                break
-        key = (p, m, modulus)
-        if key in _FIELD_CACHE:
-            _FIELD_CACHE[default_key] = _FIELD_CACHE[key]
-            return _FIELD_CACHE[key]
+    if m == 1:
+        modulus = modulus or (0, 1)   # every monic linear modulus works
+    else:
+        from .poly import is_irreducible, poly
 
-    q = p ** m
-    fmod = list(modulus)
-
-    def mul_digits(a: list[int], b: list[int]) -> list[int]:
-        prod = _pmod(_pmul(a, b, p), fmod, p)
-        return prod + [0] * (m - len(prod))
-
-    # generator: least element (construction ordering) of order q-1
-    factors = _prime_factors(q - 1)
-    cofactors = [(q - 1) // ell for ell in factors]
-    gen_digits = None
-    for tail in itertools.product(range(p), repeat=m):
-        cand = list(tail)
-        if not any(cand):
-            continue
-        if all(_ppowmod_elem(cand, e, fmod, p, m) != _one(m) for e in cofactors):
-            gen_digits = cand
-            break
-    if gen_digits is None:  # cannot happen: the group is cyclic
-        raise RuntimeError("no generator found")
-
-    exp = np.empty(2 * (q - 1), dtype=np.int32)
-    log = np.full(q, -1, dtype=np.int32)
-    cur = [1] + [0] * (m - 1)
-    for i in range(q - 1):
-        v = _undigits(cur, p)
-        exp[i] = v
-        exp[i + q - 1] = v
-        log[v] = i
-        cur = mul_digits(cur, gen_digits)
-    if cur != [1] + [0] * (m - 1):
-        raise RuntimeError("generator order check failed")
-
-    spec = FieldSpec(p, m, modulus, _undigits(gen_digits, p), exp, log)
-    _FIELD_CACHE[key] = spec
-    if default_key is not None:
-        _FIELD_CACHE[default_key] = spec
+        fp = make_field(p, 1)
+        if modulus is None:
+            modulus = next(tail + (1,)
+                           for tail in itertools.product(range(p), repeat=m)
+                           if is_irreducible(poly(fp, tail + (1,))))
+        elif not is_irreducible(poly(fp, modulus)):
+            raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
+    spec = _FIELD_CACHE.get((p, m, modulus))
+    if spec is None:
+        spec = (_prime_field(p, modulus) if m == 1
+                else _extension_field(fp, m, modulus))
+    _FIELD_CACHE[key] = _FIELD_CACHE[(p, m, modulus)] = spec
     return spec
-
-
-def _one(m: int) -> list[int]:
-    return [1] + [0] * (m - 1)
-
-
-def _ppowmod_elem(a: list[int], e: int, fmod: list[int], p: int, m: int) -> list[int]:
-    r = _ppowmod(_ptrim(list(a)), e, fmod, p)
-    return r + [0] * (m - len(r))
 
 
 _LABEL_RE = re.compile(r"^(\d+)\^(\d+)(?:/([\d,]+))?$")

@@ -15,21 +15,20 @@ practical on one core.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import (
+from .construction import (  # BadLocality is re-exported for importers
+    BadLocality,
     EvaluationSet,
     build_evaluation_set,
     surface_params,
 )
 from .gf import PAIR_TABLE_LIMIT, FieldSpec, make_field
-
-
-class BadLocality(ValueError):
-    """r is not an odd integer >= 3."""
+from .poly import UniPoly, poly, x_poly
 
 
 class RankDeficient(AssertionError):
@@ -42,6 +41,14 @@ class LengthMismatch(ValueError):
 
 class NotSingleOrbit(ValueError):
     """Operation defined only for b = 1 evaluation sets."""
+
+
+class BoundsViolation(AssertionError):
+    """A profile's exact distance lies outside its own bounds.
+
+    An AssertionError, as a failed invariant, so that profile readers and
+    the CLI report it with exit code 2.
+    """
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,27 +227,18 @@ def f_min_message(es: EvaluationSet) -> tuple[int, ...]:
     zeta = es.params.zeta
     tbar = es.orbits[0].representative
 
-    def bmul(f1: dict, f2: dict) -> dict:
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in f1.items():
-            for (i2, j2), c2 in f2.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = fld.add(out.get(key, 0), fld.mul(c1, c2))
-        return {key: c for key, c in out.items() if c}
+    def linear(root: int) -> UniPoly:
+        return poly(fld, [fld.neg(root), 1])
 
-    f = {(1, 0): 1}
+    a_t = poly(fld, [1])
     for j in range(1, r):
-        root = fld.mul(fld.pow(zeta, j), tbar)
-        f = bmul(f, {(0, 1): 1, (0, 0): fld.neg(root)})
+        a_t = a_t * linear(fld.mul(fld.pow(zeta, j), tbar))
+    b_x = x_poly(fld)
     for xbar in es.roots[0][: r - 3]:
-        f = bmul(f, {(1, 0): 1, (0, 0): fld.neg(xbar)})
-    mb = basis(r)
-    pos = {mono: w for w, mono in enumerate(mb.monomials)}
-    vec = [0] * len(mb)
-    for mono, c in f.items():
-        assert mono in pos, f"f_min monomial {mono} outside basis"
-        vec[pos[mono]] = c
-    return tuple(vec)
+        b_x = b_x * linear(xbar)
+    # deg b_x = r-2 and deg a_t = r-1, so every monomial lies in the basis
+    return tuple(fld.mul(b_x.coeff(i), a_t.coeff(j))
+                 for i, j in basis(r).monomials)
 
 
 # -- exact minimum distance ----------------------------------------------------
@@ -367,6 +365,8 @@ def _min_distance_r3(es: EvaluationSet, budget, threads) -> DistanceResult:
     best = (-1, None)
     enumerated = 0
     exact = True
+    # a fork pool starts every worker at once; more than the cores only add load
+    threads = min(threads, os.cpu_count() or 1)
     if threads > 1 and budget is None:
         bounds = np.linspace(0, q * q, threads + 1, dtype=int)
         args = [
@@ -448,55 +448,6 @@ def min_distance(es: EvaluationSet, gm: GeneratorMatrix | None = None,
     return _min_distance_generic(es, budget, threads)
 
 
-def zero_grid_agreement(es: EvaluationSet, gm: GeneratorMatrix,
-                        prefix_limit: int | None = None) -> int:
-    """Cross-check the histogram kernel against direct symbol evaluation.
-
-    For every x-block prefix (lex order, optionally capped), compares the
-    kernel's zero count of each (u, v) tail against a count obtained by
-    evaluating all n symbols from the generator matrix columns.  Raises
-    AssertionError on the first disagreement; returns prefixes checked.
-    """
-    fld = es.field
-    q = fld.order
-    tabs = fld.np_tables()
-    ADD, MUL = tabs["ADD"], tabs["MUL"]
-    tables = _r3_curve_tables(es)
-    _t1, _t2, _fib, xa_v, _alpha, AU, NMB = tables
-    c_idx = np.arange(len(xa_v), dtype=np.int64)
-    u_flat = np.arange(q, dtype=np.int64)[None, :] * q
-    rows = [np.asarray(row, dtype=np.int64) for row in gm.rows]
-    uv = np.arange(q, dtype=np.int64)
-    checked = 0
-    prefixes = []
-    for pre in range(q * q):
-        prefixes.append((1, *divmod(pre, q)))
-    prefixes += [(0, 1, a2) for a2 in range(q)]
-    prefixes.append((0, 0, 1))
-    if prefix_limit is not None:
-        prefixes = prefixes[:prefix_limit]
-    for a0, a1, a2 in prefixes:
-        # kernel grid: histogram of per-point curves
-        av = np.empty(len(_t1), dtype=np.int64)
-        for f in range(len(_t1)):
-            av[f] = ADD[ADD[a0, MUL[a1, _t1[f]]], MUL[a2, _t2[f]]]
-        f0 = MUL[xa_v, av[_fib]]
-        val = ADD[f0[:, None], AU]
-        vi = NMB[c_idx[:, None], val].astype(np.int64)
-        kernel_grid = np.bincount((u_flat + vi).ravel(), minlength=q * q)
-        # naive grid: per-point symbol evaluation over the whole (u, v) plane
-        naive_grid = np.zeros(q * q, dtype=np.int64)
-        base = ADD[ADD[MUL[a0, rows[0]], MUL[a1, rows[1]]], MUL[a2, rows[2]]]
-        for pnt in range(es.n):
-            ucontrib = MUL[rows[3][pnt], uv]
-            vcontrib = MUL[rows[4][pnt], uv]
-            grid = ADD[ADD[base[pnt], ucontrib][:, None], vcontrib[None, :]]
-            naive_grid += (grid.ravel() == 0)
-        assert np.array_equal(kernel_grid, naive_grid), (a0, a1, a2)
-        checked += 1
-    return checked
-
-
 # -- profile -------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -518,8 +469,10 @@ class CodeProfile:
     d_witness: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.d_exact is not None:
-            assert self.d_lower <= self.d_exact <= self.d_upper
+        if self.d_exact is not None \
+                and not self.d_lower <= self.d_exact <= self.d_upper:
+            raise BoundsViolation(
+                f"d_exact={self.d_exact} outside [{self.d_lower}, {self.d_upper}]")
 
 
 def code_profile(es: EvaluationSet, dist: DistanceResult | None = None) -> CodeProfile:

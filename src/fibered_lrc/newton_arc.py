@@ -11,9 +11,9 @@ yields the generic distance lower bound n - (2r^2 - 2r - 3).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construction import SurfaceParams
+from .construction import SurfaceParams, defining_coefficients
 from .gf import FieldSpec
-from .lrc_code import BadLocality, basis
+from .lrc_code import basis
 from .poly import UniPoly, factor_monic, poly
 
 
@@ -23,6 +23,10 @@ class AllZero(Exception):
 
 class NotOnSegment(Exception):
     """A support point recorded on a segment fails the segment equation."""
+
+
+class ArcMismatch(ArithmeticError):
+    """The arc at t = infinity disagrees with the expected splitting."""
 
 
 @dataclass(frozen=True)
@@ -78,24 +82,6 @@ class ValuationTable:
     r: int
     case: int                # 1: -1 is a square, 2: it is not
     places: tuple            # PlaceRecord, rational-to-the-arc order P1, P2, ...
-
-
-def defining_coefficients(field: FieldSpec, r: int) -> list:
-    """Coefficients (in t, ascending T-degree) of the degree-(r+1) defining
-    polynomial of the x/t extension, before t^-(r+1) normalization."""
-    if r < 3 or r % 2 == 0:
-        raise BadLocality(f"locality must be an odd integer >= 3, got {r}")
-    rp1 = r + 1
-    coeffs = [poly(field, []) for _ in range(rp1 + 1)]
-    one = poly(field, [1])
-    t_rp1 = poly(field, [0] * rp1 + [1])
-    coeffs[0] = one
-    coeffs[1] = -t_rp1
-    coeffs[2] = t_rp1 + one
-    coeffs[3] = coeffs[3] - one
-    coeffs[rp1 // 2] = coeffs[rp1 // 2] + poly(field, [2 % field.p])
-    coeffs[rp1] = one
-    return coeffs
 
 
 def support_set_at_infinity(coeff_polys, normalization: int) -> SupportSet:
@@ -194,7 +180,8 @@ def splitting_at_infinity(params: SurfaceParams) -> ValuationTable:
     coeffs = defining_coefficients(fld, r)
     ss = support_set_at_infinity(coeffs, r + 1)
     segments = lower_hull(ss)
-    assert len(segments) == 3, "the arc must have exactly three segments"
+    if len(segments) != 3:
+        raise ArcMismatch(f"the arc has {len(segments)} segments, not three")
     case = 1 if fld.is_square(fld.neg(1)) else 2
     places = []
     for seg in segments:
@@ -206,11 +193,14 @@ def splitting_at_infinity(params: SurfaceParams) -> ValuationTable:
         for split in data.places:
             places.append(PlaceRecord(f"P{len(places) + 1}", split.e, split.f,
                                       -split.e, seg.a))
-    assert sum(pl.e * pl.f for pl in places) == r + 1
-    expected = 4 if case == 1 else 3
-    assert len(places) == expected, (case, places)
-    assert places[0].v_x == r + 1 and places[1].v_x == 0
-    assert all(2 * pl.v_x == -(r + 1) for pl in places[2:])
+    if sum(pl.e * pl.f for pl in places) != r + 1:
+        raise ArcMismatch(f"sum of e*f over {places} is not {r + 1}")
+    if len(places) != (4 if case == 1 else 3):
+        raise ArcMismatch(f"case {case} with {len(places)} places: {places}")
+    if places[0].v_x != r + 1 or places[1].v_x != 0:
+        raise ArcMismatch(f"v_x at P1, P2 is not ({r + 1}, 0): {places[:2]}")
+    if any(2 * pl.v_x != -(r + 1) for pl in places[2:]):
+        raise ArcMismatch(f"v_x is not -(r+1)/2 beyond P2: {places[2:]}")
     return ValuationTable(r, case, tuple(places))
 
 

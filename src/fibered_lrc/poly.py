@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gf import DivisionByZero, FieldMismatch, FieldSpec, FieldTooLarge, TABLE_LIMIT
+from .gf import (TABLE_LIMIT, DivisionByZero, FieldMismatch, FieldSpec,
+                 FieldTooLarge, _prime_factors)
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,6 @@ class UniPoly:
         if c == 0:
             return UniPoly(f, ())
         return UniPoly(f, tuple(f.mul(c, a) for a in self.coeffs))
-
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by X^k."""
-        if self.is_zero:
-            return self
-        return UniPoly(self.field, (0,) * k + self.coeffs)
 
     def __divmod__(self, other: "UniPoly"):
         self._check(other)
@@ -191,6 +186,24 @@ def frobenius_power_mod(f: UniPoly) -> UniPoly:
     if f.degree < 1:
         raise ValueError("modulus must have degree >= 1")
     return pow_mod(x_poly(f.field), f.field.order, f)
+
+
+def is_irreducible(f: UniPoly) -> bool:
+    """Rabin's test: f of degree d is irreducible iff X^(q^d) = X (mod f)
+    and gcd(X^(q^(d/l)) - X, f) = 1 for every prime l dividing d."""
+    d = f.degree
+    if d < 1:
+        return False
+    if d == 1:
+        return True
+    if f.coeffs[0] == 0:  # divisible by X
+        return False
+    x = x_poly(f.field)
+    frob = [x]  # frob[j] = X^(q^j) mod f
+    for _ in range(d):
+        frob.append(pow_mod(frob[-1], f.field.order, f))
+    return frob[d] == x and all(poly_gcd(frob[d // ell] - x, f).degree == 0
+                                for ell in _prime_factors(d))
 
 
 def splits_completely_distinct(f: UniPoly) -> bool:
@@ -305,7 +318,8 @@ def factor_monic(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
         stack.append((g, mult))  # factors with p | multiplicity remain here
     out = tuple(sorted(((p_, m) for p_, m in found.values()),
                        key=lambda it: (it[0].degree, it[0].coeffs)))
-    assert sum(p_.degree * m for p_, m in out) == f.degree
+    if sum(p_.degree * m for p_, m in out) != f.degree:
+        raise ArithmeticError(f"factor degrees do not add up to deg {f.degree}")
     return out
 
 

@@ -24,8 +24,7 @@ from fibered_lrc.elliptic_verify import (NonSquareTwist, SingularFiber,
 from fibered_lrc.gf import make_field
 from fibered_lrc.lrc_code import (distance_b1, distance_lower_bound, encode,
                                   f_min_message, generator_matrix,
-                                  min_distance, singleton_availability_upper,
-                                  zero_grid_agreement)
+                                  min_distance, singleton_availability_upper)
 from fibered_lrc.newton_arc import (defining_coefficients, lower_hull,
                                     monomial_valuations, pole_degree,
                                     segment_polynomials, splitting_at_infinity,
@@ -33,6 +32,7 @@ from fibered_lrc.newton_arc import (defining_coefficients, lower_hull,
 from fibered_lrc.recovery import (ErasurePattern, recover_horizontal,
                                   recover_vertical, repair)
 from fibered_lrc.serialize import write_table_csv
+from kernel_oracle import zero_grid_agreement
 
 FIELDS = {"49": (7, 2), "81": (3, 4), "121": (11, 2), "169": (13, 2),
           "625": (5, 4)}

@@ -1,10 +1,14 @@
 """End-to-end CLI tests: subcommands, exit codes, file round trips."""
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fibered_lrc
 from fibered_lrc.cli import main, run_table
 from fibered_lrc.construction import build_evaluation_set, surface_params
 from fibered_lrc.gf import FieldTooLarge
@@ -130,7 +134,8 @@ def test_usage_errors(tmp_path, capsys):
                  ["recover", "--codeword", "x.json"],
                  ["table"],
                  ["recover", "--profile", "nope.json", "--codeword", "n.json"],
-                 ["mindist", "--field", "7^2", "--orbits", "5"]):
+                 ["mindist", "--field", "7^2", "--orbits", "5"],
+                 ["mindist", "--field", "7^2", "--threads", "0"]):
         with pytest.raises(SystemExit) as info:
             code = main(argv)
             raise SystemExit(code)
@@ -144,6 +149,23 @@ def test_tampered_profile_exits_2(prof49, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["verify", "invariants", "--profile", str(bad)]) == 2
+
+
+def test_tampered_bounds_exit_2_under_optimize(prof49, tmp_path):
+    # the bounds check must not be an assert, which python -O strips
+    doc = json.loads(prof49.read_text())
+    doc["d_exact"] = 99
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    src = str(Path(fibered_lrc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-O", "-m", "fibered_lrc.cli", "verify", "invariants",
+         "--profile", str(bad)], capture_output=True, text=True, env=env,
+        timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert "d_exact=99" in res.stderr
 
 
 def test_console_script(golden_dir):

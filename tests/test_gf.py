@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fibered_lrc import poly
 from fibered_lrc.gf import (
     DivisionByZero,
     FieldMismatch,
@@ -150,6 +151,17 @@ def test_construction_errors():
         make_field(7, 2, modulus=(0, 0, 1))  # x^2
     with pytest.raises(ReducibleModulus):
         make_field(7, 2, modulus=(1, 0, 2))  # not monic
+
+
+def test_explicit_modulus_hits_cache_before_irreducibility(f625, monkeypatch):
+    def retest(f):
+        raise AssertionError(f"irreducibility of {f} tested again")
+
+    monkeypatch.setattr(poly, "is_irreducible", retest)
+    assert make_field(5, 4, f625.modulus) is f625
+    assert parse_field_label(f625.label) is f625
+    with pytest.raises(ReducibleModulus):
+        make_field(5, 4, modulus=(1, 0, 1, 1, 2))  # not monic
 
 
 def test_alternative_modulus():

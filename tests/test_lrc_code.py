@@ -22,9 +22,9 @@ from fibered_lrc.lrc_code import (
     min_distance,
     singleton_availability_upper,
     structural_weight,
-    zero_grid_agreement,
     _min_distance_generic,
 )
+from kernel_oracle import zero_grid_agreement
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +151,30 @@ def test_min_distance_deterministic(es49_full):
 
 def test_min_distance_threads_agree(es49_full):
     assert min_distance(es49_full, threads=2) == min_distance(es49_full)
+
+
+def test_min_distance_clamps_workers_to_cpu_count(es49_full, monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Records the requested worker count and starts no process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(lrc_code, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(lrc_code.os, "cpu_count", lambda: 2)
+    assert min_distance(es49_full, threads=10_000) == min_distance(es49_full)
+    assert started == [2]
 
 
 def test_min_distance_budget_and_generic_prefix(es49_full, monkeypatch):

@@ -7,6 +7,7 @@ from fibered_lrc.poly import (
     all_roots,
     constant,
     frobenius_power_mod,
+    is_irreducible,
     lagrange_interpolate,
     poly,
     poly_gcd,
@@ -112,6 +113,17 @@ def test_frobenius_fixes_prime_subfield(f169):
     fr = frobenius_power_mod(mod)
     fr2 = pow_mod(fr, f169.order, mod)
     assert fr2 == x_poly(f169) % mod
+
+
+def test_is_irreducible_counts(f5):
+    # Gauss: (1/d) sum_{e|d} mu(d/e) q^e monic irreducibles of degree d
+    f3 = make_field(3, 1)
+    for fld, d, count in ((f5, 1, 5), (f5, 2, 10), (f5, 3, 40), (f3, 4, 18)):
+        q = fld.order
+        monic = [poly(fld, [v // q**i % q for i in range(d)] + [1])
+                 for v in range(q**d)]
+        assert sum(map(is_irreducible, monic)) == count, (q, d)
+    assert not is_irreducible(constant(f5, 3))
 
 
 def test_splits_completely_distinct(f13):

@@ -211,9 +211,6 @@ class FieldSpec:
         """Canonical element ordering: zero first, then discrete-log index."""
         return -1 if a == 0 else int(self._log[a])
 
-    def canonical_sorted(self, values) -> list[int]:
-        return sorted(values, key=self.order_key)
-
     def elements(self):
         """All elements in canonical order (zero, then powers of gen)."""
         yield 0
@@ -279,8 +276,6 @@ class FieldSpec:
             "MUL": mult_t.astype(np.int32),
             "NEG": negv.astype(np.int32),
             "INV": invv.astype(np.int32),
-            "LOG": logv.astype(np.int32),
-            "EXP": expd.astype(np.int32),
         }
         return self._np
 

@@ -141,10 +141,6 @@ def encode(gm: GeneratorMatrix, message) -> tuple[int, ...]:
     return tuple(out)
 
 
-def codeword_weight(symbols) -> int:
-    return sum(1 for s in symbols if s)
-
-
 def _coeff_blocks(r: int):
     """(start, length) of each x-degree block in basis order, degrees 1..r-1."""
     blocks = [((s - 1) * r, r) for s in range(1, r - 1)]
@@ -201,9 +197,8 @@ def singleton_availability_upper(n: int, k: int, r: int) -> int:
     return n - (km1 + km1 // r + km1 // (r * r))
 
 
-def distance_lower_bound(n: int, r: int, b: int = 2) -> int:
+def distance_lower_bound(n: int, r: int) -> int:
     """n - (2r^2 - 2r - 3); informative for b >= 2 (returned regardless)."""
-    del b
     return n - (2 * r * r - 2 * r - 3)
 
 
@@ -401,17 +396,27 @@ def _min_distance_r3(es: EvaluationSet, budget, threads) -> DistanceResult:
     return DistanceResult(es.n - zeros, msg, exact, enumerated)
 
 
+# unbudgeted generic searches above this many classes are refused: the
+# scalar path does a few thousand classes per second
+GENERIC_CLASS_LIMIT = 100_000
+
+
 def _min_distance_generic(es: EvaluationSet, budget, threads) -> DistanceResult:
     """Scalar fallback for r > 3 or orders beyond the dense-table limit.
 
-    Correct but slow; give it a budget anywhere past toy sizes.  threads are
-    ignored on this path.
+    Correct but slow: without a budget it refuses to enumerate more than
+    GENERIC_CLASS_LIMIT classes.  threads are ignored on this path.
     """
     del threads
     from itertools import product
 
     q = es.field.order
     k = es.r * (es.r - 1) - 1
+    classes = (q**k - 1) // (q - 1)
+    if budget is None and classes > GENERIC_CLASS_LIMIT:
+        raise ValueError(
+            f"exhaustive search over {classes} message classes (r={es.r}, "
+            f"{es.field.label}) would not finish; pass --budget")
     best = (-1, None)
     enumerated = 0
     exact = True
@@ -496,7 +501,7 @@ def code_profile(es: EvaluationSet, dist: DistanceResult | None = None) -> CodeP
         orbit_indices=tuple(es.orbit_indices),
         n=n,
         k=k,
-        d_lower=distance_lower_bound(n, r, es.b),
+        d_lower=distance_lower_bound(n, r),
         d_upper=d_upper,
         d_exact=d_exact,
         d_witness=witness,

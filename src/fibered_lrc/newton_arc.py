@@ -82,6 +82,8 @@ class ValuationTable:
     r: int
     case: int                # 1: -1 is a square, 2: it is not
     places: tuple            # PlaceRecord, rational-to-the-arc order P1, P2, ...
+    support: SupportSet      # the support set the arc was read from
+    segments: tuple          # (ArcSegment, SegmentFactorData) along the arc
 
 
 def support_set_at_infinity(coeff_polys, normalization: int) -> SupportSet:
@@ -93,27 +95,6 @@ def support_set_at_infinity(coeff_polys, normalization: int) -> SupportSet:
             continue
         points.append((i, normalization - a.degree))
         residues[i] = a.lead
-    if not points:
-        raise AllZero("all coefficients vanish")
-    return SupportSet(tuple(points), residues, field)
-
-
-def support_set_at_place(coeff_polys, c: int) -> SupportSet:
-    """Support set at the finite place t = c: v(a) = multiplicity of (t-c)."""
-    points, residues, field = [], {}, None
-    for i, a in enumerate(coeff_polys):
-        field = a.field
-        if a.is_zero:
-            continue
-        lin = poly(field, [field.neg(c), 1])
-        mult, cur = 0, a
-        while True:
-            quo, rem = divmod(cur, lin)
-            if not rem.is_zero:
-                break
-            mult, cur = mult + 1, quo
-        points.append((i, mult))
-        residues[i] = cur.eval_at(c)
     if not points:
         raise AllZero("all coefficients vanish")
     return SupportSet(tuple(points), residues, field)
@@ -183,9 +164,10 @@ def splitting_at_infinity(params: SurfaceParams) -> ValuationTable:
     if len(segments) != 3:
         raise ArcMismatch(f"the arc has {len(segments)} segments, not three")
     case = 1 if fld.is_square(fld.neg(1)) else 2
-    places = []
+    places, read = [], []
     for seg in segments:
         data = segment_polynomials(seg, ss)
+        read.append((seg, data))
         if not data.squarefree:
             raise ArithmeticError(
                 "segment polynomial is not squarefree; "
@@ -201,7 +183,7 @@ def splitting_at_infinity(params: SurfaceParams) -> ValuationTable:
         raise ArcMismatch(f"v_x at P1, P2 is not ({r + 1}, 0): {places[:2]}")
     if any(2 * pl.v_x != -(r + 1) for pl in places[2:]):
         raise ArcMismatch(f"v_x is not -(r+1)/2 beyond P2: {places[2:]}")
-    return ValuationTable(r, case, tuple(places))
+    return ValuationTable(r, case, tuple(places), ss, tuple(read))
 
 
 def monomial_valuations(vt: ValuationTable, i: int, j: int) -> dict:

@@ -181,13 +181,6 @@ def pow_mod(base: UniPoly, e: int, mod: UniPoly) -> UniPoly:
     return result
 
 
-def frobenius_power_mod(f: UniPoly) -> UniPoly:
-    """X^(field order) reduced mod f."""
-    if f.degree < 1:
-        raise ValueError("modulus must have degree >= 1")
-    return pow_mod(x_poly(f.field), f.field.order, f)
-
-
 def is_irreducible(f: UniPoly) -> bool:
     """Rabin's test: f of degree d is irreducible iff X^(q^d) = X (mod f)
     and gcd(X^(q^(d/l)) - X, f) = 1 for every prime l dividing d."""
@@ -213,7 +206,8 @@ def splits_completely_distinct(f: UniPoly) -> bool:
     """
     if f.degree < 1:
         return False
-    if frobenius_power_mod(f) != x_poly(f.field) % f:
+    x = x_poly(f.field)
+    if pow_mod(x, f.field.order, f) != x % f:
         return False
     d = poly_gcd(f, f.derivative())
     return d.degree == 0
@@ -227,24 +221,6 @@ def all_roots(f: UniPoly) -> tuple[int, ...]:
     if field.order > TABLE_LIMIT:
         raise FieldTooLarge(f"exhaustive root scan refused for order {field.order}")
     return tuple(v for v in field.elements() if f.eval_at(v) == 0)
-
-
-def roots_with_multiplicity(f: UniPoly) -> list[tuple[int, int]]:
-    """(root, multiplicity) pairs in canonical element order."""
-    field = f.field
-    out = []
-    for rt in all_roots(f):
-        lin = poly(field, [field.neg(rt), 1])
-        mult = 0
-        cur = f
-        while True:
-            q, r = divmod(cur, lin)
-            if not r.is_zero:
-                break
-            mult += 1
-            cur = q
-        out.append((rt, mult))
-    return out
 
 
 def _equal_degree_split(g: UniPoly, d: int, rng: random.Random) -> list[UniPoly]:
@@ -321,25 +297,3 @@ def factor_monic(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
     if sum(p_.degree * m for p_, m in out) != f.degree:
         raise ArithmeticError(f"factor degrees do not add up to deg {f.degree}")
     return out
-
-
-def lagrange_interpolate(field: FieldSpec, xs, ys) -> UniPoly:
-    """The unique polynomial of degree < len(xs) through (xs[i], ys[i])."""
-    xs, ys = list(xs), list(ys)
-    if len(xs) != len(ys):
-        raise ValueError("point count mismatch")
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    acc = poly(field, [])
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        num = constant(field, yi)
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = num * poly(field, [field.neg(xj), 1])
-            denom = field.mul(denom, field.sub(xi, xj))
-        acc = acc + num.scale(field.inv(denom))
-    return acc

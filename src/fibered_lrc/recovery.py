@@ -20,6 +20,11 @@ class SingularSystem(Exception):
     """Interpolation nodes collide; impossible on a valid evaluation set."""
 
 
+class Corrupted(ArithmeticError):
+    """The r symbols of a vertical recovery set are not consistent with
+    any codeword: at least one of them is corrupted, not merely erased."""
+
+
 @dataclass(frozen=True)
 class ErasurePattern:
     erased: frozenset  # (l, i, j) triples
@@ -66,7 +71,7 @@ def recover_vertical(es: EvaluationSet, codeword, target) -> int:
 
     f(x, t̄) has no constant term in x, so g(x) = f(x, t̄)/x has degree
     <= r-2 and the r known values overdetermine it by one node; the spare
-    node is used as a consistency check.
+    node is used as a consistency check, raising Corrupted when it fails.
     """
     fld = es.field
     l, i, j = target
@@ -75,7 +80,8 @@ def recover_vertical(es: EvaluationSet, codeword, target) -> int:
     nodes = [es.points[es.point_index(*trip)].x for trip in vertical]
     gvals = [fld.div(s, x) for s, x in zip(symbols, nodes)]
     check = _interp_eval(fld, nodes[:-1], gvals[:-1], nodes[-1])
-    assert check == gvals[-1], "vertical interpolation residual is nonzero"
+    if check != gvals[-1]:
+        raise Corrupted("vertical interpolation residual is nonzero")
     xt = es.points[es.point_index(l, i, j)].x
     return fld.mul(xt, _interp_eval(fld, nodes[:-1], gvals[:-1], xt))
 

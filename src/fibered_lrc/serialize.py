@@ -1,4 +1,4 @@
-"""Versioned JSON I/O for profiles, codewords, evaluation sets; table CSV.
+"""Versioned JSON I/O for profiles and codewords; table CSV.
 
 Field elements travel as discrete-log indices.  Zero has no logarithm, so
 it is written as the string token "0"; every nonzero element v is the
@@ -151,34 +151,6 @@ def codeword_from_dict(d) -> tuple[FieldSpec, list]:
         raise SchemaMismatch(f"n={n} but {len(raw)} symbols present")
     return fld, [None if tok is None else decode_element(fld, tok)
                  for tok in raw]
-
-
-def evaluation_set_to_dict(es: EvaluationSet) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "evaluation-set",
-        "field": field_to_dict(es.field),
-        "r": es.r,
-        "orbit_indices": list(es.orbit_indices),
-        "orbit_reps": [encode_element(es.field, o.representative)
-                       for o in es.orbits],
-        "n": es.n,
-    }
-
-
-def evaluation_set_from_dict(d) -> EvaluationSet:
-    _expect(d, "evaluation-set")
-    try:
-        fld = field_from_dict(d["field"])
-        params = surface_params(fld, int(d["r"]))
-        es = build_evaluation_set(params, tuple(int(i) for i in d["orbit_indices"]))
-        reps = [decode_element(fld, tok) for tok in d["orbit_reps"]]
-        n = int(d["n"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad evaluation-set document: {exc}") from None
-    if es.n != n or [o.representative for o in es.orbits] != reps:
-        raise SchemaMismatch("stored orbits disagree with reconstruction")
-    return es
 
 
 def save_json(obj: dict, fileobj) -> None:

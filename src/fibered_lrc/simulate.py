@@ -21,6 +21,10 @@ class BadScenario(ValueError):
     """Scenario parameters are inconsistent with the code profile."""
 
 
+class RepairMismatch(ArithmeticError):
+    """A repaired symbol differs from the symbol that was encoded."""
+
+
 @dataclass(frozen=True)
 class StorageScenario:
     es: EvaluationSet
@@ -108,7 +112,8 @@ def run_simulation(scenario: StorageScenario) -> SimReport:
             holed[pos] = None
         res = repair(es, holed, pattern)
         for trip, path in res.paths.items():
-            assert res.codeword[es.point_index(*trip)] == cw[es.point_index(*trip)]
+            if res.codeword[es.point_index(*trip)] != cw[es.point_index(*trip)]:
+                raise RepairMismatch(f"symbol {trip} repaired to a wrong value")
             hist[path] += 1
         repaired_counts.append(len(res.paths))
         unrecovered_counts.append(len(res.unrecovered))

@@ -16,6 +16,16 @@ from fibered_lrc.lrc_code import encode, generator_matrix
 from fibered_lrc.serialize import codeword_to_dict, save_json
 
 
+def run_optimized(*argv):
+    """Run the CLI in a python -O subprocess, which strips every assert."""
+    env = dict(os.environ)
+    src = str(Path(fibered_lrc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "fibered_lrc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.fixture()
 def prof49(tmp_path):
     path = tmp_path / "prof49.json"
@@ -135,7 +145,11 @@ def test_usage_errors(tmp_path, capsys):
                  ["table"],
                  ["recover", "--profile", "nope.json", "--codeword", "n.json"],
                  ["mindist", "--field", "7^2", "--orbits", "5"],
-                 ["mindist", "--field", "7^2", "--threads", "0"]):
+                 ["mindist", "--field", "7^2", "--threads", "0"],
+                 ["table", "--field", "7^2", "--max-subsets", "-1"],
+                 ["table", "--field", "7^2", "--max-subsets", "0"],
+                 # the generic search would enumerate 49^18 classes
+                 ["mindist", "--field", "7^2", "--r", "5"]):
         with pytest.raises(SystemExit) as info:
             code = main(argv)
             raise SystemExit(code)
@@ -157,15 +171,24 @@ def test_tampered_bounds_exit_2_under_optimize(prof49, tmp_path):
     doc["d_exact"] = 99
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    env = dict(os.environ)
-    src = str(Path(fibered_lrc.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-O", "-m", "fibered_lrc.cli", "verify", "invariants",
-         "--profile", str(bad)], capture_output=True, text=True, env=env,
-        timeout=120)
+    res = run_optimized("verify", "invariants", "--profile", str(bad))
     assert res.returncode == 2, res.stderr
     assert "d_exact=99" in res.stderr
+
+
+def test_recover_corrupted_exit_2_under_optimize(prof49, cw49, tmp_path, f49):
+    # a corrupted symbol in the vertical recovery set of the erased one must
+    # fail the residual check, not be stripped with it under python -O
+    _, cw = cw49
+    bad = list(cw)
+    bad[4] = f49.add(bad[4], 1)  # point (0,1,0)
+    path = tmp_path / "corrupted.json"
+    with open(path, "w") as fh:
+        save_json(codeword_to_dict(f49, bad), fh)
+    res = run_optimized("recover", "--profile", str(prof49), "--codeword",
+                        str(path), "--erase", "0,0,0")
+    assert res.returncode == 2, (res.stdout, res.stderr)
+    assert "residual" in res.stderr and res.stdout == ""
 
 
 def test_console_script(golden_dir):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fibered_lrc import make_field
+from fibered_lrc import construction, make_field
 from fibered_lrc.construction import (
     EmptySelection,
     NoAdmissibleBase,
@@ -13,7 +13,6 @@ from fibered_lrc.construction import (
     find_nice_orbits,
     is_nice_element,
     m_sufficient,
-    m_upper_estimate,
     recovery_indices,
     specialize_P,
     surface_params,
@@ -141,6 +140,26 @@ def test_orbit_root_sets_invariant(sp169, f169):
         assert len(base) == 4
 
 
+def test_one_fiber_derivation_per_orbit(sp169, monkeypatch):
+    # niceness is tested on each orbit's representative only, and the
+    # evaluation set scans for roots once per chosen orbit
+    calls = {"split": 0, "roots": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(construction, "_ORBIT_CACHE", {})
+    monkeypatch.setattr(construction, "splits_completely_distinct",
+                        counted("split", construction.splits_completely_distinct))
+    monkeypatch.setattr(construction, "all_roots",
+                        counted("roots", construction.all_roots))
+    es = build_evaluation_set(sp169)
+    assert calls == {"split": 168 // 4, "roots": es.b} and es.b == 5
+
+
 def test_sufficient_order_gives_orbits():
     # whenever q^m / m >= 2*(r+1)! = 48 the scan must find something
     for p, mt in [(7, 2), (11, 2), (13, 2), (5, 4)]:
@@ -234,5 +253,3 @@ def test_m_bounds():
     assert m_sufficient(13, 3) == 2
     assert m_sufficient(49, 3) == 1  # q >= 2*(r+1)! already
     assert m_sufficient(53, 3) == 1
-    assert m_upper_estimate(3) == 4
-    assert m_upper_estimate(5) == 5

@@ -13,7 +13,6 @@ from fibered_lrc.lrc_code import (
     NotSingleOrbit,
     basis,
     code_profile,
-    codeword_weight,
     distance_b1,
     distance_lower_bound,
     encode,
@@ -24,7 +23,6 @@ from fibered_lrc.lrc_code import (
     structural_weight,
     _min_distance_generic,
 )
-from kernel_oracle import zero_grid_agreement
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +112,7 @@ def test_structural_weight_matches_naive():
         rng = random.Random(p * 1000 + m)
         for _ in range(trials):
             msg = [rng.randrange(fld.order) for _ in range(5)]
-            assert structural_weight(es, msg) == codeword_weight(encode(gm, msg))
+            assert structural_weight(es, msg) == sum(map(bool, encode(gm, msg)))
 
 
 def test_scalar_invariance(es49_full, f49):
@@ -126,15 +124,15 @@ def test_scalar_invariance(es49_full, f49):
         scaled = [f49.mul(c, v) for v in msg]
         assert structural_weight(es49_full, msg) == structural_weight(
             es49_full, scaled)
-        assert codeword_weight(encode(gm, msg)) == codeword_weight(
-            encode(gm, scaled))
+        assert sum(map(bool, encode(gm, msg))) == sum(
+            map(bool, encode(gm, scaled)))
 
 
 def test_min_distance_single_orbit(es49, gm49):
     res = min_distance(es49, gm49)
     assert res.exact
     assert res.d == 8 == distance_b1(3)
-    assert codeword_weight(encode(gm49, res.witness)) == 8
+    assert sum(map(bool, encode(gm49, res.witness))) == 8
     # full projective class count
     assert res.enumerated == sum(49**e for e in range(5))
 
@@ -207,11 +205,6 @@ def test_min_distance_alternative_modulus():
     assert min_distance(build_evaluation_set(sp, [0, 1])).d == 24
 
 
-def test_zero_grid_agreement_full(es49, gm49):
-    checked = zero_grid_agreement(es49, gm49)
-    assert checked == 49 * 49 + 49 + 1
-
-
 def test_bounds():
     assert singleton_availability_upper(32, 5, 3) == 27
     assert singleton_availability_upper(16, 5, 3) == 11
@@ -222,7 +215,7 @@ def test_bounds():
             assert singleton_availability_upper(n, k, r) == n - (r * r - 4)
     assert distance_lower_bound(32, 3) == 23
     assert distance_lower_bound(112, 3) == 103
-    assert distance_lower_bound(16, 3, b=1) == 7
+    assert distance_lower_bound(16, 3) == 7
     for r in (3, 5, 7):
         assert distance_b1(r) == 8
     with pytest.raises(BadLocality):
@@ -237,7 +230,7 @@ def test_f_min_message(f49, f121, f169):
         # r=3: no x²-block terms
         assert vec[3] == vec[4] == 0 and vec[2] != 0
         gm = generator_matrix(es)
-        assert codeword_weight(encode(gm, vec)) == 8
+        assert sum(map(bool, encode(gm, vec))) == 8
     with pytest.raises(NotSingleOrbit):
         f_min_message(build_evaluation_set(surface_params(f169, 3), [0, 1]))
 

@@ -17,7 +17,6 @@ from fibered_lrc.newton_arc import (
     segment_polynomials,
     splitting_at_infinity,
     support_set_at_infinity,
-    support_set_at_place,
 )
 from fibered_lrc.poly import poly
 
@@ -49,15 +48,6 @@ def test_support_set_trivia(f13):
         support_set_at_infinity([poly(f13, []), poly(f13, [])], 4)
     with pytest.raises(BadLocality):
         defining_coefficients(f13, 4)
-
-
-def test_support_set_at_finite_place(f13):
-    t = poly(f13, [0, 1])
-    one = poly(f13, [1])
-    coeffs = [t * t * (t - one), (t - one) * (t - one), one]
-    ss = support_set_at_place(coeffs, 1)
-    assert ss.points == ((0, 1), (1, 2), (2, 0))
-    assert ss.residues == {0: 1, 1: 1, 2: 1}
 
 
 def test_lower_hull_small(f13):

@@ -6,13 +6,10 @@ from fibered_lrc.gf import DivisionByZero, FieldMismatch, make_field
 from fibered_lrc.poly import (
     all_roots,
     constant,
-    frobenius_power_mod,
     is_irreducible,
-    lagrange_interpolate,
     poly,
     poly_gcd,
     pow_mod,
-    roots_with_multiplicity,
     splits_completely_distinct,
     x_poly,
 )
@@ -110,7 +107,7 @@ def test_frobenius_fixes_prime_subfield(f169):
     # on an irreducible quadratic, X^q acts as the nontrivial conjugation:
     # applying it twice returns X
     mod = poly(f169, [f169.elem(5).val, 3, 1])
-    fr = frobenius_power_mod(mod)
+    fr = pow_mod(x_poly(f169), f169.order, mod)
     fr2 = pow_mod(fr, f169.order, mod)
     assert fr2 == x_poly(f169) % mod
 
@@ -151,21 +148,3 @@ def test_all_roots_order_and_content(f49):
     keys = [f49.order_key(r) for r in roots]
     assert keys == sorted(keys)
     assert splits_completely_distinct(f)
-
-
-def test_roots_with_multiplicity(f13):
-    lin = lambda a: poly(f13, [(13 - a) % 13, 1])
-    f = lin(2) * lin(2) * lin(7)
-    assert roots_with_multiplicity(f) == [(2, 2), (7, 1)]
-
-
-def test_lagrange_interpolate(f169):
-    rng = random.Random(14)
-    for _ in range(30):
-        f = rand_poly(f169, rng, 3)
-        xs = rng.sample(range(169), 5)
-        ys = [f.eval_at(x) for x in xs]
-        g = lagrange_interpolate(f169, xs, ys)
-        assert g == f or (f.degree < 5 and g == f)
-    with pytest.raises(ValueError):
-        lagrange_interpolate(f169, [1, 1], [0, 0])

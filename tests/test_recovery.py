@@ -7,6 +7,7 @@ import pytest
 from fibered_lrc.construction import build_evaluation_set, recovery_indices, surface_params
 from fibered_lrc.lrc_code import encode, generator_matrix
 from fibered_lrc.recovery import (
+    Corrupted,
     ErasurePattern,
     IncompleteRecoverySet,
     recover_horizontal,
@@ -89,6 +90,22 @@ def test_availability_disjoint_paths(code49):
     with pytest.raises(IncompleteRecoverySet):
         recover_horizontal(es, hole, target)
     assert recover_vertical(es, hole, target) == cw[idx]
+
+
+def test_recover_vertical_detects_corruption(code49):
+    # the vertical set overdetermines g(x) = f(x, t)/x by one node, so a
+    # single corrupted symbol in it always breaks the residual check
+    es, gm = code49
+    cw = encode(gm, [5, 1, 0, 9, 2])
+    fld = es.field
+    for pt in es.points:
+        target = (pt.l, pt.i, pt.j)
+        for trip in recovery_indices(es, *target)[1]:
+            hole = _erase(cw, es, [target])
+            pos = es.point_index(*trip)
+            hole[pos] = fld.add(hole[pos], 1)
+            with pytest.raises(Corrupted):
+                recover_vertical(es, hole, target)
 
 
 def test_repair_single_erasure(code49):

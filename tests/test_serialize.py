@@ -15,9 +15,7 @@ from fibered_lrc.serialize import (
     codeword_to_dict,
     decode_element,
     encode_element,
-    evaluation_set_from_dict,
     evaluation_set_from_profile,
-    evaluation_set_to_dict,
     field_from_dict,
     field_to_dict,
     load_json,
@@ -94,16 +92,6 @@ def test_codeword_round_trip(es49, f49):
     doc["n"] = es49.n + 1
     with pytest.raises(SchemaMismatch):
         codeword_from_dict(doc)
-
-
-def test_evaluation_set_round_trip(f121):
-    es = build_evaluation_set(surface_params(f121, 3), (0, 2))
-    doc = json.loads(json.dumps(evaluation_set_to_dict(es)))
-    es2 = evaluation_set_from_dict(doc)
-    assert es2.points == es.points and es2.orbit_indices == (0, 2)
-    doc["orbit_reps"] = list(reversed(doc["orbit_reps"]))
-    with pytest.raises(SchemaMismatch):
-        evaluation_set_from_dict(doc)
 
 
 def test_save_load_json(tmp_path):

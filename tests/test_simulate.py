@@ -1,11 +1,15 @@
 """Simulator determinism, repair-path accounting, and failure sweeps."""
 
+import dataclasses
 import json
 
 import pytest
 
 from fibered_lrc.construction import build_evaluation_set, surface_params
-from fibered_lrc.simulate import BadScenario, run_simulation, storage_scenario
+from fibered_lrc import simulate
+from fibered_lrc.recovery import repair
+from fibered_lrc.simulate import (BadScenario, RepairMismatch, run_simulation,
+                                  storage_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +85,18 @@ def test_bad_scenarios(es49):
                                    (1, 10, -3)):
         with pytest.raises(BadScenario):
             storage_scenario(es49, failures, trials, seed)
+
+
+def test_wrong_repair_raises(es49, monkeypatch):
+    # an explicit check, so python -O cannot strip it
+    def off_by_one(es, codeword, pattern):
+        res = repair(es, codeword, pattern)
+        work = list(res.codeword)
+        for trip in res.paths:
+            pos = es.point_index(*trip)
+            work[pos] = es.field.add(work[pos], 1)
+        return dataclasses.replace(res, codeword=tuple(work))
+
+    monkeypatch.setattr(simulate, "repair", off_by_one)
+    with pytest.raises(RepairMismatch):
+        run_simulation(storage_scenario(es49, 1, 5, seed=3))

@@ -18,7 +18,8 @@ from .gf import TABLE_LIMIT, FieldTooLarge, parse_field_label
 from .lrc_code import (basis, code_profile, distance_b1, distance_lower_bound,
                        encode, f_min_message, generator_matrix, min_distance)
 from .newton_arc import monomial_valuations, pole_degree, splitting_at_infinity
-from .recovery import ErasurePattern, repair
+from .recovery import (Corrupted, ErasurePattern, IncompleteRecoverySet,
+                       recover_vertical, repair)
 from .serialize import (ParseError, SchemaMismatch, codeword_from_dict,
                         codeword_to_dict, evaluation_set_from_profile,
                         load_json, profile_from_dict, profile_to_dict,
@@ -161,6 +162,22 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _check_horizontal_repairs(es, res) -> None:
+    """Recompute each horizontal repair from its vertical fiber, if whole.
+
+    A horizontal set has no spare node, so a corrupted symbol in it gives a
+    wrong repair silently; recover_vertical detects it or disagrees.
+    """
+    for trip in sorted(t for t, path in res.paths.items() if path == "H"):
+        try:
+            value = recover_vertical(es, res.codeword, trip)
+        except IncompleteRecoverySet:
+            continue  # an unrecovered partner leaves nothing to compare
+        if value != res.codeword[es.point_index(*trip)]:
+            raise Corrupted(
+                f"horizontal repair of {trip} disagrees with its vertical fiber")
+
+
 def _cmd_recover(args) -> int:
     prof, fld = profile_from_dict(_load(_require(args, "profile")))
     es = evaluation_set_from_profile(prof, fld)
@@ -173,6 +190,7 @@ def _cmd_recover(args) -> int:
     for trip in triples:
         symbols[es.point_index(*trip)] = None
     res = repair(es, symbols, ErasurePattern.of(triples))
+    _check_horizontal_repairs(es, res)
     for trip in sorted(res.paths):
         print(f"({trip[0]},{trip[1]},{trip[2]}) {res.paths[trip]}")
     for trip in sorted(res.unrecovered):

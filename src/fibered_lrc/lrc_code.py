@@ -4,13 +4,11 @@ The minimum-distance search enumerates one representative per projective
 message class (first nonzero coordinate = 1) and counts codeword zeros
 fiber-structurally: a message is a bivariate polynomial f(x,t), and its zeros
 on the vertical fiber at t̄ are exactly the fiber roots x̄ with f(x̄, t̄) = 0 —
-all r+1 of them when every coefficient polynomial vanishes at t̄.  For r = 3
-the innermost two message coordinates (the x²-block u + v·t) are collapsed
-into one histogram pass per enumeration prefix: each point contributes the
-curve v = -(x̄·a(t̄) + x̄²u) / (x̄²t̄) of (u,v) pairs that kill its symbol, and a
-bincount over all point-curves yields the zero count of every (u,v) candidate
-at once.  That collapse is what makes full enumeration at order 169-625
-practical on one core.
+all r+1 of them when every coefficient polynomial vanishes at t̄.  For r = 3,
+f = x·a(t) + x²(u + v·t) and each symbol vanishes on one line of the (u, v)
+plane; counting the zeros of a prefix a(t) on its n point-lines, not on its
+q² grid of tails, is what makes full enumeration at order 169-625 practical
+on one core.
 """
 
 from __future__ import annotations
@@ -255,47 +253,30 @@ def _better(zeros_a: int, msg_a, zeros_b: int, msg_b):
     return zeros_b, msg_b
 
 
-def _r3_curve_tables(es: EvaluationSet):
-    """Per-point constants of the zero condition x̄·a(t̄) + x̄²·u + x̄²t̄·v = 0.
-
-    One curve per evaluation point: AU[c, u] = x̄²u and NMB[c, w] = -w/(x̄²t̄),
-    so the v killing the symbol given prefix value w = x̄·a(t̄) + x̄²u is
-    NMB[c, w].
-    """
-    fld = es.field
-    tabs = fld.np_tables()
-    MUL, NEG, INV = tabs["MUL"], tabs["NEG"], tabs["INV"]
-    t1, t2, fib_of_curve, xa = [], [], [], []
-    for f, (_l, _j, t, roots) in enumerate(es.vertical_fibers()):
-        t1.append(t)
-        t2.append(fld.mul(t, t))
-        for x in roots:
-            fib_of_curve.append(f)
-            xa.append(x)
-    xa_v = np.asarray(xa, dtype=np.int64)
-    fib_v = np.asarray(fib_of_curve, dtype=np.int64)
-    alpha = MUL[xa_v, xa_v].astype(np.int64)                   # x̄²
-    beta = MUL[alpha, np.asarray(t1, dtype=np.int64)[fib_v]]   # x̄²·t̄, nonzero
-    AU = MUL[alpha]
-    NMB = MUL[INV[beta.astype(np.int64)]][:, NEG]
-    return (np.asarray(t1, dtype=np.int64), np.asarray(t2, dtype=np.int64),
-            fib_v, xa_v, alpha, AU, np.ascontiguousarray(NMB))
-
-
-def _r3_scan_prefixes(es, tables, a0val, lo, hi, chunk, budget_left):
+def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
     """Scan x-block prefixes a0 = a0val, (a1, a2) = divmod(range(lo, hi), q).
 
-    Each prefix covers the full q x q grid of (u, v) tails, so one prefix is
-    q² projective candidates.  Returns (best, candidates, completed).
+    One prefix a(t) covers the q² tails (u, v).  The symbol at point
+    c = (x̄, t̄) vanishes on the line u + t̄·v = k_c = -a(t̄)/x̄.  Lines of one
+    fiber are parallel and coincide when a(t̄) = 0; a line of another fiber
+    crosses line c at v = (k_c - k_c')·(t̄ - t̄')⁻¹.  So the zeros at v on
+    line c are its fiber's weight (r+1 or 1) plus the crossings there: one
+    bincount over g·n·q bins per chunk of g prefixes.  Every zero lies on a
+    line, so the least best line cell is the prefix's witness.  Returns
+    (best, candidates, completed).
     """
     fld = es.field
     q = fld.order
     tabs = fld.np_tables()
-    ADD, MUL = tabs["ADD"], tabs["MUL"]
-    t1, t2, fib_v, xa_v, _alpha, AU, NMB = tables
-    nf = len(t1)
-    c_idx = np.arange(len(xa_v), dtype=np.int64)
-    u_flat = np.arange(q, dtype=np.int64)[None, None, :] * q
+    ADD, MUL, NEG, INV = tabs["ADD"], tabs["MUL"], tabs["NEG"], tabs["INV"]
+    fibers = list(es.vertical_fibers())
+    tf = np.asarray([t for _l, _j, t, _roots in fibers])
+    fib = np.repeat(np.arange(len(fibers)), [len(rts) for *_, rts in fibers])
+    nix = NEG[INV[np.asarray([x for *_, rts in fibers for x in rts])]]
+    tc = tf[fib]
+    ci, cj = np.nonzero(fib[:, None] != fib[None, :])
+    dinv = INV[ADD[tc[ci], NEG[tc[cj]]]]
+    n = len(fib)
     best = (-1, None)
     done = 0
     for s in range(lo, hi, chunk):
@@ -303,35 +284,33 @@ def _r3_scan_prefixes(es, tables, a0val, lo, hi, chunk, budget_left):
             return best, done * q * q, False
         pre = np.arange(s, min(s + chunk, hi), dtype=np.int64)
         a1, a2 = np.divmod(pre, q)
-        a0 = np.full(len(pre), a0val, dtype=np.int64)
         g = len(pre)
-        av = np.empty((g, nf), dtype=np.int64)
-        for f in range(nf):
-            av[:, f] = ADD[ADD[a0, MUL[a1, t1[f]]], MUL[a2, t2[f]]]
-        f0 = MUL[xa_v[None, :], av[:, fib_v]]                  # g x C
-        val = ADD[f0[:, :, None], AU[None, :, :]]              # g x C x q
-        vi = NMB[c_idx[None, :, None], val].astype(np.int64)
-        flat = u_flat + vi
-        flat += (np.arange(g, dtype=np.int64) * (q * q))[:, None, None]
-        counts = np.bincount(flat.ravel(), minlength=g * q * q)
-        counts = counts.reshape(g, q * q)
-        zmax = counts.max(axis=1)
-        gbest = int(zmax.argmax())
-        cell = int(counts[gbest].argmax())
-        u, v = divmod(cell, q)
-        msg = (int(a0[gbest]), int(a1[gbest]), int(a2[gbest]), u, v)
-        best = _better(int(zmax[gbest]), msg, *best)
+        at = ADD[ADD[a0val, MUL[a1[:, None], tf]], MUL[a2[:, None], MUL[tf, tf]]]
+        at = at[:, fib]                                        # g x n: a(t̄_c)
+        k = MUL[at, nix]
+        vx = MUL[ADD[k[:, ci], NEG[k][:, cj]], dinv]           # crossings
+        flat = vx + ci * q
+        flat += (np.arange(g) * (n * q))[:, None]
+        counts = np.bincount(flat.ravel(), minlength=g * n * q).reshape(g, n, q)
+        counts += np.where(at == 0, es.r + 1, 1)[:, :, None]
+        zmax = counts.max(axis=(1, 2))
+        gb = int(zmax.argmax())
+        cs, vs = np.nonzero(counts[gb] == zmax[gb])
+        us = ADD[k[gb, cs], NEG[MUL[tc[cs], vs]]]
+        u, v = divmod(int((us * q + vs).min()), q)
+        msg = (a0val, int(a1[gb]), int(a2[gb]), u, v)
+        best = _better(int(zmax[gb]), msg, *best)
         done += g
     return best, done * q * q, True
 
 
-def _r3_tail_candidates(es, tables):
+def _r3_tail_candidates(es):
     """Candidates whose first nonzero coordinate is in the x²-block."""
-    q = es.field.order
-    _t1, _t2, _fib, _xa, alpha, _AU, NMB = tables
-    c_idx = np.arange(len(alpha), dtype=np.int64)
-    # (0,0,0,1,v): each point vanishes at the single v = NMB[c, x̄²]
-    v_at = NMB[c_idx, alpha]
+    fld = es.field
+    q = fld.order
+    # (0,0,0,1,v): each point vanishes at the single v = -1/t̄
+    v_at = [fld.neg(fld.inv(t))
+            for _l, _j, t, roots in es.vertical_fibers() for _x in roots]
     counts = np.bincount(v_at, minlength=q)
     v = int(counts.argmax())
     best = (int(counts[v]), (0, 0, 0, 1, v))
@@ -339,24 +318,24 @@ def _r3_tail_candidates(es, tables):
     return _better(0, (0, 0, 0, 0, 1), *best), q + 1
 
 
-def _default_chunk(q: int, n_curves: int) -> int:
-    return max(1, min(512, 2_000_000 // (q * q), 4_000_000 // (n_curves * q)))
+def _default_chunk(q: int, n_points: int) -> int:
+    # frozen: a budget is checked once per chunk, so this formula fixes
+    # `enumerated`, d and the witness of every budgeted search
+    return max(1, min(512, 2_000_000 // (q * q), 4_000_000 // (n_points * q)))
 
 
 def _r3_worker(args):
     p, m, modulus, r, orbit_indices, lo, hi = args
     fld = make_field(p, m, modulus)
     es = build_evaluation_set(surface_params(fld, r), list(orbit_indices))
-    tables = _r3_curve_tables(es)
-    chunk = _default_chunk(fld.order, len(tables[3]))
-    best, cand, _ = _r3_scan_prefixes(es, tables, 1, lo, hi, chunk, None)
+    chunk = _default_chunk(fld.order, es.n)
+    best, cand, _ = _r3_scan_prefixes(es, 1, lo, hi, chunk, None)
     return best[0], best[1], cand
 
 
 def _min_distance_r3(es: EvaluationSet, budget, threads) -> DistanceResult:
     q = es.field.order
-    tables = _r3_curve_tables(es)
-    chunk = _default_chunk(q, len(tables[3]))
+    chunk = _default_chunk(q, es.n)
     best = (-1, None)
     enumerated = 0
     exact = True
@@ -382,14 +361,14 @@ def _min_distance_r3(es: EvaluationSet, budget, threads) -> DistanceResult:
             exact = False
             break
         sub, cand, completed = _r3_scan_prefixes(
-            es, tables, a0val, lo, hi, chunk, left)
+            es, a0val, lo, hi, chunk, left)
         best = _better(*sub, *best)
         enumerated += cand
         if not completed:
             exact = False
             break
     if exact:
-        sub, cand = _r3_tail_candidates(es, tables)
+        sub, cand = _r3_tail_candidates(es)
         best = _better(*sub, *best)
         enumerated += cand
     zeros, msg = best

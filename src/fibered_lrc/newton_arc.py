@@ -21,10 +21,6 @@ class AllZero(Exception):
     """Every supplied coefficient is the zero polynomial."""
 
 
-class NotOnSegment(Exception):
-    """A support point recorded on a segment fails the segment equation."""
-
-
 class ArcMismatch(ArithmeticError):
     """The arc at t = infinity disagrees with the expected splitting."""
 
@@ -131,16 +127,13 @@ def segment_polynomials(seg: ArcSegment, ss: SupportSet) -> SegmentFactorData:
     factor; when squarefree, each factor yields a place with e = b and
     f = its degree."""
     fld = ss.field
-    (i0, v0), (i1, v1) = seg.start, seg.end
+    i0, i1 = seg.start[0], seg.end[0]
     norm = fld.inv(ss.residues[i1])
     width = i1 - i0
     gcoeffs = [0] * (width + 1)
-    for l, v in seg.points:
-        if (l - i0) * (v1 - v0) != (v - v0) * (i1 - i0):
-            raise NotOnSegment(f"support point {(l, v)} is off the segment")
-        if (l - i0) % seg.b:
-            raise NotOnSegment(
-                f"exponent offset {l - i0} not divisible by b = {seg.b}")
+    # lower_hull keeps only points on the segment line, and v - v0 =
+    # (l - i0)·slope is an integer, so b divides every offset l - i0
+    for l, _v in seg.points:
         gcoeffs[l - i0] = fld.mul(norm, ss.residues[l])
     gamma = poly(fld, gcoeffs)
     delta = poly(fld, [gcoeffs[k * seg.b] for k in range(width // seg.b + 1)])

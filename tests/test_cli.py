@@ -191,6 +191,23 @@ def test_recover_corrupted_exit_2_under_optimize(prof49, cw49, tmp_path, f49):
     assert "residual" in res.stderr and res.stdout == ""
 
 
+def test_recover_horizontal_corruption_exit_2(prof49, cw49, tmp_path, f49):
+    # (0,1,0) is in the horizontal set of (0,1,2), which has no spare node;
+    # its repair (12 where the codeword has 11) must fail the vertical check
+    _, cw = cw49
+    bad = list(cw)
+    bad[4] = f49.add(bad[4], 1)  # point (0,1,0)
+    path = tmp_path / "corrupted.json"
+    with open(path, "w") as fh:
+        save_json(codeword_to_dict(f49, bad), fh)
+    argv = ["recover", "--profile", str(prof49), "--codeword", str(path),
+            "--erase", "0,1,2;0,3,2", "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    res = run_optimized(*argv)
+    assert res.returncode == 2, (res.stdout, res.stderr)
+    assert "(0, 1, 2)" in res.stderr and res.stdout == ""
+
+
 def test_console_script(golden_dir):
     res = subprocess.run(["fibered-lrc", "table", "--field", "7^2"],
                          capture_output=True, text=True, timeout=120)

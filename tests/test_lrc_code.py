@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibered_lrc import make_field
 from fibered_lrc import lrc_code
-from fibered_lrc.construction import build_evaluation_set, surface_params
+from fibered_lrc.construction import (build_evaluation_set, find_nice_orbits,
+                                      surface_params)
 from fibered_lrc.lrc_code import (
     BadLocality,
     LengthMismatch,
@@ -23,6 +26,7 @@ from fibered_lrc.lrc_code import (
     structural_weight,
     _min_distance_generic,
 )
+from kernel_oracle import prefix_agreement
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +191,52 @@ def test_min_distance_budget_and_generic_prefix(es49_full, monkeypatch):
     assert (gen.d, gen.witness) == (capped.d, capped.witness)
     with pytest.raises(ValueError):
         min_distance(es49_full, budget=0)
+
+
+def test_min_distance_budget_granularity(es49_full, f169):
+    # a budget is checked once per prefix chunk, so these figures pin the
+    # chunk size as well as the scan order
+    assert min_distance(es49_full, budget=10_000) == lrc_code.DistanceResult(
+        d=24, witness=(1, 0, 7, 0, 0), exact=False, enumerated=1229312)
+    es = build_evaluation_set(surface_params(f169, 3), [0, 2, 3, 4])
+    assert min_distance(es, budget=100 * 169**2) == lrc_code.DistanceResult(
+        d=56, witness=(1, 0, 4, 0, 0), exact=False, enumerated=3998540)
+
+
+@st.composite
+def kernel_cases(draw):
+    """An orbit subset of F_81, F_121 or F_169 and one x-block prefix.
+
+    Half of the prefixes vanish at a drawn fiber's t̄, where its r+1 lines
+    coincide; a(t) = (1 - t/t̄)(1 - t/s) may vanish at a second fiber s too.
+    """
+    fld = make_field(*draw(st.sampled_from([(3, 4), (11, 2), (13, 2)])))
+    sp = surface_params(fld, 3)
+    orbits = draw(st.lists(st.integers(0, len(find_nice_orbits(sp)) - 1),
+                           min_size=1, max_size=3, unique=True))
+    es = build_evaluation_set(sp, orbits)
+    elem = st.integers(0, fld.order - 1)
+    if draw(st.booleans()):
+        fibers = st.sampled_from([t for _l, _j, t, _r in es.vertical_fibers()])
+        t = draw(fibers)
+        if draw(st.booleans()):
+            s = draw(st.one_of(fibers, st.integers(1, fld.order - 1)))
+            a1 = fld.neg(fld.add(fld.inv(t), fld.inv(s)))
+            prefix = (1, a1, fld.inv(fld.mul(t, s)))
+        else:
+            prefix = (0, 1, fld.neg(fld.inv(t)))  # t + a2·t² = 0
+    else:
+        prefix = draw(st.one_of(st.tuples(st.just(1), elem, elem),
+                                st.tuples(st.just(0), st.just(1), elem),
+                                st.just((0, 0, 1))))
+    return es, prefix
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_naive_grid(case):
+    es, prefix = case
+    prefix_agreement(es, generator_matrix(es), prefix)
 
 
 def test_min_distance_orbit_permutation(f49):

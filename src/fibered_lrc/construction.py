@@ -6,11 +6,17 @@ The ambient surface over F_{q^m} is
 
 and the evaluation points live on its intersection with the section
 y = x^{(r+1)/2} + 1.  Eliminating y gives, for each parameter value t, a
-degree r+1 polynomial P_t(T) whose roots are the x-coordinates lying over
-t.  A nonzero parameter is *nice* when P_t splits into r+1 distinct linear
-factors; nice parameters come in full orbits under multiplication by a
-primitive (r+1)-th root of unity zeta, and the root set of P_t only
-depends on t^{r+1}, hence is constant along an orbit.
+degree r+1 polynomial P_t(T) = A(T) + s (T^2 - T) in the x-coordinate,
+with s = t^{r+1} and A = P_0.  A nonzero parameter is *nice* when P_t
+splits into r+1 distinct linear factors.
+
+The fibers are the Kummer cover x -> s: as P_t(0) = 1 and P_t(1) = 4, a
+root x lies outside {0, 1} and fixes s = -A(x) / (x^2 - x).  One walk
+over the field therefore buckets every x by the fiber it lies on.  The
+parameters over a bucket are the r+1 solutions of t^{r+1} = s, a full
+orbit under multiplication by a primitive (r+1)-th root of unity zeta,
+and they are nice exactly when the bucket holds r+1 roots and s is a
+nonzero (r+1)-th power.
 
 An evaluation set picks b orbits; each contributes (r+1)^2 points
 P_{l,i,j} = (x_i, x_i^{(r+1)/2} + 1, zeta^j t_l) indexed by root number i
@@ -24,8 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .gf import FieldSpec, OrderNotDivisible
-from .poly import (UniPoly, all_roots, constant, poly,
-                   splits_completely_distinct)
+from .poly import UniPoly, constant, poly
 
 
 class BadLocality(ValueError):
@@ -116,59 +121,54 @@ def specialize_P(params: SurfaceParams, tbar: int) -> UniPoly:
     return poly(params.field, [c.eval_at(tbar) for c in cps])
 
 
-def is_nice_element(params: SurfaceParams, tbar: int) -> bool:
-    """Nonzero t whose fiber polynomial splits into distinct linear factors."""
-    if tbar == 0:
-        return False
-    return splits_completely_distinct(specialize_P(params, tbar))
-
-
 @dataclass(frozen=True)
 class NiceOrbit:
     """A full orbit of nice parameters under multiplication by zeta.
 
     members[j] = zeta^j * representative; the representative is the
-    canonically least member (zero-first discrete-log order).
+    canonically least member (zero-first discrete-log order).  roots are
+    the r+1 roots of the fiber polynomial the members share, in canonical
+    order.
     """
 
     representative: int
     members: tuple[int, ...]
+    roots: tuple[int, ...]
 
 
 _ORBIT_CACHE: dict[SurfaceParams, tuple[NiceOrbit, ...]] = {}
 
 
 def find_nice_orbits(params: SurfaceParams) -> tuple[NiceOrbit, ...]:
-    """All nice orbits, sorted by canonical order of their representatives.
+    """All nice orbits with their fiber roots, sorted by representative.
 
-    Scanning in canonical element order makes the first member seen of each
-    orbit its canonical representative.
+    One walk over the field in canonical order buckets each x outside
+    {0, 1} by its fiber's s = -A(x) / (x^2 - x), so each bucket lists the
+    roots of P_t for t^{r+1} = s in canonical order.  A bucket is a nice
+    orbit when it holds r+1 roots and s = g^{(r+1)k} is a nonzero
+    (r+1)-th power; its members are g^{k + j(q-1)/(r+1)}, least first.
     """
     if params in _ORBIT_CACHE:
         return _ORBIT_CACHE[params]
     fld, r = params.field, params.r
-    seen: set[int] = set()
+    rp1 = r + 1
+    a = specialize_P(params, 0)
+    buckets: dict[int, list[int]] = {}
+    for x in fld.elements():
+        if x not in (0, 1):
+            s = fld.div(fld.neg(a.eval_at(x)), fld.mul(x, fld.sub(x, 1)))
+            buckets.setdefault(s, []).append(x)
+    step = (fld.order - 1) // rp1
     orbits: list[NiceOrbit] = []
-    for t in fld.elements():
-        if t == 0 or t in seen:
-            continue
-        members = [t]
-        for _ in range(r):
-            members.append(fld.mul(members[-1], params.zeta))
-        seen.update(members)
-        if not is_nice_element(params, t):
-            continue
-        # P_t depends on t only through t^{r+1}: one fiber polynomial, hence
-        # one root set, serves the whole orbit
-        fiber = specialize_P(params, t)
-        if any(specialize_P(params, mem) != fiber for mem in members[1:]):
-            raise InternalNicenessViolation(
-                f"orbit of {t} does not share one fiber polynomial")
-        orbits.append(NiceOrbit(t, tuple(members)))
-    result = tuple(orbits)
-    if not result:
+    for s, roots in buckets.items():
+        if len(roots) == rp1 and s != 0 and fld.log(s) % rp1 == 0:
+            k = fld.log(s) // rp1
+            members = tuple(fld.from_log(k + j * step) for j in range(rp1))
+            orbits.append(NiceOrbit(members[0], members, tuple(roots)))
+    if not orbits:
         raise NoNiceElements(f"no nice elements in {fld.label} for r={r}")
-    _ORBIT_CACHE[params] = result
+    orbits.sort(key=lambda ob: fld.order_key(ob.representative))
+    result = _ORBIT_CACHE[params] = tuple(orbits)
     return result
 
 
@@ -189,7 +189,6 @@ class EvaluationSet:
     params: SurfaceParams
     orbit_indices: tuple[int, ...]
     orbits: tuple[NiceOrbit, ...]
-    roots: tuple[tuple[int, ...], ...]   # per orbit, canonical order
     points: tuple[SurfacePoint, ...]     # flattened (l, i, j) row-major
 
     @property
@@ -199,6 +198,11 @@ class EvaluationSet:
     @property
     def r(self) -> int:
         return self.params.r
+
+    @property
+    def roots(self) -> tuple[tuple[int, ...], ...]:
+        """Fiber roots per chosen orbit, canonical order."""
+        return tuple(ob.roots for ob in self.orbits)
 
     @property
     def b(self) -> int:
@@ -224,25 +228,25 @@ class EvaluationSet:
         """(l, j, t value, root tuple) for every vertical fiber."""
         for l in range(self.b):
             for j in range(self.params.r + 1):
-                yield l, j, self.orbits[l].members[j], self.roots[l]
+                yield l, j, self.orbits[l].members[j], self.orbits[l].roots
 
 
-def _rhs_cubic(fld: FieldSpec, r: int, x: int, t: int) -> int:
-    """x^3 - x^2 (t^{r+1} + 1) + x t^{r+1}."""
-    u = fld.pow(t, r + 1)
+def _rhs_cubic(fld: FieldSpec, x: int, s: int) -> int:
+    """x^3 - x^2 (s + 1) + x s, the surface's right side at t^{r+1} = s."""
     x2 = fld.mul(x, x)
     term = fld.mul(x2, x)
-    term = fld.sub(term, fld.mul(x2, fld.add(u, 1)))
-    return fld.add(term, fld.mul(x, u))
+    term = fld.sub(term, fld.mul(x2, fld.add(s, 1)))
+    return fld.add(term, fld.mul(x, s))
 
 
 def build_evaluation_set(params: SurfaceParams, orbit_indices=None) -> EvaluationSet:
     """Assemble the evaluation set for the chosen orbits (default: all).
 
-    Validates every structural requirement: split fibers (the root set is
-    shared along each orbit, as find_nice_orbits checks), points on both the
-    surface and the section, and the nondegeneracy making each point's two
-    recovery sets full size.
+    Reads each orbit's fiber roots from the catalog and validates every
+    structural requirement: points on both the surface and the section,
+    and the nondegeneracy making each point's two recovery sets full size.
+    Both depend on t only through s = t^{r+1}, so they are checked once
+    per (orbit, root).
     """
     catalog = find_nice_orbits(params)
     if orbit_indices is None:
@@ -257,40 +261,30 @@ def build_evaluation_set(params: SurfaceParams, orbit_indices=None) -> Evaluatio
             raise IndexError(
                 f"orbit index {idx} out of range (found {len(catalog)} orbits)")
 
-    fld, r = params.field, params.r
-    rp1 = r + 1
+    fld, rp1 = params.field, params.r + 1
     orbits = tuple(catalog[idx] for idx in orbit_indices)
-    roots_per_orbit = []
     points = []
     for l, orbit in enumerate(orbits):
-        roots = all_roots(specialize_P(params, orbit.representative))
-        if len(roots) != rp1:
-            raise InternalNicenessViolation(
-                f"fiber at t={orbit.representative} has {len(roots)} roots, wanted {rp1}")
-        roots_per_orbit.append(tuple(roots))
-        for i, x in enumerate(roots):
+        s = fld.pow(orbit.representative, rp1)
+        for i, x in enumerate(orbit.roots):
             y = fld.add(fld.pow(x, rp1 // 2), 1)
-            for j, t in enumerate(orbit.members):
-                if x == 0 or x == 1 or t == 0:
-                    raise InternalNicenessViolation(
-                        f"degenerate point (x={x}, t={t})")
-                if fld.mul(y, y) != _rhs_cubic(fld, r, x, t):
-                    raise InternalNicenessViolation(
-                        f"point (x={x}, t={t}) is off the surface")
-                # the Kummer quantity y^2 - x^3 + x^2 = t^{r+1} x (1-x) must
-                # be nonzero, otherwise a recovery set degenerates
-                kummer = fld.sub(fld.mul(y, y),
-                                 fld.sub(fld.mul(fld.mul(x, x), x), fld.mul(x, x)))
-                if kummer == 0:
-                    raise InternalNicenessViolation(
-                        f"Kummer quantity vanishes at (x={x}, t={t})")
-                points.append(SurfacePoint(l, i, j, x, y, t))
+            y2 = fld.mul(y, y)
+            if y2 != _rhs_cubic(fld, x, s):
+                raise InternalNicenessViolation(
+                    f"point (x={x}, t^{rp1}={s}) is off the surface")
+            # the Kummer quantity y^2 - x^3 + x^2 = s x (1-x) must be
+            # nonzero (so x is not 0 or 1 and t is not 0), otherwise a
+            # recovery set degenerates
+            x2 = fld.mul(x, x)
+            if fld.sub(y2, fld.sub(fld.mul(x2, x), x2)) == 0:
+                raise InternalNicenessViolation(
+                    f"Kummer quantity vanishes at (x={x}, t^{rp1}={s})")
+            points.extend(SurfacePoint(l, i, j, x, y, t)
+                          for j, t in enumerate(orbit.members))
     # points are pairwise distinct: (x, t) pairs determine them
     if len({(p.x, p.t) for p in points}) != len(points):
         raise InternalNicenessViolation("evaluation points collide")
-    # reorder to (l, i, j) row-major: built as (l, i, j) already
-    return EvaluationSet(params, orbit_indices, orbits,
-                         tuple(roots_per_orbit), tuple(points))
+    return EvaluationSet(params, orbit_indices, orbits, tuple(points))
 
 
 def recovery_indices(es: EvaluationSet, l: int, i: int, j: int):

@@ -129,6 +129,8 @@ def encode(gm: GeneratorMatrix, message) -> tuple[int, ...]:
     msg = tuple(message)
     if len(msg) != gm.k:
         raise LengthMismatch(f"message length {len(msg)} != k={gm.k}")
+    if not all(isinstance(v, int) and 0 <= v < fld.order for v in msg):
+        raise ValueError(f"message symbols must be ints in [0, {fld.order}): {msg}")
     out = []
     for col in range(gm.n):
         acc = 0

@@ -147,6 +147,8 @@ def codeword_from_dict(d) -> tuple[FieldSpec, list]:
         n = int(d["n"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad codeword document: {exc}") from None
+    if not isinstance(raw, list):
+        raise ParseError(f"codeword symbols must be a list, got {type(raw).__name__}")
     if len(raw) != n:
         raise SchemaMismatch(f"n={n} but {len(raw)} symbols present")
     return fld, [None if tok is None else decode_element(fld, tok)

@@ -61,11 +61,12 @@ EXPECTED_ORBITS = {"49": 2, "81": 1, "121": 3, "169": 4, "625": 8}
 def test_orbit_count(key):
     orbits = find_nice_orbits(surface_params(_field(key), 3))
     assert len(orbits) == EXPECTED_ORBITS[key], (
-        f"exhaustive splitting scan over {_field(key).label} finds "
+        f"the Kummer catalog over {_field(key).label} finds "
         f"{len(orbits)} zeta-orbits of nice elements, not "
-        f"{EXPECTED_ORBITS[key]}; every found representative passes the same "
-        f"distinct-splitting test and its codes match the b<=3 distance "
-        f"pattern of the rest (see the full table), so the count "
+        f"{EXPECTED_ORBITS[key]}; the splitting-test oracle in "
+        f"test_construction finds the same orbits, and their codes match "
+        f"the b<=3 distance pattern of the rest (see the full table), so "
+        f"the count "
         f"{EXPECTED_ORBITS[key]} undercounts")
 
 

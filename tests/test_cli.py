@@ -165,6 +165,17 @@ def test_tampered_profile_exits_2(prof49, tmp_path, capsys):
     assert main(["verify", "invariants", "--profile", str(bad)]) == 2
 
 
+def test_codeword_symbols_not_a_list_exits_1(prof49, cw49, tmp_path, capsys):
+    doc = json.loads(cw49[0].read_text())
+    doc["symbols"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["recover", "--profile", str(prof49), "--codeword", str(bad),
+                 "--erase", "0,0,0"]) == 1
+    err = capsys.readouterr().err
+    assert "symbols must be a list" in err and "Traceback" not in err
+
+
 def test_tampered_bounds_exit_2_under_optimize(prof49, tmp_path):
     # the bounds check must not be an assert, which python -O strips
     doc = json.loads(prof49.read_text())

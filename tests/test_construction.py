@@ -1,23 +1,25 @@
 """Tests for the fibered-surface parameter/orbit/evaluation-set layer."""
 
 import random
+import sys
 
 import pytest
 
 from fibered_lrc import construction, make_field
 from fibered_lrc.construction import (
     EmptySelection,
+    NiceOrbit,
     NoAdmissibleBase,
     NoNiceElements,
     build_evaluation_set,
     find_nice_orbits,
-    is_nice_element,
     m_sufficient,
     recovery_indices,
     specialize_P,
     surface_params,
 )
-from fibered_lrc.poly import all_roots, poly
+from fibered_lrc.poly import (UniPoly, all_roots, poly,
+                              splits_completely_distinct)
 
 # (p, m_total) -> (expected q, expected m, expected orbit count M).
 # Orbit counts were cross-checked by brute-force root counting of the
@@ -30,6 +32,56 @@ FROZEN_ORBITS = {
     (13, 2): (13, 2, 5),
     (5, 4): (5, 4, 8),
 }
+
+
+def is_nice_element(sp, t):
+    """Nice: t != 0 and P_t splits into distinct linear factors."""
+    return t != 0 and splits_completely_distinct(specialize_P(sp, t))
+
+
+def oracle_catalog(sp):
+    """Nice orbits by splitting test: the least member of each zeta-orbit
+    is tested, and a nice orbit's roots come from an exhaustive scan."""
+    fld = sp.field
+    seen, orbits = set(), []
+    for t in fld.elements():
+        if t == 0 or t in seen:
+            continue
+        members = [t]
+        for _ in range(sp.r):
+            members.append(fld.mul(members[-1], sp.zeta))
+        seen.update(members)
+        if is_nice_element(sp, t):
+            orbits.append(NiceOrbit(t, tuple(members),
+                                    all_roots(specialize_P(sp, t))))
+    return tuple(orbits)
+
+
+# fields of order <= 729 with 0 to 8 orbits, and the primes 13..101; each
+# is tried with every admissible r in 3, 5, 7, 9
+CATALOG_FIELDS = [(7, 2), (3, 4), (11, 2), (13, 2), (5, 4), (3, 6), (3, 2),
+                  (5, 2), *((p, 1) for p in (13, 17, 19, 23, 29, 31, 37, 41,
+                                             43, 47, 53, 59, 61, 67, 71, 73,
+                                             79, 83, 89, 97, 101))]
+
+
+@pytest.mark.parametrize("p,m", [
+    *CATALOG_FIELDS,
+    pytest.param(7, 4, marks=pytest.mark.nightly),
+], ids=lambda v: str(v))
+def test_catalog_matches_splitting_oracle(p, m):
+    fld = make_field(p, m)
+    for r in (3, 5, 7, 9):
+        try:
+            sp = surface_params(fld, r)
+        except NoAdmissibleBase:
+            continue
+        expect = oracle_catalog(sp)
+        if not expect:
+            with pytest.raises(NoNiceElements):
+                find_nice_orbits(sp)
+        else:
+            assert find_nice_orbits(sp) == expect, (p, m, r)
 
 
 @pytest.fixture(scope="module")
@@ -140,24 +192,31 @@ def test_orbit_root_sets_invariant(sp169, f169):
         assert len(base) == 4
 
 
-def test_one_fiber_derivation_per_orbit(sp169, monkeypatch):
-    # niceness is tested on each orbit's representative only, and the
-    # evaluation set scans for roots once per chosen orbit
-    calls = {"split": 0, "roots": 0}
+def test_one_pass_catalog(sp169, f169, monkeypatch):
+    # the catalog evaluates A = P_0 once at each x outside {0, 1}, and
+    # neither it nor the evaluation set runs a splitting test or root scan
+    a = specialize_P(sp169, 0)
+    evaluated = []
+    eval_at = UniPoly.eval_at
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted(self, x):
+        if self == a:
+            evaluated.append(x)
+        return eval_at(self, x)
 
+    def forbidden(*args):
+        raise AssertionError("splitting test or root scan called")
+
+    monkeypatch.setattr(UniPoly, "eval_at", counted)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("fibered_lrc"):
+            for name in ("splits_completely_distinct", "all_roots"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, forbidden)
     monkeypatch.setattr(construction, "_ORBIT_CACHE", {})
-    monkeypatch.setattr(construction, "splits_completely_distinct",
-                        counted("split", construction.splits_completely_distinct))
-    monkeypatch.setattr(construction, "all_roots",
-                        counted("roots", construction.all_roots))
     es = build_evaluation_set(sp169)
-    assert calls == {"split": 168 // 4, "roots": es.b} and es.b == 5
+    assert sorted(evaluated) == list(range(2, f169.order))
+    assert es.b == 5
 
 
 def test_sufficient_order_gives_orbits():

@@ -91,6 +91,10 @@ def test_encode_basics(es49, gm49, f49):
     assert xs == tuple(pt.x for pt in es49.points)
     with pytest.raises(LengthMismatch):
         encode(gm49, [1, 2, 3])
+    # 49 is past the log table; -1 would wrap to its last entry
+    for bad in (49, -1):
+        with pytest.raises(ValueError, match="ints in"):
+            encode(gm49, [bad, 0, 0, 0, 0])
 
 
 def test_encode_linear(gm49, f49):

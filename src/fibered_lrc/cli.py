@@ -322,7 +322,7 @@ def _build_parser() -> _Parser:
                         help="base field as p^m, e.g. 7^2 or 13")
     common.add_argument("--r", type=int, default=3, help="locality (odd, >= 3)")
     common.add_argument("--threads", type=_positive_arg, default=1,
-                        help="worker processes, at most the CPU count")
+                        help="accepted for compatibility; has no effect")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="output file (default stdout)")
 

@@ -1,31 +1,28 @@
 """Evaluation code on the fibered surface: basis, encoder, bounds, exact distance.
 
-The minimum-distance search enumerates one representative per projective
-message class (first nonzero coordinate = 1) and counts codeword zeros
-fiber-structurally: a message is a bivariate polynomial f(x,t), and its zeros
-on the vertical fiber at t̄ are exactly the fiber roots x̄ with f(x̄, t̄) = 0 —
-all r+1 of them when every coefficient polynomial vanishes at t̄.  For r = 3,
-f = x·a(t) + x²(u + v·t) and each symbol vanishes on one line of the (u, v)
-plane; counting the zeros of a prefix a(t) on its n point-lines, not on its
-q² grid of tails, is what makes full enumeration at order 169-625 practical
-on one core.
+A message is a bivariate polynomial f(x, t), and its zeros on the vertical
+fiber at t̄ are the fiber roots x̄ with f(x̄, t̄) = 0: all r+1 of them when
+every coefficient polynomial vanishes at t̄.  For r = 3,
+f = x·a(t) + x²(u + v·t) has five coefficients, and the exact distance
+counts zeros on the pencils of messages through three points on distinct
+fibers: C(n, 3)·n work, whatever q is.  A budgeted search instead scans
+message classes in lex order (first nonzero coordinate = 1), each prefix
+a(t) on its n point-lines in the (u, v) plane, and returns the best of the
+first `budget` classes.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .construction import (  # BadLocality is re-exported for importers
     BadLocality,
     EvaluationSet,
-    build_evaluation_set,
-    surface_params,
 )
-from .gf import PAIR_TABLE_LIMIT, FieldSpec, make_field
+from .gf import PAIR_TABLE_LIMIT, FieldSpec
 from .poly import UniPoly, poly, x_poly
 
 
@@ -306,18 +303,77 @@ def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
     return best, done * q * q, True
 
 
-def _r3_tail_candidates(es):
-    """Candidates whose first nonzero coordinate is in the x²-block."""
+def _r3_pencils(es, tri):
+    """Best (zeros, message) on the pencils through point triples (T, 3).
+
+    Divided by x̄, the symbol at (x̄, t̄) is a(t̄) + x̄·(u + v·t̄).  The
+    messages vanishing at three points on distinct fibers are
+    a = -u·I[x] - v·I[x·t], I[y] interpolating y at their t̄.  Point p
+    vanishes iff u·s1 + v·s2 = 0, s1 = x_p - I[x](t_p) and
+    s2 = x_p·t_p - I[x·t](t_p): it picks the key v/u = -s1/s2 (q for
+    (u, v) = (0, 1)), or every member if s1 = s2 = 0.  The witness is the
+    least normalized message among the best (triple, key) pairs.
+    """
+    q = es.field.order
+    tabs = es.field.np_tables()
+    ADD, MUL, NEG, INV = tabs["ADD"], tabs["MUL"], tabs["NEG"], tabs["INV"]
+    x = np.asarray([pt.x for pt in es.points])
+    t = np.asarray([pt.t for pt in es.points])
+    cols = np.stack([np.ones_like(t), t, MUL[t, t], x, MUL[x, t]])
+    tri = np.asarray(tri).reshape(-1, 3)
+    tm = t[tri]
+    tl, th = tm[:, [1, 0, 0]], tm[:, [2, 2, 1]]      # the other two t̄
+    # Lagrange basis: c·(t - tl)(t - th), coefficients of 1, t, t²
+    c = INV[MUL[ADD[tm, NEG[tl]], ADD[tm, NEG[th]]]]
+    lag = np.stack([MUL[tl, th], NEG[ADD[tl, th]], np.ones_like(tl)], axis=-1)
+    terms = MUL[MUL[cols[3:, tri], c].transpose(1, 0, 2)[..., None],
+                lag[:, None]]                        # T x 2 x 3 x 3
+    alpha = NEG[ADD[ADD[terms[:, :, 0], terms[:, :, 1]], terms[:, :, 2]]]
+    s = cols[None, 3:]                               # s1, s2: T x 2 x n
+    for j in range(3):
+        s = ADD[s, MUL[alpha[:, :, j, None], cols[j]]]
+    s1, s2 = s[:, 0], s[:, 1]
+    key = np.where(s2 != 0, MUL[NEG[s1], INV[s2]], np.where(s1 != 0, q, q + 1))
+    # a member's zeros: the all-member points (key q + 1) + its key's count
+    keys, mult = np.unique(key + np.arange(len(tri))[:, None] * (q + 2),
+                           return_counts=True)
+    row, kv = np.divmod(keys, q + 2)
+    score = np.where(kv > q, -1, (key > q).sum(axis=1)[row] + mult)
+    best = int(score.max())
+    row, kv = row[score == best], kv[score == best]
+    u = (kv < q).astype(np.int64)
+    v = np.where(kv < q, kv, 1)
+    a = ADD[MUL[u[:, None], alpha[row, 0]], MUL[v[:, None], alpha[row, 1]]]
+    msgs = np.column_stack([a, u, v])
+    lead = msgs[np.arange(len(msgs)), (msgs != 0).argmax(axis=1)]
+    msgs = MUL[msgs, INV[lead][:, None]]
+    pick = int((msgs @ (q ** np.arange(4, -1, -1))).argmin())
+    return best, tuple(int(m) for m in msgs[pick])
+
+
+def _r3_pencil_search(es):
+    """Exact best (zeros, message) over all (q^5 - 1)/(q - 1) classes.
+
+    A best message meeting three fibers lies on the pencil through three of
+    its zeros; on two fibers it has at most 8 zeros, 8 when it kills both
+    whole: a(t) ∝ (t - t1)(t - t2), u = v = 0.
+    """
     fld = es.field
-    q = fld.order
-    # (0,0,0,1,v): each point vanishes at the single v = -1/t̄
-    v_at = [fld.neg(fld.inv(t))
-            for _l, _j, t, roots in es.vertical_fibers() for _x in roots]
-    counts = np.bincount(v_at, minlength=q)
-    v = int(counts.argmax())
-    best = (int(counts[v]), (0, 0, 0, 1, v))
-    # (0,0,0,0,1): symbol x̄²t̄ never vanishes
-    return _better(0, (0, 0, 0, 0, 1), *best), q + 1
+    t = np.asarray([pt.t for pt in es.points])
+    fibers = np.argsort(t, kind="stable").reshape(-1, es.r + 1)
+    tf = t[fibers[:, 0]].tolist()
+    best = (-1, None)
+    for t1, t2 in combinations(tf, 2):
+        inv = fld.inv(fld.mul(t1, t2))
+        msg = (1, fld.neg(fld.mul(fld.add(t1, t2), inv)), inv, 0, 0)
+        best = _better(2 * (es.r + 1), msg, *best)
+    ftri = np.asarray(list(combinations(range(len(tf)), 3)))
+    choice = np.indices((es.r + 1,) * 3).reshape(3, -1).T  # a point per fiber
+    per = (1 << 17) // (es.n * len(choice)) or 1  # ~2^17 (triple, point) pairs
+    for s in range(0, len(ftri), per):
+        tri = fibers[ftri[s:s + per, None], choice].reshape(-1, 3)
+        best = _better(*_r3_pencils(es, tri), *best)
+    return best
 
 
 def _default_chunk(q: int, n_points: int) -> int:
@@ -326,55 +382,26 @@ def _default_chunk(q: int, n_points: int) -> int:
     return max(1, min(512, 2_000_000 // (q * q), 4_000_000 // (n_points * q)))
 
 
-def _r3_worker(args):
-    p, m, modulus, r, orbit_indices, lo, hi = args
-    fld = make_field(p, m, modulus)
-    es = build_evaluation_set(surface_params(fld, r), list(orbit_indices))
-    chunk = _default_chunk(fld.order, es.n)
-    best, cand, _ = _r3_scan_prefixes(es, 1, lo, hi, chunk, None)
-    return best[0], best[1], cand
-
-
-def _min_distance_r3(es: EvaluationSet, budget, threads) -> DistanceResult:
+def _min_distance_r3(es: EvaluationSet, budget) -> DistanceResult:
     q = es.field.order
+    # the prefix scan completes, and so is exact, iff budget > q^4 + q^3
+    if budget is None or budget > q**4 + q**3:
+        zeros, msg = _r3_pencil_search(es)
+        return DistanceResult(es.n - zeros, msg, True, (q**5 - 1) // (q - 1))
     chunk = _default_chunk(q, es.n)
     best = (-1, None)
     enumerated = 0
-    exact = True
-    # a fork pool starts every worker at once; more than the cores only add load
-    threads = min(threads, os.cpu_count() or 1)
-    if threads > 1 and budget is None:
-        bounds = np.linspace(0, q * q, threads + 1, dtype=int)
-        args = [
-            (es.field.p, es.field.m, es.field.modulus, es.r,
-             es.orbit_indices, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for zeros, msg, cand in pool.map(_r3_worker, args):
-                best = _better(zeros, msg, *best)
-                enumerated += cand
-        blocks = [(0, q, 2 * q), (0, 1, 2)]
-    else:
-        blocks = [(1, 0, q * q), (0, q, 2 * q), (0, 1, 2)]
-    for a0val, lo, hi in blocks:
-        left = None if budget is None else budget - enumerated
-        if left is not None and left <= 0:
-            exact = False
+    for a0val, lo, hi in ((1, 0, q * q), (0, q, 2 * q)):
+        if enumerated >= budget:
             break
         sub, cand, completed = _r3_scan_prefixes(
-            es, a0val, lo, hi, chunk, left)
+            es, a0val, lo, hi, chunk, budget - enumerated)
         best = _better(*sub, *best)
         enumerated += cand
         if not completed:
-            exact = False
             break
-    if exact:
-        sub, cand = _r3_tail_candidates(es)
-        best = _better(*sub, *best)
-        enumerated += cand
     zeros, msg = best
-    return DistanceResult(es.n - zeros, msg, exact, enumerated)
+    return DistanceResult(es.n - zeros, msg, False, enumerated)
 
 
 # unbudgeted generic searches above this many classes are refused: the
@@ -419,18 +446,20 @@ def min_distance(es: EvaluationSet, gm: GeneratorMatrix | None = None,
                  budget: int | None = None, threads: int = 1) -> DistanceResult:
     """Exact minimum Hamming weight over nonzero codewords, with witness.
 
-    budget caps the number of enumerated projective classes (block
-    granularity); a truncated search returns the best weight found so far
-    flagged exact=False — an upper bound.  Witness ties are broken by
-    lexicographic order on the raw message encoding, independently of worker
-    count.  When a budget is set the search runs single-threaded.
+    The witness is the lexicographically least normalized message (first
+    nonzero coordinate 1) among those of minimum weight.  budget caps the
+    number of enumerated projective classes (block granularity); a
+    truncated search returns the best of the classes it scanned, flagged
+    exact=False — an upper bound.  For r = 3 a budget above q^4 + q^3,
+    which the scan would finish, takes the exact pencil search instead.
+    threads is accepted for compatibility and has no effect.
     """
     if gm is not None and gm.es is not es:
         raise LengthMismatch("generator matrix built from a different point set")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     if es.r == 3 and es.field.order <= PAIR_TABLE_LIMIT:
-        return _min_distance_r3(es, budget, max(1, threads))
+        return _min_distance_r3(es, budget)
     return _min_distance_generic(es, budget, threads)
 
 

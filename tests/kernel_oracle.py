@@ -1,8 +1,9 @@
-"""Reference check of the r = 3 distance kernel against direct evaluation."""
+"""Reference checks of the r = 3 distance kernels against direct evaluation."""
 
 import numpy as np
 
-from fibered_lrc.lrc_code import _r3_scan_prefixes
+from fibered_lrc.lrc_code import (_better, _default_chunk, _r3_pencils,
+                                  _r3_scan_prefixes, encode)
 
 
 def prefix_agreement(es, gm, prefix) -> None:
@@ -47,3 +48,66 @@ def zero_grid_agreement(es, gm) -> int:
     for prefix in prefixes:
         prefix_agreement(es, gm, prefix)
     return len(prefixes)
+
+
+def _normalized(fld, msg):
+    lead = fld.inv(next(m for m in msg if m))
+    return tuple(fld.mul(lead, m) for m in msg)
+
+
+def pencil_agreement(es, gm, triple) -> None:
+    """Cross-check the pencil kernel on one triple of point indices.
+
+    Solves the generator columns of the three points for every member
+    (u, v) of their pencil, (1, v) and (0, 1), by Cramer's rule on the
+    x-block, counts each member's zeros by encoding it, and requires
+    ``_r3_pencils`` on that one triple to return the naive maximum and the
+    least normalized message reaching it.  Raises AssertionError on a
+    disagreement.
+    """
+    fld = es.field
+    q = fld.order
+    add, sub, mul = fld.add, fld.sub, fld.mul
+    cols = [[row[c] for row in gm.rows] for c in triple]
+
+    def det3(m):
+        return sub(sub(add(add(mul(m[0][0], mul(m[1][1], m[2][2])),
+                               mul(m[0][1], mul(m[1][2], m[2][0]))),
+                           mul(m[0][2], mul(m[1][0], m[2][1]))),
+                       add(mul(m[0][2], mul(m[1][1], m[2][0])),
+                           mul(m[0][0], mul(m[1][2], m[2][1])))),
+                   mul(m[0][1], mul(m[1][0], m[2][2])))
+
+    mat = [col[:3] for col in cols]
+    inv = fld.inv(det3(mat))
+    members = []
+    for u, v in [(1, v) for v in range(q)] + [(0, 1)]:
+        rhs = [fld.neg(add(mul(u, col[3]), mul(v, col[4]))) for col in cols]
+        a = [mul(inv, det3([row[:i] + [rhs[k]] + row[i + 1:]
+                            for k, row in enumerate(mat)]))
+             for i in range(3)]
+        word = encode(gm, (*a, u, v))
+        assert all(word[c] == 0 for c in triple), (triple, u, v)
+        members.append((word.count(0), _normalized(fld, (*a, u, v))))
+    best = max(z for z, _ in members)
+    least = min(m for z, m in members if z == best)
+    assert _r3_pencils(es, [triple]) == (best, least), triple
+
+
+def scan_distance(es, gm):
+    """(d, witness) by the full prefix scan plus the x²-block classes.
+
+    The prefixes a0 = 1 and (0, 1) go through ``_r3_scan_prefixes``; the
+    q + 1 classes (0, 0, 0, 1, v) and (0, 0, 0, 0, 1), whose first nonzero
+    coordinate lies in the x²-block, are encoded directly.
+    """
+    q = es.field.order
+    chunk = _default_chunk(q, es.n)
+    best = (-1, None)
+    for a0, lo, hi in ((1, 0, q * q), (0, q, 2 * q), (0, 1, 2)):
+        sub, _, done = _r3_scan_prefixes(es, a0, lo, hi, chunk, None)
+        assert done
+        best = _better(*sub, *best)
+    for msg in [(0, 0, 0, 1, v) for v in range(q)] + [(0, 0, 0, 0, 1)]:
+        best = _better(encode(gm, msg).count(0), msg, *best)
+    return es.n - best[0], best[1]

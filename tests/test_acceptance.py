@@ -110,16 +110,17 @@ def test_table_matches_golden_csv(tables, golden_dir, tmp_path, key):
     assert out.read_bytes() == (golden_dir / f"table_{p}_{m}.csv").read_bytes()
 
 
-# --- 2. large-field spot checks (nightly) -------------------------------------
+# --- 2. large-field spot checks ----------------------------------------------
 
-@pytest.mark.nightly
-def test_nightly_625_chain():
+def test_625_chain():
     sp = surface_params(_field("625"), 3)
     expected = {3: 40, 4: 56, 5: 71, 6: 87, 7: 103}
     for b, d_want in expected.items():
         es = build_evaluation_set(sp, tuple(range(b)))
         dist = min_distance(es)
         assert dist.exact and dist.d == d_want, (b, dist.d)
+        word = encode(generator_matrix(es), dist.witness)
+        assert sum(1 for v in word if v) == d_want, (b, dist.witness)
         if b == 7:
             assert es.n == 112 and distance_lower_bound(es.n, 3) == 103
 

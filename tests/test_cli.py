@@ -16,14 +16,24 @@ from fibered_lrc.lrc_code import encode, generator_matrix
 from fibered_lrc.serialize import codeword_to_dict, save_json
 
 
-def run_optimized(*argv):
-    """Run the CLI in a python -O subprocess, which strips every assert."""
+def run_python(*argv):
+    """Run python in a subprocess that imports this checkout's package."""
     env = dict(os.environ)
     src = str(Path(fibered_lrc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-O", "-m", "fibered_lrc.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def run_optimized(*argv):
+    """Run the CLI in a python -O subprocess, which strips every assert."""
+    return run_python("-O", "-m", "fibered_lrc.cli", *argv)
+
+
+def test_cli_import_loads_no_process_pool():
+    proc = run_python("-c", "import sys, fibered_lrc.cli; "
+                      "print('concurrent.futures.process' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 @pytest.fixture()

@@ -1,5 +1,6 @@
 """Tests for basis/encoder/bounds and the exact minimum-distance search."""
 
+import multiprocessing
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from fibered_lrc.lrc_code import (
     structural_weight,
     _min_distance_generic,
 )
-from kernel_oracle import prefix_agreement
+from kernel_oracle import pencil_agreement, prefix_agreement, scan_distance
 
 
 @pytest.fixture(scope="module")
@@ -159,28 +160,20 @@ def test_min_distance_threads_agree(es49_full):
     assert min_distance(es49_full, threads=2) == min_distance(es49_full)
 
 
-def test_min_distance_clamps_workers_to_cpu_count(es49_full, monkeypatch):
-    started = []
-
-    class SerialPool:
-        """Records the requested worker count and starts no process."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(lrc_code, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(lrc_code.os, "cpu_count", lambda: 2)
+def test_min_distance_threads_have_no_effect(es49_full):
     assert min_distance(es49_full, threads=10_000) == min_distance(es49_full)
-    assert started == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_min_distance_routing_threshold(es49_full):
+    # the prefix scan would finish iff budget > q^4 + q^3 = 5 882 450, and
+    # exactly then the exact pencil search answers for it
+    full = lrc_code.DistanceResult(
+        d=24, witness=(1, 0, 7, 0, 0), exact=True, enumerated=5884901)
+    assert min_distance(es49_full) == full
+    assert min_distance(es49_full, budget=5_882_451) == full
+    assert min_distance(es49_full, budget=5_882_450) == lrc_code.DistanceResult(
+        d=24, witness=(1, 0, 7, 0, 0), exact=False, enumerated=5882450)
 
 
 def test_min_distance_budget_and_generic_prefix(es49_full, monkeypatch):
@@ -241,6 +234,55 @@ def kernel_cases(draw):
 def test_kernel_matches_naive_grid(case):
     es, prefix = case
     prefix_agreement(es, generator_matrix(es), prefix)
+
+
+@st.composite
+def pencil_cases(draw):
+    """An orbit subset (b <= 4) of F_81, F_121 or F_169 and a point triple.
+
+    The three points lie on three distinct vertical fibers, as the pencil
+    kernel requires.
+    """
+    fld = make_field(*draw(st.sampled_from([(3, 4), (11, 2), (13, 2)])))
+    sp = surface_params(fld, 3)
+    orbits = draw(st.lists(st.integers(0, len(find_nice_orbits(sp)) - 1),
+                           min_size=1, max_size=4, unique=True))
+    es = build_evaluation_set(sp, orbits)
+    fibers = draw(st.lists(st.integers(0, 4 * es.b - 1), min_size=3,
+                           max_size=3, unique=True))
+    roots = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3))
+    triple = tuple(es.point_index(f // 4, i, f % 4)
+                   for f, i in zip(fibers, roots))
+    return es, triple
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(pencil_cases())
+def test_pencil_kernel_matches_naive_pencil(case):
+    es, triple = case
+    pencil_agreement(es, generator_matrix(es), triple)
+
+
+# (0, 1, 2) and (0, 1, 3): a fourth point lies on every member of the
+# pencil; (8, 32, 45) and (0, 22, 28): the least best member is (0, 1)
+@pytest.mark.parametrize("pm, orbits, triple", [
+    ((13, 2), (0, 2, 3, 4), (0, 1, 2)),
+    ((13, 2), (0, 2, 3, 4), (8, 32, 45)),
+    ((11, 2), (0, 1, 2), (0, 1, 2)),
+    ((11, 2), (0, 1, 2), (0, 22, 28)),
+    ((3, 4), (0,), (0, 1, 3)),
+])
+def test_pencil_kernel_special_triples(pm, orbits, triple):
+    es = build_evaluation_set(surface_params(make_field(*pm), 3), orbits)
+    pencil_agreement(es, generator_matrix(es), triple)
+
+
+@pytest.mark.parametrize("pm, orbits", [((11, 2), (0, 1, 2)),
+                                        ((13, 2), (0, 2, 3, 4))])
+def test_pencil_search_matches_full_scan(pm, orbits):
+    es = build_evaluation_set(surface_params(make_field(*pm), 3), orbits)
+    res = min_distance(es)
+    assert (res.d, res.witness) == scan_distance(es, generator_matrix(es))
 
 
 def test_min_distance_orbit_permutation(f49):

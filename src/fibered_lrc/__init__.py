@@ -7,7 +7,7 @@ from .gf import FieldElement, FieldSpec, make_field, parse_field_label
 from .lrc_code import (CodeProfile, DistanceResult, GeneratorMatrix, basis,
                        code_profile, distance_b1, distance_lower_bound, encode,
                        f_min_message, generator_matrix, min_distance,
-                       singleton_availability_upper, structural_weight)
+                       singleton_availability_upper)
 from .recovery import (ErasurePattern, RepairResult, recover_horizontal,
                        recover_vertical, repair)
 from .simulate import SimReport, StorageScenario, run_simulation, storage_scenario
@@ -46,7 +46,6 @@ __all__ = [
     "run_simulation",
     "singleton_availability_upper",
     "storage_scenario",
-    "structural_weight",
     "surface_params",
     "__version__",
 ]

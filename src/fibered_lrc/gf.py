@@ -375,6 +375,9 @@ def make_field(p: int, m: int, modulus=None) -> FieldSpec:
     ``modulus``: optional monic irreducible coefficient vector, ascending
     degree, length m+1.  Defaults to the lexicographically least one.
     """
+    # before trial division up to sqrt(p), and before p**m for a huge m
+    if isinstance(p, int) and (p > TABLE_LIMIT or m > TABLE_LIMIT.bit_length()):
+        raise FieldTooLarge(f"order {p}^{m} exceeds {TABLE_LIMIT}")
     if not isinstance(p, int) or not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p == 2:

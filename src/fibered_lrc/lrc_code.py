@@ -9,11 +9,17 @@ fibers: C(n, 3)·n work, whatever q is.  A budgeted search instead scans
 message classes in lex order (first nonzero coordinate = 1), each prefix
 a(t) on its n point-lines in the (u, v) plane, and returns the best of the
 first `budget` classes.
+
+Encoding is F_p-linear: an element is the digit vector of Σ c_i·X^i, so
+the generator matrix expands to a (k·m) x (n·m) matrix over F_p, and a
+block of messages encodes as one integer matrix product mod p.  `encode`
+and the generic search (r > 3, or orders above the dense-table limit)
+both go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -70,11 +76,17 @@ def basis(r: int) -> MonomialBasis:
 
 @dataclass(frozen=True, slots=True)
 class GeneratorMatrix:
-    """k x n matrix of basis monomials evaluated at the points."""
+    """k x n matrix of basis monomials evaluated at the points.
+
+    over_fp is its expansion over F_p, a (k·m) x (n·m) array: row κ·m + d
+    holds the base-p digits of X^d · rows[κ], so a message's digit vector
+    times over_fp, mod p, is its codeword's digit vector.
+    """
 
     es: EvaluationSet
     mb: MonomialBasis
     rows: tuple[tuple[int, ...], ...]
+    over_fp: np.ndarray = field(compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -118,7 +130,29 @@ def generator_matrix(es: EvaluationSet) -> GeneratorMatrix:
     if _rank(fld, rows) != len(mb):
         raise RankDeficient(
             f"generator matrix rank below k={len(mb)} for {fld.label}")
-    return GeneratorMatrix(es, mb, tuple(rows))
+    # multiplication by X on digit vectors: X·X^e = X^(e+1), and X·X^(m-1)
+    # = -(f_0 + ... + f_(m-1)·X^(m-1)) modulo the modulus f
+    times_x = np.eye(fld.m, k=1, dtype=np.int64)
+    times_x[-1] = np.negative(fld.modulus[:-1]) % fld.p
+    blocks = [_digits(fld, rows)]
+    for _ in range(fld.m - 1):
+        blocks.append(blocks[-1] @ times_x % fld.p)
+    over_fp = np.stack(blocks, axis=1).reshape(len(mb) * fld.m, es.n * fld.m)
+    return GeneratorMatrix(es, mb, tuple(rows), over_fp)
+
+
+def _digits(fld: FieldSpec, elems) -> np.ndarray:
+    """Base-p digits of an array of elements, along a new last axis."""
+    place = fld.p ** np.arange(fld.m)
+    return np.asarray(elems, dtype=np.int64)[..., None] // place % fld.p
+
+
+def _encode_block(gm: GeneratorMatrix, msgs) -> np.ndarray:
+    """Codewords of a (B, k) array of messages, as a (B, n) array."""
+    fld = gm.es.field
+    digits = _digits(fld, msgs).reshape(len(msgs), gm.k * fld.m)
+    out = (digits @ gm.over_fp % fld.p).reshape(len(msgs), gm.n, fld.m)
+    return out @ fld.p ** np.arange(fld.m)
 
 
 def encode(gm: GeneratorMatrix, message) -> tuple[int, ...]:
@@ -128,62 +162,7 @@ def encode(gm: GeneratorMatrix, message) -> tuple[int, ...]:
         raise LengthMismatch(f"message length {len(msg)} != k={gm.k}")
     if not all(isinstance(v, int) and 0 <= v < fld.order for v in msg):
         raise ValueError(f"message symbols must be ints in [0, {fld.order}): {msg}")
-    out = []
-    for col in range(gm.n):
-        acc = 0
-        for mc, row in zip(msg, gm.rows):
-            if mc:
-                acc = fld.add(acc, fld.mul(mc, row[col]))
-        out.append(acc)
-    return tuple(out)
-
-
-def _coeff_blocks(r: int):
-    """(start, length) of each x-degree block in basis order, degrees 1..r-1."""
-    blocks = [((s - 1) * r, r) for s in range(1, r - 1)]
-    blocks.append(((r - 2) * r, r - 1))
-    return blocks
-
-
-def fiber_zero_counts(es: EvaluationSet, message) -> list[int]:
-    """Zeros of the message polynomial on each vertical fiber, (l, j) order."""
-    fld = es.field
-    r = es.r
-    msg = tuple(message)
-    if len(msg) != r * (r - 1) - 1:
-        raise LengthMismatch(f"message length {len(msg)}")
-    blocks = _coeff_blocks(r)
-    counts = []
-    for _l, _j, t, roots in es.vertical_fibers():
-        tp = [1]
-        for _ in range(r - 1):
-            tp.append(fld.mul(tp[-1], t))
-        coeffs = []
-        for start, length in blocks:
-            acc = 0
-            for w in range(length):
-                if msg[start + w]:
-                    acc = fld.add(acc, fld.mul(msg[start + w], tp[w]))
-            coeffs.append(acc)
-        if not any(coeffs):
-            counts.append(r + 1)
-            continue
-        zeros = 0
-        for x in roots:
-            acc = 0
-            xp = 1
-            for c in coeffs:
-                xp = fld.mul(xp, x)
-                if c:
-                    acc = fld.add(acc, fld.mul(c, xp))
-            if acc == 0:
-                zeros += 1
-        counts.append(zeros)
-    return counts
-
-
-def structural_weight(es: EvaluationSet, message) -> int:
-    return es.n - sum(fiber_zero_counts(es, message))
+    return tuple(_encode_block(gm, [msg]).ravel().tolist())
 
 
 # -- bounds -------------------------------------------------------------------
@@ -405,41 +384,49 @@ def _min_distance_r3(es: EvaluationSet, budget) -> DistanceResult:
 
 
 # unbudgeted generic searches above this many classes are refused: the
-# scalar path does a few thousand classes per second
+# count (q^k - 1)/(q - 1) grows as q^18 at r = 5, past any run time
 GENERIC_CLASS_LIMIT = 100_000
 
 
-def _min_distance_generic(es: EvaluationSet, budget, threads) -> DistanceResult:
-    """Scalar fallback for r > 3 or orders beyond the dense-table limit.
+def _min_distance_generic(es: EvaluationSet, gm: GeneratorMatrix,
+                          budget) -> DistanceResult:
+    """Fallback for r > 3 or orders beyond the dense-table limit.
 
-    Correct but slow: without a budget it refuses to enumerate more than
-    GENERIC_CLASS_LIMIT classes.  threads are ignored on this path.
+    Encodes the classes in lex order (lead position, then the tail in
+    base q) in blocks through the F_p expansion of gm.  Without a budget
+    it refuses to enumerate more than GENERIC_CLASS_LIMIT classes.
     """
-    del threads
-    from itertools import product
-
     q = es.field.order
-    k = es.r * (es.r - 1) - 1
+    k = gm.k
     classes = (q**k - 1) // (q - 1)
     if budget is None and classes > GENERIC_CLASS_LIMIT:
         raise ValueError(
             f"exhaustive search over {classes} message classes (r={es.r}, "
             f"{es.field.label}) would not finish; pass --budget")
+    per = max(1, (1 << 16) // (es.n * es.field.m))
+    left = classes if budget is None else budget
     best = (-1, None)
     enumerated = 0
-    exact = True
     for lead in range(k):
-        if exact:
-            for tail in product(range(q), repeat=k - 1 - lead):
-                if budget is not None and enumerated >= budget:
-                    exact = False
-                    break
-                msg = (0,) * lead + (1,) + tail
-                zeros = sum(fiber_zero_counts(es, msg))
-                best = _better(zeros, msg, *best)
-                enumerated += 1
+        tails = q ** (k - 1 - lead)
+        for start in range(0, tails, per):
+            count = min(per, tails - start, left - enumerated)
+            if count == 0:
+                break
+            msgs = np.zeros((count, k), dtype=np.int64)
+            msgs[:, lead] = 1
+            # start passes int64 at r = 5 (q^18): take its digits in Python
+            # and add the row offsets with carries
+            carry, rest = np.arange(count), start
+            for pos in range(k - 1, lead, -1):
+                rest, digit = divmod(rest, q)
+                carry, msgs[:, pos] = np.divmod(carry + digit, q)
+            zeros = (_encode_block(gm, msgs) == 0).sum(axis=1)
+            top = int(zeros.argmax())
+            best = _better(int(zeros[top]), tuple(msgs[top].tolist()), *best)
+            enumerated += count
     zeros, msg = best
-    return DistanceResult(es.n - zeros, msg, exact, enumerated)
+    return DistanceResult(es.n - zeros, msg, enumerated == classes, enumerated)
 
 
 def min_distance(es: EvaluationSet, gm: GeneratorMatrix | None = None,
@@ -460,7 +447,8 @@ def min_distance(es: EvaluationSet, gm: GeneratorMatrix | None = None,
         raise ValueError(f"budget must be positive, got {budget}")
     if es.r == 3 and es.field.order <= PAIR_TABLE_LIMIT:
         return _min_distance_r3(es, budget)
-    return _min_distance_generic(es, budget, threads)
+    return _min_distance_generic(
+        es, gm if gm is not None else generator_matrix(es), budget)
 
 
 # -- profile -------------------------------------------------------------------

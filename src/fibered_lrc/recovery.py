@@ -2,22 +2,25 @@
 
 Every symbol sits in two disjoint size-r recovery sets: the rest of its
 vertical fiber (fixed t, varying root) and the rest of its horizontal fiber
-(fixed root, varying t).  Either set determines the symbol by Lagrange
-interpolation; the multi-erasure repairer peels with whichever is available.
+(fixed root, varying t).  Each fiber has fixed parity checks.  On a
+vertical fiber f(x, t̄) = x·g(x) with deg g <= r-2, so the symbols c_i at
+the roots x_i satisfy Σ w_i·c_i = Σ w_i·x_i·c_i = 0 with
+w_i = 1/(x_i·∏_(k≠i)(x_i - x_k)).  On a horizontal fiber deg_t f <= r-1
+and t = ζ^j·t̄, so Σ_j ζ^j·c_j = 0.  Either set determines the symbol by
+its checks; the multi-erasure repairer peels with whichever is available.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cache, reduce
+from typing import Optional
 
 from .construction import EvaluationSet, recovery_indices
+from .gf import FieldSpec
+from .lrc_code import LengthMismatch
 
 
 class IncompleteRecoverySet(Exception):
     """A symbol needed for the requested recovery path is itself missing."""
-
-
-class SingularSystem(Exception):
-    """Interpolation nodes collide; impossible on a valid evaluation set."""
 
 
 class Corrupted(ArithmeticError):
@@ -42,18 +45,12 @@ class RepairResult:
     rounds: int
 
 
-def _interp_eval(fld, nodes: Sequence[int], values: Sequence[int], z: int) -> int:
-    """Evaluate at z the unique degree < len(nodes) interpolant of the data."""
-    acc = 0
-    for k, xk in enumerate(nodes):
-        num, den = values[k], 1
-        for xj in nodes[:k] + nodes[k + 1:]:
-            if xj == xk:
-                raise SingularSystem(f"repeated interpolation node {xk}")
-            num = fld.mul(num, fld.sub(z, xj))
-            den = fld.mul(den, fld.sub(xk, xj))
-        acc = fld.add(acc, fld.div(num, den))
-    return acc
+@cache
+def _vertical_weights(fld: FieldSpec, roots: tuple[int, ...]) -> tuple[int, ...]:
+    """w_i = 1/(x_i·∏_(k≠i)(x_i - x_k)) for the roots x_i of one fiber."""
+    return tuple(fld.inv(reduce(fld.mul, (fld.sub(xi, xk) for xk in roots
+                                          if xk != xi), xi))
+                 for xi in roots)
 
 
 def _gather(es: EvaluationSet, codeword, triples):
@@ -69,36 +66,42 @@ def _gather(es: EvaluationSet, codeword, triples):
 def recover_vertical(es: EvaluationSet, codeword, target) -> int:
     """Recover the symbol at target from the other r roots of its fiber.
 
-    f(x, t̄) has no constant term in x, so g(x) = f(x, t̄)/x has degree
-    <= r-2 and the r known values overdetermine it by one node; the spare
-    node is used as a consistency check, raising Corrupted when it fails.
+    The first check gives c_i = -(Σ_(k≠i) w_k·c_k)/w_i.  Eliminating c_i
+    from the second leaves Σ_(k≠i) w_k·(x_k - x_i)·c_k = 0, which holds iff
+    the r known symbols lie on some x·g(x), deg g <= r-2; otherwise one of
+    them is corrupted and Corrupted is raised.
     """
     fld = es.field
     l, i, j = target
     _, vertical = recovery_indices(es, l, i, j)
     symbols = _gather(es, codeword, vertical)
-    nodes = [es.points[es.point_index(*trip)].x for trip in vertical]
-    gvals = [fld.div(s, x) for s, x in zip(symbols, nodes)]
-    check = _interp_eval(fld, nodes[:-1], gvals[:-1], nodes[-1])
-    if check != gvals[-1]:
+    roots = es.orbits[l].roots
+    w = _vertical_weights(fld, roots)
+    acc = residual = 0
+    for (_, k, _), c in zip(vertical, symbols):
+        wc = fld.mul(w[k], c)
+        acc = fld.add(acc, wc)
+        residual = fld.add(residual, fld.mul(wc, fld.sub(roots[k], roots[i])))
+    if residual:
         raise Corrupted("vertical interpolation residual is nonzero")
-    xt = es.points[es.point_index(l, i, j)].x
-    return fld.mul(xt, _interp_eval(fld, nodes[:-1], gvals[:-1], xt))
+    return fld.neg(fld.div(acc, w[i]))
 
 
 def recover_horizontal(es: EvaluationSet, codeword, target) -> int:
     """Recover the symbol at target from the other r fibers of its root.
 
-    f(x̄, t) has degree <= r-1 in t, so the r known values on the
-    horizontal fiber determine it exactly.
+    Σ_j ζ^j·c_j = 0 gives c_j = -Σ_(k≠j) ζ^(k-j)·c_k.  The check has no
+    spare: any r values complete to a polynomial of degree <= r-1 in t.
     """
     fld = es.field
     l, i, j = target
     horizontal, _ = recovery_indices(es, l, i, j)
     symbols = _gather(es, codeword, horizontal)
-    nodes = [es.points[es.point_index(*trip)].t for trip in horizontal]
-    tt = es.points[es.point_index(l, i, j)].t
-    return _interp_eval(fld, nodes, symbols, tt)
+    zeta = es.params.zeta
+    acc = 0
+    for (_, _, k), c in zip(horizontal, symbols):
+        acc = fld.add(acc, fld.mul(fld.pow(zeta, k - j), c))
+    return fld.neg(acc)
 
 
 def repair(es: EvaluationSet, codeword, pattern: ErasurePattern) -> RepairResult:
@@ -107,9 +110,15 @@ def repair(es: EvaluationSet, codeword, pattern: ErasurePattern) -> RepairResult
     Each round scans erased positions in ascending point index and repairs
     every one whose vertical (preferred) or horizontal set is fully present
     in the round-start state; repairs apply at end of round, so results do
-    not depend on within-round order.
+    not depend on within-round order.  Every symbol must be None or an
+    int in [0, q).
     """
     work: list[Optional[int]] = list(codeword)
+    if len(work) != es.n:
+        raise LengthMismatch(f"codeword length {len(work)} != n={es.n}")
+    q = es.field.order
+    if not all(v is None or isinstance(v, int) and 0 <= v < q for v in work):
+        raise ValueError(f"codeword symbols must be None or ints in [0, {q})")
     erased = {es.point_index(*trip) for trip in pattern.erased}
     erased |= {idx for idx, v in enumerate(work) if v is None}
     for idx in erased:

@@ -1,9 +1,46 @@
-"""Reference checks of the r = 3 distance kernels against direct evaluation."""
+"""Reference checks of the encoder and distance kernels against direct evaluation."""
+
+from itertools import product
 
 import numpy as np
 
-from fibered_lrc.lrc_code import (_better, _default_chunk, _r3_pencils,
-                                  _r3_scan_prefixes, encode)
+from fibered_lrc.lrc_code import (DistanceResult, _better, _default_chunk,
+                                  _r3_pencils, _r3_scan_prefixes, basis, encode)
+
+
+def naive_encode(es, message) -> tuple[int, ...]:
+    """The codeword by definition: Σ m_(i,j)·x^i·t^j at each point."""
+    fld = es.field
+    terms = [(c, i, j) for c, (i, j) in zip(message, basis(es.r).monomials) if c]
+    word = []
+    for pt in es.points:
+        acc = 0
+        for c, i, j in terms:
+            xt = fld.mul(fld.pow(pt.x, i), fld.pow(pt.t, j))
+            acc = fld.add(acc, fld.mul(c, xt))
+        word.append(acc)
+    return tuple(word)
+
+
+def naive_generic_search(es, budget) -> DistanceResult:
+    """The scalar class-by-class search: lead position, then the tail in
+    base q, each class weighed by ``naive_encode``, stopping at budget."""
+    q = es.field.order
+    k = len(basis(es.r))
+    best = (-1, None)
+    enumerated = 0
+    exact = True
+    for lead in range(k):
+        if exact:
+            for tail in product(range(q), repeat=k - 1 - lead):
+                if budget is not None and enumerated >= budget:
+                    exact = False
+                    break
+                msg = (0,) * lead + (1,) + tail
+                best = _better(naive_encode(es, msg).count(0), msg, *best)
+                enumerated += 1
+    zeros, msg = best
+    return DistanceResult(es.n - zeros, msg, exact, enumerated)
 
 
 def prefix_agreement(es, gm, prefix) -> None:

@@ -16,13 +16,13 @@ from fibered_lrc.lrc_code import encode, generator_matrix
 from fibered_lrc.serialize import codeword_to_dict, save_json
 
 
-def run_python(*argv):
+def run_python(*argv, timeout=120):
     """Run python in a subprocess that imports this checkout's package."""
     env = dict(os.environ)
     src = str(Path(fibered_lrc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=timeout)
 
 
 def run_optimized(*argv):
@@ -84,6 +84,26 @@ def test_table_field_cap():
 
     with pytest.raises(FieldTooLarge):
         run_table(Huge())
+
+
+@pytest.mark.parametrize("field", ["1000000000000000003", "3^100000000"])
+def test_huge_field_exits_1_quickly(field):
+    # trial division up to sqrt(p), or computing 3^100000000, would not end
+    res = run_python("-m", "fibered_lrc.cli", "construct", "--field", field,
+                     timeout=30)
+    assert res.returncode == 1, res.stderr
+    assert "exceeds" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_recover_huge_codeword_field_exits_1(prof49, cw49, tmp_path, capsys):
+    doc = json.loads(cw49[0].read_text())
+    doc["field"] = {"p": 10**18 + 3, "m": 1, "modulus": [0, 1]}
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["recover", "--profile", str(prof49), "--codeword", str(bad),
+                 "--erase", "0,0,0"]) == 1
+    err = capsys.readouterr().err
+    assert "exceeds" in err and "Traceback" not in err
 
 
 def test_recover_round_trip(prof49, cw49, tmp_path, capsys):

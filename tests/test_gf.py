@@ -153,6 +153,13 @@ def test_construction_errors():
         make_field(7, 2, modulus=(1, 0, 2))  # not monic
 
 
+def test_huge_fields_rejected_before_primality_and_power():
+    # neither sqrt(10^18)-step trial division nor 3^100000000 is computed
+    for p, m in ((10**18 + 3, 1), (10**18, 1), (3, 10**8), (3, 22)):
+        with pytest.raises(FieldTooLarge, match="exceeds"):
+            make_field(p, m)
+
+
 def test_explicit_modulus_hits_cache_before_irreducibility(f625, monkeypatch):
     def retest(f):
         raise AssertionError(f"irreducibility of {f} tested again")

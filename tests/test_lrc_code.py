@@ -24,10 +24,10 @@ from fibered_lrc.lrc_code import (
     generator_matrix,
     min_distance,
     singleton_availability_upper,
-    structural_weight,
     _min_distance_generic,
 )
-from kernel_oracle import pencil_agreement, prefix_agreement, scan_distance
+from kernel_oracle import (naive_encode, naive_generic_search, pencil_agreement,
+                           prefix_agreement, scan_distance)
 
 
 @pytest.fixture(scope="module")
@@ -111,17 +111,30 @@ def test_encode_linear(gm49, f49):
         assert lhs == rhs
 
 
-def test_structural_weight_matches_naive():
-    # the fiber-root zero count must equal direct symbol counting
-    cases = [((7, 2), [0, 1], 1000), ((11, 2), [0, 2], 1000), ((13, 2), [1], 500)]
-    for (p, m), sel, trials in cases:
-        fld = make_field(p, m)
-        es = build_evaluation_set(surface_params(fld, 3), sel)
-        gm = generator_matrix(es)
-        rng = random.Random(p * 1000 + m)
-        for _ in range(trials):
-            msg = [rng.randrange(fld.order) for _ in range(5)]
-            assert structural_weight(es, msg) == sum(map(bool, encode(gm, msg)))
+# m = 2, 4 and 6; 7^4 lies above PAIR_TABLE_LIMIT; r = 5 has k = 19
+@pytest.mark.parametrize("pm, r, orbits", [
+    ((7, 2), 3, (0, 1)), ((3, 4), 3, None), ((11, 2), 3, (0, 2)),
+    ((13, 2), 3, (1,)), ((5, 4), 3, (0, 1)), ((3, 6), 3, (0,)),
+    ((7, 4), 3, (0,)), ((7, 2), 5, None),
+], ids=["7^2", "3^4", "11^2", "13^2", "5^4", "3^6", "7^4", "7^2-r5"])
+def test_encode_matches_naive_evaluation(pm, r, orbits):
+    fld = make_field(*pm)
+    es = build_evaluation_set(surface_params(fld, r), orbits)
+    gm = generator_matrix(es)
+    rng = random.Random(repr((pm, r, orbits)))
+    msgs = [[rng.randrange(fld.order) for _ in range(gm.k)] for _ in range(40)]
+    msgs += [[int(i == e) for i in range(gm.k)] for e in range(gm.k)]
+    for msg in msgs:
+        assert encode(gm, msg) == naive_encode(es, msg), msg
+
+
+@pytest.mark.parametrize("pm, r", [((7, 2), 5), ((7, 4), 3)],
+                         ids=["7^2-r5", "7^4-r3"])
+@pytest.mark.parametrize("budget", [1, 100, 2000])
+def test_generic_search_matches_naive_search(pm, r, budget):
+    es = build_evaluation_set(surface_params(make_field(*pm), r), (0,))
+    got = _min_distance_generic(es, generator_matrix(es), budget)
+    assert got == naive_generic_search(es, budget)
 
 
 def test_scalar_invariance(es49_full, f49):
@@ -131,8 +144,6 @@ def test_scalar_invariance(es49_full, f49):
         msg = [rng.randrange(49) for _ in range(5)]
         c = rng.randrange(1, 49)
         scaled = [f49.mul(c, v) for v in msg]
-        assert structural_weight(es49_full, msg) == structural_weight(
-            es49_full, scaled)
         assert sum(map(bool, encode(gm, msg))) == sum(
             map(bool, encode(gm, scaled)))
 
@@ -149,7 +160,7 @@ def test_min_distance_single_orbit(es49, gm49):
 def test_min_distance_two_orbits(es49_full):
     res = min_distance(es49_full)
     assert (res.d, res.exact) == (24, True)
-    assert structural_weight(es49_full, res.witness) == 24
+    assert sum(map(bool, encode(generator_matrix(es49_full), res.witness))) == 24
 
 
 def test_min_distance_deterministic(es49_full):
@@ -183,8 +194,9 @@ def test_min_distance_budget_and_generic_prefix(es49_full, monkeypatch):
     assert not capped.exact
     assert capped.enumerated < full.enumerated
     assert capped.d >= full.d
-    # the scalar fallback agrees candidate-for-candidate on the same prefix
-    gen = _min_distance_generic(es49_full, budget=capped.enumerated, threads=1)
+    # the generic fallback agrees candidate-for-candidate on the same prefix
+    gen = _min_distance_generic(es49_full, generator_matrix(es49_full),
+                                budget=capped.enumerated)
     assert (gen.d, gen.witness) == (capped.d, capped.witness)
     with pytest.raises(ValueError):
         min_distance(es49_full, budget=0)

@@ -1,11 +1,15 @@
 """Tests for single-symbol recovery and multi-erasure peeling repair."""
 
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibered_lrc.construction import build_evaluation_set, recovery_indices, surface_params
-from fibered_lrc.lrc_code import encode, generator_matrix
+from fibered_lrc.gf import make_field
+from fibered_lrc.lrc_code import LengthMismatch, encode, generator_matrix
 from fibered_lrc.recovery import (
     Corrupted,
     ErasurePattern,
@@ -185,3 +189,59 @@ def test_repair_rejects_bad_triple(code49):
     cw = encode(gm, [1, 1, 1, 1, 1])
     with pytest.raises(IndexError):
         repair(es, cw, ErasurePattern.of([(0, 9, 0)]))
+
+
+def test_repair_rejects_out_of_range_symbols(code49):
+    # unchecked, -1 at (0,0,1) was read as 48 and repaired (0,0,0) by path H
+    # to 48 where the codeword has 15; 49 and 1.5 ended in a numpy IndexError
+    es, gm = code49
+    cw = encode(gm, [3, 14, 0, 25, 6])
+    pattern = ErasurePattern.of([(0, 0, 0), (0, 1, 0)])
+    assert repair(es, cw, pattern).codeword == cw
+    for bad in (-1, 49, 1.5, "3"):
+        word = list(cw)
+        word[es.point_index(0, 0, 1)] = bad
+        with pytest.raises(ValueError, match="ints in"):
+            repair(es, word, pattern)
+    with pytest.raises(LengthMismatch):
+        repair(es, cw[:-1], pattern)
+
+
+@cache
+def _code(pm, orbits):
+    es = build_evaluation_set(surface_params(make_field(*pm), 3), orbits)
+    return es, generator_matrix(es)
+
+
+@st.composite
+def round_trip_cases(draw):
+    """A code on F_49, F_121 or F_625 (orbits 0, 1), a message, an erasure
+    set, and a point with a partner on its vertical fiber."""
+    es, gm = _code(draw(st.sampled_from([(7, 2), (11, 2), (5, 4)])), (0, 1))
+    msg = draw(st.lists(st.integers(0, es.field.order - 1),
+                        min_size=gm.k, max_size=gm.k))
+    positions = draw(st.sets(st.integers(0, es.n - 1), max_size=es.n // 2))
+    erased = [(es.points[pos].l, es.points[pos].i, es.points[pos].j)
+              for pos in positions]
+    pt = es.points[draw(st.integers(0, es.n - 1))]
+    partner = draw(st.sampled_from(recovery_indices(es, pt.l, pt.i, pt.j)[1]))
+    delta = draw(st.integers(1, es.field.order - 1))
+    return es, gm, msg, erased, (pt.l, pt.i, pt.j), partner, delta
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(round_trip_cases())
+def test_repair_round_trip_property(case):
+    es, gm, msg, erased, target, partner, delta = case
+    cw = encode(gm, msg)
+    res = repair(es, _erase(cw, es, erased), ErasurePattern.of(erased))
+    assert res.unrecovered == _oracle_unrecoverable(es, erased)
+    for trip in res.paths:
+        idx = es.point_index(*trip)
+        assert res.codeword[idx] == cw[idx]
+    # one corrupted symbol in a complete vertical set fails the check
+    hole = _erase(cw, es, [target])
+    pos = es.point_index(*partner)
+    hole[pos] = es.field.add(hole[pos], delta)
+    with pytest.raises(Corrupted):
+        recover_vertical(es, hole, target)

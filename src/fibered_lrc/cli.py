@@ -382,10 +382,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaMismatch as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 2
-    except (AssertionError, ArithmeticError) as exc:
+    except (SchemaMismatch, AssertionError, ArithmeticError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
     except (ParseError, BadScenario, OSError, ValueError, IndexError) as exc:

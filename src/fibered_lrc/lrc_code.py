@@ -7,14 +7,14 @@ f = x·a(t) + x²(u + v·t) has five coefficients, and the exact distance
 counts zeros on the pencils of messages through three points on distinct
 fibers: C(n, 3)·n work, whatever q is.  A budgeted search instead scans
 message classes in lex order (first nonzero coordinate = 1), each prefix
-a(t) on its n point-lines in the (u, v) plane, and returns the best of the
-first `budget` classes.
+a(t) on its n point-lines in the (u, v) plane, each crossing of two lines
+once, and returns the best of the first `budget` classes, in whole chunks.
 
 Encoding is F_p-linear: an element is the digit vector of Σ c_i·X^i, so
-the generator matrix expands to a (k·m) x (n·m) matrix over F_p, and a
-block of messages encodes as one integer matrix product mod p.  `encode`
-and the generic search (r > 3, or orders above the dense-table limit)
-both go through it.
+the generator matrix expands to a (k·m) x (n·m) matrix over F_p, of rank
+k·m checked mod p, and a block of messages encodes as one integer matrix
+product mod p.  `encode` and the generic search (r > 3, or orders above
+the dense-table limit) both go through it.
 """
 
 from __future__ import annotations
@@ -97,28 +97,6 @@ class GeneratorMatrix:
         return self.es.n
 
 
-def _rank(fld: FieldSpec, rows) -> int:
-    mat = [list(row) for row in rows]
-    rank = 0
-    for col in range(len(mat[0])):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = fld.inv(mat[rank][col])
-        mat[rank] = [fld.mul(inv, v) for v in mat[rank]]
-        for r2 in range(len(mat)):
-            if r2 != rank and mat[r2][col]:
-                c = mat[r2][col]
-                mat[r2] = [
-                    fld.sub(v, fld.mul(c, w)) for v, w in zip(mat[r2], mat[rank])
-                ]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def generator_matrix(es: EvaluationSet) -> GeneratorMatrix:
     fld = es.field
     mb = basis(es.r)
@@ -127,9 +105,16 @@ def generator_matrix(es: EvaluationSet) -> GeneratorMatrix:
         rows.append(tuple(
             fld.mul(fld.pow(pt.x, i), fld.pow(pt.t, j)) for pt in es.points
         ))
-    if _rank(fld, rows) != len(mb):
+    over_fp = _expand(fld, rows)
+    # a rank-k span over F_q is a rank-k·m span over F_p
+    if _rank_mod_p(over_fp, fld.p) != len(mb) * fld.m:
         raise RankDeficient(
             f"generator matrix rank below k={len(mb)} for {fld.label}")
+    return GeneratorMatrix(es, mb, tuple(rows), over_fp)
+
+
+def _expand(fld: FieldSpec, rows) -> np.ndarray:
+    """F_p expansion of a matrix over F_q: row κ·m + d is X^d · rows[κ]."""
     # multiplication by X on digit vectors: X·X^e = X^(e+1), and X·X^(m-1)
     # = -(f_0 + ... + f_(m-1)·X^(m-1)) modulo the modulus f
     times_x = np.eye(fld.m, k=1, dtype=np.int64)
@@ -137,8 +122,24 @@ def generator_matrix(es: EvaluationSet) -> GeneratorMatrix:
     blocks = [_digits(fld, rows)]
     for _ in range(fld.m - 1):
         blocks.append(blocks[-1] @ times_x % fld.p)
-    over_fp = np.stack(blocks, axis=1).reshape(len(mb) * fld.m, es.n * fld.m)
-    return GeneratorMatrix(es, mb, tuple(rows), over_fp)
+    return np.stack(blocks, axis=1).reshape(len(rows) * fld.m, -1)
+
+
+def _rank_mod_p(mat: np.ndarray, p: int) -> int:
+    """Rank over F_p of an integer matrix, by elimination to row echelon."""
+    mat = mat % p
+    rank = 0
+    for col in range(mat.shape[1]):
+        piv = rank + np.flatnonzero(mat[rank:, col])
+        if len(piv):
+            mat[[rank, piv[0]]] = mat[[piv[0], rank]]
+            # factors and entries lie below p <= 2^20: products fit in int64
+            factor = mat[rank + 1:, col] * pow(int(mat[rank, col]), -1, p) % p
+            mat[rank + 1:] = (mat[rank + 1:] - factor[:, None] * mat[rank]) % p
+            rank += 1
+            if rank == len(mat):
+                break
+    return rank
 
 
 def _digits(fld: FieldSpec, elems) -> np.ndarray:
@@ -236,50 +237,48 @@ def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
 
     One prefix a(t) covers the q² tails (u, v).  The symbol at point
     c = (x̄, t̄) vanishes on the line u + t̄·v = k_c = -a(t̄)/x̄.  Lines of one
-    fiber are parallel and coincide when a(t̄) = 0; a line of another fiber
-    crosses line c at v = (k_c - k_c')·(t̄ - t̄')⁻¹.  So the zeros at v on
-    line c are its fiber's weight (r+1 or 1) plus the crossings there: one
-    bincount over g·n·q bins per chunk of g prefixes.  Every zero lies on a
-    line, so the least best line cell is the prefix's witness.  Returns
+    fiber (one t̄) are parallel and coincide when a(t̄) = 0; lines with
+    t̄ < t̄' cross once, at v = (k_c - k_c')·(t̄ - t̄')⁻¹, counted on both by
+    one bincount over g·n·q bins per chunk of g prefixes.  A line's best
+    cell adds its fiber's weight (r+1 or 1) to its most crossings.  The
+    least best line cell is the witness, sought only when a chunk beats the
+    best so far: a later prefix loses every tie.  The budget, checked
+    before each chunk, admits ⌈budget_left / (chunk·q²)⌉ chunks.  Returns
     (best, candidates, completed).
     """
-    fld = es.field
-    q = fld.order
-    tabs = fld.np_tables()
+    q = es.field.order
+    tabs = es.field.np_tables()
     ADD, MUL, NEG, INV = tabs["ADD"], tabs["MUL"], tabs["NEG"], tabs["INV"]
-    fibers = list(es.vertical_fibers())
-    tf = np.asarray([t for _l, _j, t, _roots in fibers])
-    fib = np.repeat(np.arange(len(fibers)), [len(rts) for *_, rts in fibers])
-    nix = NEG[INV[np.asarray([x for *_, rts in fibers for x in rts])]]
-    tc = tf[fib]
-    ci, cj = np.nonzero(fib[:, None] != fib[None, :])
+    tc = np.asarray([pt.t for pt in es.points])
+    nix = NEG[INV[np.asarray([pt.x for pt in es.points])]]
+    ci, cj = np.nonzero(tc[:, None] < tc[None, :])
     dinv = INV[ADD[tc[ci], NEG[tc[cj]]]]
-    n = len(fib)
+    n = es.n
+    # the bins of a crossing on line ci and on line cj, per prefix of a chunk
+    ends = np.concatenate([ci, cj]) * q + (np.arange(chunk) * (n * q))[:, None]
+    stop = hi if budget_left is None else min(
+        hi, lo + max(0, -(-budget_left // (chunk * q * q))) * chunk)
     best = (-1, None)
-    done = 0
-    for s in range(lo, hi, chunk):
-        if budget_left is not None and done * q * q >= budget_left:
-            return best, done * q * q, False
-        pre = np.arange(s, min(s + chunk, hi), dtype=np.int64)
+    for s in range(lo, stop, chunk):
+        pre = np.arange(s, min(s + chunk, stop), dtype=np.int64)
         a1, a2 = np.divmod(pre, q)
         g = len(pre)
-        at = ADD[ADD[a0val, MUL[a1[:, None], tf]], MUL[a2[:, None], MUL[tf, tf]]]
-        at = at[:, fib]                                        # g x n: a(t̄_c)
+        at = ADD[ADD[a0val, MUL[a1[:, None], tc]], MUL[a2[:, None], MUL[tc, tc]]]
         k = MUL[at, nix]
-        vx = MUL[ADD[k[:, ci], NEG[k][:, cj]], dinv]           # crossings
-        flat = vx + ci * q
-        flat += (np.arange(g) * (n * q))[:, None]
+        vx = MUL.ravel()[ADD.ravel()[(k * q)[:, ci] + NEG[k][:, cj]] * q + dinv]
+        flat = np.concatenate([vx, vx], axis=1) + ends[:g]
+        counts = None  # frees the last chunk's bins before these are made
         counts = np.bincount(flat.ravel(), minlength=g * n * q).reshape(g, n, q)
-        counts += np.where(at == 0, es.r + 1, 1)[:, :, None]
-        zmax = counts.max(axis=(1, 2))
+        w = np.where(at == 0, es.r + 1, 1)
+        zmax = (counts.max(axis=2) + w).max(axis=1)
         gb = int(zmax.argmax())
-        cs, vs = np.nonzero(counts[gb] == zmax[gb])
+        if zmax[gb] <= best[0]:
+            continue
+        cs, vs = np.nonzero(counts[gb] + w[gb, :, None] == zmax[gb])
         us = ADD[k[gb, cs], NEG[MUL[tc[cs], vs]]]
         u, v = divmod(int((us * q + vs).min()), q)
-        msg = (a0val, int(a1[gb]), int(a2[gb]), u, v)
-        best = _better(int(zmax[gb]), msg, *best)
-        done += g
-    return best, done * q * q, True
+        best = int(zmax[gb]), (a0val, int(a1[gb]), int(a2[gb]), u, v)
+    return best, (stop - lo) * q * q, stop == hi
 
 
 def _r3_pencils(es, tri):
@@ -356,8 +355,9 @@ def _r3_pencil_search(es):
 
 
 def _default_chunk(q: int, n_points: int) -> int:
-    # frozen: a budget is checked once per chunk, so this formula fixes
-    # `enumerated`, d and the witness of every budgeted search
+    # frozen: the chunk sets only the budget's granularity (a budget is
+    # checked once per chunk), but that fixes `enumerated`, d and the
+    # witness of every budgeted search
     return max(1, min(512, 2_000_000 // (q * q), 4_000_000 // (n_points * q)))
 
 
@@ -371,14 +371,11 @@ def _min_distance_r3(es: EvaluationSet, budget) -> DistanceResult:
     best = (-1, None)
     enumerated = 0
     for a0val, lo, hi in ((1, 0, q * q), (0, q, 2 * q)):
-        if enumerated >= budget:
-            break
-        sub, cand, completed = _r3_scan_prefixes(
+        # once the budget is spent the next scan takes no prefix
+        sub, cand, _ = _r3_scan_prefixes(
             es, a0val, lo, hi, chunk, budget - enumerated)
         best = _better(*sub, *best)
         enumerated += cand
-        if not completed:
-            break
     zeros, msg = best
     return DistanceResult(es.n - zeros, msg, False, enumerated)
 

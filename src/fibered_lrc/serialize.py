@@ -33,12 +33,17 @@ def encode_element(fld: FieldSpec, v: int):
     return "0" if v == 0 else fld.log(v)
 
 
+def _int(value) -> int:
+    # bools are ints in Python, and int() would take floats and strings
+    if type(value) is not int:
+        raise ParseError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
 def decode_element(fld: FieldSpec, tok) -> int:
     if tok == "0":
         return 0
-    # bools are ints; reject them and out-of-range exponents
-    if isinstance(tok, bool) or not isinstance(tok, int) \
-            or not 0 <= tok < fld.order - 1:
+    if not 0 <= _int(tok) < fld.order - 1:
         raise ParseError(f"bad element token {tok!r} for {fld.label}")
     return fld.from_log(tok)
 
@@ -49,7 +54,8 @@ def field_to_dict(fld: FieldSpec) -> dict:
 
 def field_from_dict(d) -> FieldSpec:
     try:
-        return make_field(int(d["p"]), int(d["m"]), tuple(d["modulus"]))
+        return make_field(_int(d["p"]), _int(d["m"]),
+                          tuple(map(_int, d["modulus"])))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad field block: {exc}") from None
 
@@ -96,22 +102,22 @@ def profile_from_dict(d) -> tuple[CodeProfile, FieldSpec]:
     _expect(d, "profile")
     try:
         fld = _field_from_label(d["field_label"])
-        r, b = int(d["r"]), int(d["b"])
+        ints = {key: _int(d[key]) for key in ("q", "m", "r", "availability",
+                "b", "n", "k", "d_lower", "d_upper")}
         witness = d["d_witness"]
         if witness is not None:
             witness = tuple(decode_element(fld, tok) for tok in witness)
         prof = CodeProfile(
-            field_label=d["field_label"], q=int(d["q"]), m=int(d["m"]), r=r,
-            availability=int(d["availability"]), b=b,
-            orbit_indices=tuple(int(i) for i in d["orbit_indices"]),
-            n=int(d["n"]), k=int(d["k"]),
-            d_lower=int(d["d_lower"]), d_upper=int(d["d_upper"]),
-            d_exact=None if d["d_exact"] is None else int(d["d_exact"]),
+            field_label=d["field_label"], **ints,
+            orbit_indices=tuple(map(_int, d["orbit_indices"])),
+            d_exact=None if d["d_exact"] is None else _int(d["d_exact"]),
             d_witness=witness)
     except (KeyError, TypeError, AssertionError) as exc:
         raise SchemaMismatch(f"profile invariants violated: {exc}") from None
+    r, b = prof.r, prof.b
     if prof.k != r * (r - 1) - 1 or prof.n != b * (r + 1) ** 2 \
-            or b != len(prof.orbit_indices) or prof.d_lower > prof.d_upper:
+            or b != len(prof.orbit_indices) or prof.d_lower > prof.d_upper \
+            or witness is not None and len(witness) != prof.k:
         raise SchemaMismatch("profile invariants violated")
     return prof, fld
 
@@ -144,7 +150,7 @@ def codeword_from_dict(d) -> tuple[FieldSpec, list]:
     try:
         fld = field_from_dict(d["field"])
         raw = d["symbols"]
-        n = int(d["n"])
+        n = _int(d["n"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad codeword document: {exc}") from None
     if not isinstance(raw, list):
@@ -163,7 +169,7 @@ def save_json(obj: dict, fileobj) -> None:
 def load_json(fileobj) -> dict:
     try:
         return json.load(fileobj)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
 
 

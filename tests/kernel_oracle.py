@@ -43,14 +43,11 @@ def naive_generic_search(es, budget) -> DistanceResult:
     return DistanceResult(es.n - zeros, msg, exact, enumerated)
 
 
-def prefix_agreement(es, gm, prefix) -> None:
-    """Cross-check the kernel on one x-block prefix (a0, a1, a2).
+def naive_zero_grid(es, gm, prefix) -> np.ndarray:
+    """Zeros of every message (a0, a1, a2, u, v) of one x-block prefix.
 
-    Counts the zeros of every (u, v) tail by evaluating all n symbols from
-    the generator matrix rows (the naive grid), then requires
-    ``_r3_scan_prefixes`` on that one prefix to return the grid's maximum
-    with its least argmax as witness, the library's tie-break.  Raises
-    AssertionError on a disagreement.
+    Evaluates all n symbols from the generator matrix rows for each tail
+    (u, v); returns the q² counts, indexed by u·q + v.
     """
     fld = es.field
     q = fld.order
@@ -59,18 +56,81 @@ def prefix_agreement(es, gm, prefix) -> None:
     rows = [np.asarray(row, dtype=np.int64) for row in gm.rows]
     uv = np.arange(q, dtype=np.int64)
     a0, a1, a2 = prefix
-    naive_grid = np.zeros(q * q, dtype=np.int64)
+    grid = np.zeros(q * q, dtype=np.int64)
     base = ADD[ADD[MUL[a0, rows[0]], MUL[a1, rows[1]]], MUL[a2, rows[2]]]
     for pnt in range(es.n):
         ucontrib = MUL[rows[3][pnt], uv]
         vcontrib = MUL[rows[4][pnt], uv]
-        grid = ADD[ADD[base[pnt], ucontrib][:, None], vcontrib[None, :]]
-        naive_grid += (grid.ravel() == 0)
+        sym = ADD[ADD[base[pnt], ucontrib][:, None], vcontrib[None, :]]
+        grid += (sym.ravel() == 0)
+    return grid
+
+
+def prefix_agreement(es, gm, prefix) -> None:
+    """Cross-check the kernel on one x-block prefix (a0, a1, a2).
+
+    Requires ``_r3_scan_prefixes`` on that one prefix to return the
+    maximum of its naive zero grid with the least argmax as witness, the
+    library's tie-break.  Raises AssertionError on a disagreement.
+    """
+    q = es.field.order
+    grid = naive_zero_grid(es, gm, prefix)
+    a0, a1, a2 = prefix
     pre = a1 * q + a2
     (zeros, msg), cand, done = _r3_scan_prefixes(es, a0, pre, pre + 1, 1, None)
-    u, v = divmod(int(naive_grid.argmax()), q)
+    u, v = divmod(int(grid.argmax()), q)
     assert (zeros, msg, cand, done) == (
-        int(naive_grid.max()), (a0, a1, a2, u, v), q * q, True), prefix
+        int(grid.max()), (a0, a1, a2, u, v), q * q, True), prefix
+
+
+def scan_reference(es, gm, a0, lo, hi, chunk, budget):
+    """What ``_r3_scan_prefixes(es, a0, lo, hi, chunk, budget)`` returns.
+
+    Walks the prefixes a0, divmod(pre, q) for pre in range(lo, hi) in
+    chunks, stopping before a chunk once chunks·chunk·q² classes reach the
+    budget, and weighs each prefix by its naive zero grid.  The best is
+    the most zeros, then the lexicographically least message.
+    """
+    q = es.field.order
+    found = []
+    done = 0
+    for s in range(lo, hi, chunk):
+        if budget is not None and done * q * q >= budget:
+            break
+        for pre in range(s, min(s + chunk, hi)):
+            prefix = (a0, *divmod(pre, q))
+            grid = naive_zero_grid(es, gm, prefix)
+            found.append((int(grid.max()),
+                          (*prefix, *divmod(int(grid.argmax()), q))))
+            done += 1
+    best = (-1, None)
+    if found:
+        zeros = max(z for z, _ in found)
+        best = (zeros, min(msg for z, msg in found if z == zeros))
+    return best, done * q * q, lo + done == hi
+
+
+def _rank(fld, rows) -> int:
+    """Rank over F_q of a list of rows, by scalar Gauss-Jordan elimination."""
+    mat = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(mat[0])):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = fld.inv(mat[rank][col])
+        mat[rank] = [fld.mul(inv, v) for v in mat[rank]]
+        for r2 in range(len(mat)):
+            if r2 != rank and mat[r2][col]:
+                c = mat[r2][col]
+                mat[r2] = [
+                    fld.sub(v, fld.mul(c, w)) for v, w in zip(mat[r2], mat[rank])
+                ]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
 
 
 def zero_grid_agreement(es, gm) -> int:

@@ -1,12 +1,16 @@
 """End-to-end CLI tests: subcommands, exit codes, file round trips."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibered_lrc
 from fibered_lrc.cli import main, run_table
@@ -247,6 +251,126 @@ def test_recover_horizontal_corruption_exit_2(prof49, cw49, tmp_path, f49):
     res = run_optimized(*argv)
     assert res.returncode == 2, (res.stdout, res.stderr)
     assert "(0, 1, 2)" in res.stderr and res.stdout == ""
+
+
+def test_mindist_budgeted_same_under_optimize():
+    # no assert may guard the budgeted scan: python -O strips them
+    argv = ["mindist", "--field", "13^2", "--orbits", "0,2,3,4",
+            "--budget", str(20 * 70 * 169**2 + 1)]
+    plain = run_python("-m", "fibered_lrc.cli", *argv)
+    opt = run_optimized(*argv)
+    assert plain.returncode == opt.returncode == 0, (plain.stderr, opt.stderr)
+    assert opt.stdout == plain.stdout
+    assert json.loads(plain.stdout)["d_upper"] == 55
+
+
+@pytest.fixture(scope="module")
+def good_docs(tmp_path_factory, f49):
+    """Files of a mindist profile of F_49 orbit (0,) and a codeword of it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {"prof": root / "prof.json", "cw": root / "cw.json"}
+    assert main(["mindist", "--field", "7^2", "--orbits", "0",
+                 "--out", str(files["prof"])]) == 0
+    es = build_evaluation_set(surface_params(f49, 3), (0,))
+    with open(files["cw"], "w") as fh:
+        save_json(codeword_to_dict(
+            f49, encode(generator_matrix(es), [3, 14, 0, 25, 6])), fh)
+    return root, files
+
+
+def _paths(doc, path=()):
+    """(path, value) of every value inside a JSON document."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, val in items:
+        yield from _paths(val, path + (key,))
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+# replacements that no valid document holds: another JSON type where a
+# value has one type, and for element tokens (log indices in [0, 48) or
+# "0" on F_49) out-of-range and mistyped ones
+_WRONG_TYPE = {int: [None, True, 2.5, "7", [], {}],
+               str: [None, 7, 2.5, "", "x", [], {}],
+               list: [7, "x", {}], dict: [None, 7, "x", []]}
+_BAD_TOKENS = [-1, 48, 49, 2**70, "1", "x", "", 1.0, True, [], {}]
+_TOKEN_LISTS = ("symbols", "d_witness")
+
+
+@st.composite
+def broken_document(draw, doc) -> bytes:
+    """The text of a JSON document with one thing made wrong.
+
+    A value of another type, a bad element token, a missing key, a list of
+    another length, a value nested in up to 10^5 lists, a non-object
+    document, or text cut short or not UTF-8.
+    """
+    paths = list(_paths(doc))[1:]
+    how = draw(st.sampled_from(["type", "token", "delete", "resize", "nest",
+                                "whole", "text"]))
+    nest = None
+    if how == "type":
+        path, val = draw(st.sampled_from(
+            [(p, v) for p, v in paths
+             if p[0] not in _TOKEN_LISTS or len(p) == 1]))
+        # a profile may leave d_exact null
+        _set(doc, path, draw(st.sampled_from(
+            [w for w in _WRONG_TYPE[type(val)]
+             if w is not None or path != ("d_exact",)])))
+    elif how == "token":
+        path = draw(st.sampled_from([p for p, _ in paths
+                                     if p[0] in _TOKEN_LISTS and len(p) == 2]))
+        _set(doc, path, draw(st.sampled_from(_BAD_TOKENS)))
+    elif how == "delete":
+        path = draw(st.sampled_from([p for p, _ in paths if len(p) == 1
+                                     or p[0] == "field" and len(p) == 2]))
+        del (doc if len(path) == 1 else doc[path[0]])[path[-1]]
+    elif how == "resize":
+        path, val = draw(st.sampled_from(
+            [(p, v) for p, v in paths if isinstance(v, list)]))
+        size = draw(st.integers(0, len(val) + 3).filter(lambda k: k != len(val)))
+        _set(doc, path, (val * 4)[:size])
+    elif how == "nest":
+        path, val = draw(st.sampled_from(paths))
+        depth = draw(st.sampled_from([1, 3, 900, 100_000]))
+        nest = "[" * depth + json.dumps(val) + "]" * depth
+        _set(doc, path, "nested here")
+    elif how == "whole":
+        doc = draw(st.sampled_from([None, 7, "x", [], [doc]]))
+    text = json.dumps(doc)
+    if nest is not None:
+        text = text.replace('"nested here"', nest)
+    if how == "text":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+        if draw(st.booleans()):
+            return b"\xff" + text.encode()
+    return text.encode()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_broken_documents_exit_with_message(good_docs, data):
+    root, files = good_docs
+    which = data.draw(st.sampled_from(sorted(files)))
+    bad = root / "bad.json"
+    bad.write_bytes(data.draw(broken_document(json.loads(files[which].read_text()))))
+    files = dict(files, **{which: bad})
+    runs = [["recover", "--profile", str(files["prof"]), "--codeword",
+             str(files["cw"]), "--erase", "0,0,0"]]
+    if which == "prof":
+        runs.append(["verify", "invariants", "--profile", str(bad)])
+    for argv in runs:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (1, 2) and err.getvalue().strip(), argv
+        assert "Traceback" not in err.getvalue()
 
 
 def test_console_script(golden_dir):

@@ -24,10 +24,15 @@ from fibered_lrc.lrc_code import (
     generator_matrix,
     min_distance,
     singleton_availability_upper,
+    _default_chunk,
+    _expand,
     _min_distance_generic,
+    _r3_scan_prefixes,
+    _rank_mod_p,
 )
-from kernel_oracle import (naive_encode, naive_generic_search, pencil_agreement,
-                           prefix_agreement, scan_distance)
+from kernel_oracle import (_rank, naive_encode, naive_generic_search,
+                           pencil_agreement, prefix_agreement, scan_distance,
+                           scan_reference)
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +88,24 @@ def test_generator_matrix_full_rank_everywhere(f121, f169):
         sp = surface_params(fld, 3)
         gm = generator_matrix(build_evaluation_set(sp))
         assert gm.k == 5  # construction raised nothing => rank 5
+
+
+# 1048573 is the largest prime below 2^20: entries reach p² ~ 2^40
+@pytest.mark.parametrize("pm", [(7, 2), (3, 4), (5, 4), (13, 1), (1048573, 1)])
+def test_rank_mod_p_matches_scalar_rank(pm):
+    fld = make_field(*pm)
+    rng = random.Random(repr(pm))
+    for _ in range(30):
+        k, n = rng.randint(1, 6), rng.randint(1, 9)
+        rows = [[rng.randrange(fld.order) for _ in range(n)] for _ in range(k)]
+        for row in range(k):  # make some rows combinations of earlier ones
+            if row and rng.random() < 0.4:
+                coef = [rng.randrange(fld.order) for _ in range(row)]
+                rows[row] = [0] * n
+                for c, earlier in zip(coef, rows[:row]):
+                    rows[row] = [fld.add(a, fld.mul(c, b))
+                                 for a, b in zip(rows[row], earlier)]
+        assert _rank_mod_p(_expand(fld, rows), fld.p) == fld.m * _rank(fld, rows)
 
 
 def test_encode_basics(es49, gm49, f49):
@@ -210,6 +233,55 @@ def test_min_distance_budget_granularity(es49_full, f169):
     es = build_evaluation_set(surface_params(f169, 3), [0, 2, 3, 4])
     assert min_distance(es, budget=100 * 169**2) == lrc_code.DistanceResult(
         d=56, witness=(1, 0, 4, 0, 0), exact=False, enumerated=3998540)
+
+
+def test_min_distance_budget_edge(f169):
+    # 20 whole chunks exhaust the budget; one class more buys a 21st chunk
+    es = build_evaluation_set(surface_params(f169, 3), [0, 2, 3, 4])
+    chunk = _default_chunk(169, es.n)
+    assert chunk == 70
+    assert min_distance(es, budget=20 * chunk * 169**2) == lrc_code.DistanceResult(
+        d=55, witness=(1, 1, 11, 5, 10), exact=False, enumerated=39985400)
+    assert min_distance(es, budget=20 * chunk * 169**2 + 1) == lrc_code.DistanceResult(
+        d=55, witness=(1, 1, 11, 5, 10), exact=False, enumerated=41984670)
+
+
+@st.composite
+def scan_cases(draw):
+    """An F_49 or F_81 code, a range of at most 24 prefixes, a chunk and a
+    budget at, or one class either side of, a whole number of chunks."""
+    fld = make_field(*draw(st.sampled_from([(7, 2), (3, 4)])))
+    sp = surface_params(fld, 3)
+    orbits = draw(st.lists(st.integers(0, len(find_nice_orbits(sp)) - 1),
+                           min_size=1, max_size=2, unique=True))
+    q = fld.order
+    a0, first, last = draw(st.sampled_from([(1, 0, q * q), (0, q, 2 * q),
+                                            (0, 1, 2)]))
+    lo = draw(st.integers(first, last - 1))
+    hi = draw(st.integers(lo, min(last, lo + 24)))
+    chunk = draw(st.sampled_from([1, 2, 3, 8]))
+    whole = draw(st.integers(1, 4)) * chunk * q * q
+    budget = draw(st.sampled_from([None, whole - 1, whole, whole + 1]))
+    return build_evaluation_set(sp, orbits), a0, lo, hi, chunk, budget
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(scan_cases())
+def test_budgeted_scan_matches_reference(case):
+    es, *scan = case
+    assert _r3_scan_prefixes(es, *scan) == scan_reference(
+        es, generator_matrix(es), *scan)
+
+
+# prefixes 7 and 14 of F_49 (0, 1) both reach 8 zeros, in different chunks:
+# the later chunk ties the best and must not replace its witness
+@pytest.mark.parametrize("budget", [None, 8 * 2 * 49**2])
+def test_budgeted_scan_later_chunk_ties(es49_full, budget):
+    gm = generator_matrix(es49_full)
+    best, *rest = scan_reference(es49_full, gm, 1, 0, 24, 2, budget)
+    assert best == (8, (1, 0, 7, 0, 0))
+    assert _r3_scan_prefixes(es49_full, 1, 0, 24, 2, budget) == (best, *rest)
+    assert _r3_scan_prefixes(es49_full, 1, 14, 24, 2, budget)[0][0] == 8
 
 
 @st.composite

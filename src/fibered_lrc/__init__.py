@@ -3,7 +3,7 @@
 from .construction import (EvaluationSet, NiceOrbit, SurfaceParams,
                            build_evaluation_set, find_nice_orbits,
                            recovery_indices, surface_params)
-from .gf import FieldElement, FieldSpec, make_field, parse_field_label
+from .gf import FieldSpec, make_field, parse_field_label
 from .lrc_code import (CodeProfile, DistanceResult, GeneratorMatrix, basis,
                        code_profile, distance_b1, distance_lower_bound, encode,
                        f_min_message, generator_matrix, min_distance,
@@ -19,7 +19,6 @@ __all__ = [
     "DistanceResult",
     "ErasurePattern",
     "EvaluationSet",
-    "FieldElement",
     "FieldSpec",
     "GeneratorMatrix",
     "NiceOrbit",

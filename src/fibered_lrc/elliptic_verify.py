@@ -1,10 +1,14 @@
 """Fiber-level group-law checks for the r = 3 surface.
 
-Vertical fibers are the cubics y^2 = x(x-1)(x-tbar^4); the four evaluation
-points on a smooth one must sum to the identity.  Horizontal fibers are
-genus-1 quartics y^2 = c(t^4 - xbar) with c = xbar - xbar^2; when c is a
-square the fiber maps to a Weierstrass model where the four points must
-sum into the 2-torsion.  The discriminant of the vertical family vanishes
+Every fiber checked here lives on one model, y^2 = x^3 + a2 x^2 + a4 x,
+with the 2-torsion point (0, 0) on it.  Vertical fibers are the cubics
+y^2 = x(x-1)(x-tbar^4), so a2 = -(tbar^4 + 1) and a4 = tbar^4; the four
+evaluation points on a smooth one must sum to the identity.  Horizontal
+fibers are genus-1 quartics y^2 = c(t^4 - xbar) with c = xbar - xbar^2;
+when c is a square the fiber maps to Y^2 = X^3 - 4AB X (a2 = 0), where
+the four points must sum into the 2-torsion.  Both families have a root
+of the cubic at x = 0 and no xy or y term, so the general Weierstrass
+form is never needed.  The discriminant of the vertical family vanishes
 to orders {8, 8, 2, 2, 2, 2} over the t-line.
 """
 
@@ -43,43 +47,32 @@ O = CurvePoint()
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over a field.
+    """y^2 = x^3 + a2 x^2 + a4 x over a field, with (0, 0) on it.
 
     Smooth by construction: a zero discriminant raises SingularFiber here,
     so the group law never has to check it.
     """
 
     field: FieldSpec
-    a1: int
     a2: int
-    a3: int
     a4: int
-    a6: int
 
     def __post_init__(self):
         if self.discriminant == 0:
             raise SingularFiber(
                 f"Weierstrass model over {self.field.label} is singular")
 
-    def _int(self, n: int) -> int:
-        return n % self.field.p
-
     @property
     def discriminant(self) -> int:
         f = self.field
-        coeffs = (f.elem(a) for a in (self.a1, self.a2, self.a3, self.a4, self.a6))
-        return _discriminant(*coeffs, lambda n: f.elem(self._int(n))).val
+        return _discriminant(constant(f, self.a2), constant(f, self.a4)).coeff(0)
 
     def contains(self, pt: CurvePoint) -> bool:
         if pt.is_infinity:
             return True
         f, x, y = self.field, pt.x, pt.y
-        lhs = f.add(f.mul(y, y),
-                    f.add(f.mul(self.a1, f.mul(x, y)), f.mul(self.a3, y)))
-        rhs = f.add(f.mul(x, f.mul(x, x)),
-                    f.add(f.mul(self.a2, f.mul(x, x)),
-                          f.add(f.mul(self.a4, x), self.a6)))
-        return lhs == rhs
+        rhs = f.mul(x, f.add(f.mul(x, f.add(x, self.a2)), self.a4))
+        return f.mul(y, y) == rhs
 
 
 def _require_on_curve(curve: WeierstrassCurve, pt: CurvePoint) -> None:
@@ -91,9 +84,7 @@ def ec_neg(curve: WeierstrassCurve, pt: CurvePoint) -> CurvePoint:
     if pt.is_infinity:
         return O
     _require_on_curve(curve, pt)
-    f = curve.field
-    return CurvePoint(pt.x, f.neg(f.add(pt.y, f.add(
-        f.mul(curve.a1, pt.x), curve.a3))))
+    return CurvePoint(pt.x, curve.field.neg(pt.y))
 
 
 def ec_add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
@@ -109,18 +100,15 @@ def ec_add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     if q == ec_neg(curve, p):
         return O
     if p == q:
-        num = f.add(f.mul(curve._int(3), f.mul(p.x, p.x)),
-                    f.add(f.mul(curve._int(2), f.mul(curve.a2, p.x)),
-                          f.sub(curve.a4, f.mul(curve.a1, p.y))))
-        den = f.add(f.mul(curve._int(2), p.y),
-                    f.add(f.mul(curve.a1, p.x), curve.a3))
+        # slope (3x^2 + 2 a2 x + a4) / 2y
+        num = f.add(f.mul(p.x, f.add(f.mul(3 % f.p, p.x),
+                                     f.mul(2 % f.p, curve.a2))), curve.a4)
+        den = f.mul(2 % f.p, p.y)
     else:
         num, den = f.sub(q.y, p.y), f.sub(q.x, p.x)
     lam = f.div(num, den)
-    x3 = f.sub(f.add(f.mul(lam, lam), f.mul(curve.a1, lam)),
-               f.add(curve.a2, f.add(p.x, q.x)))
-    y3 = f.sub(f.mul(lam, f.sub(p.x, x3)),
-               f.add(p.y, f.add(f.mul(curve.a1, x3), curve.a3)))
+    x3 = f.sub(f.mul(lam, lam), f.add(curve.a2, f.add(p.x, q.x)))
+    y3 = f.sub(f.mul(lam, f.sub(p.x, x3)), p.y)
     return CurvePoint(x3, y3)
 
 
@@ -128,10 +116,7 @@ def ec_is_two_torsion(curve: WeierstrassCurve, pt: CurvePoint) -> bool:
     if pt.is_infinity:
         return True
     _require_on_curve(curve, pt)
-    f = curve.field
-    # 2P = O iff P = -P iff 2y + a1 x + a3 = 0
-    return f.add(f.mul(curve._int(2), pt.y),
-                 f.add(f.mul(curve.a1, pt.x), curve.a3)) == 0
+    return pt.y == 0  # 2P = O iff P = -P
 
 
 def vertical_fiber(field: FieldSpec, tbar: int) -> WeierstrassCurve:
@@ -139,7 +124,7 @@ def vertical_fiber(field: FieldSpec, tbar: int) -> WeierstrassCurve:
     u = field.pow(tbar, 4)
     if u == 0 or u == 1:
         raise SingularFiber(f"fiber over tbar={tbar} degenerates (tbar^4={u})")
-    return WeierstrassCurve(field, 0, field.neg(field.add(u, 1)), 0, u, 0)
+    return WeierstrassCurve(field, field.neg(field.add(u, 1)), u)
 
 
 def verify_vertical_sum(es: EvaluationSet, l: int, j: int) -> bool:
@@ -173,7 +158,7 @@ def horizontal_sum_two_torsion(es: EvaluationSet, l: int, i: int) -> bool:
     alpha = fld.sqrt(A)
     two, four = 2 % fld.p, 4 % fld.p
     a4 = fld.neg(fld.mul(four, fld.mul(A, B)))
-    curve = WeierstrassCurve(fld, 0, 0, 0, a4, 0)
+    curve = WeierstrassCurve(fld, 0, a4)
     total = O
     for j in range(es.params.r + 1):
         pt = es.points[es.point_index(l, i, j)]
@@ -196,12 +181,7 @@ def discriminant_profile(params: SurfaceParams):
         raise BadLocality("discriminant profile is specific to locality 3")
     fld = params.field
     t4 = poly(fld, [0, 0, 0, 0, 1])
-    one = poly(fld, [1])
-    a2 = -(t4 + one)
-    a4 = t4
-    zero = poly(fld, [])
-    delta = _discriminant(zero, a2, zero, a4, zero,
-                          lambda n: constant(fld, n % fld.p))
+    delta = _discriminant(-(t4 + constant(fld, 1)), t4)
     profile = [("t=infinity", 24 - delta.degree)]
     weighted = 24 - delta.degree
     for g, mult in factor_monic(delta):
@@ -218,16 +198,8 @@ def discriminant_profile(params: SurfaceParams):
     return profile
 
 
-def _discriminant(a1, a2, a3, a4, a6, const):
-    """Discriminant of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
-
-    Ring-generic: the coefficients need +, -, unary - and *, and const(n)
-    is the integer n in their ring (field elements or polynomials in t).
-    """
-    b2 = a1 * a1 + const(4) * a2
-    b4 = const(2) * a4 + a1 * a3
-    b6 = a3 * a3 + const(4) * a6
-    b8 = (a1 * a1 * a6 + const(4) * a2 * a6 - a1 * a3 * a4
-          + a2 * a3 * a3 - a4 * a4)
-    return (-(b2 * b2 * b8) - const(8) * b4 * b4 * b4 - const(27) * b6 * b6
-            + const(9) * b2 * b4 * b6)
+def _discriminant(a2, a4):
+    """16 a4^2 (a2^2 - 4 a4), the discriminant of y^2 = x^3 + a2 x^2 + a4 x,
+    for a2, a4 polynomials in t (constants for one curve)."""
+    p = a4.field.p
+    return (a4 * a4 * (a2 * a2 - a4.scale(4 % p))).scale(16 % p)

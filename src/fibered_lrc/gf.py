@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,8 +101,8 @@ class FieldSpec:
     """A finite field of order p^m with log/antilog tables.
 
     Instances are obtained through :func:`make_field`.  All element-level
-    methods take and return raw integer encodings; :class:`FieldElement`
-    wraps them with operator sugar and mixed-field checks.
+    methods take and return raw integer encodings; ring code that wants
+    operators uses :class:`poly.UniPoly` (constants included).
     """
 
     __slots__ = ("p", "m", "order", "modulus", "gen", "_exp", "_log", "_np")
@@ -134,11 +133,6 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec({self.label})"
-
-    def elem(self, v: int) -> "FieldElement":
-        if not 0 <= v < self.order:
-            raise ValueError(f"element {v} out of range for {self.label}")
-        return FieldElement(self, v)
 
     # -- raw arithmetic ----------------------------------------------------
 
@@ -278,46 +272,6 @@ class FieldSpec:
             "INV": invv.astype(np.int32),
         }
         return self._np
-
-
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    """Operator wrapper around a raw element encoding."""
-
-    field: FieldSpec
-    val: int
-
-    def _peer(self, other) -> int:
-        if not isinstance(other, FieldElement):
-            raise FieldMismatch(f"cannot combine {self!r} with {other!r}")
-        if other.field != self.field:
-            raise FieldMismatch(
-                f"elements of {self.field.label} and {other.field.label} do not mix")
-        return other.val
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.val, self._peer(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.val, self._peer(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.val, self._peer(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.val, self._peer(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.val))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.val, e))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return f"GF({self.field.p}^{self.field.m})[{self.val}]"
 
 
 _FIELD_CACHE: dict[tuple, FieldSpec] = {}

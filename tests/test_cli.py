@@ -165,6 +165,18 @@ def test_verify_elliptic_exit_codes(capsys):
     assert main(["verify", "elliptic", "--field", "13", "--r", "5"]) == 1
 
 
+def test_verify_elliptic_matches_golden(golden_dir, capsys):
+    # the full stdout and exit code per field, byte for byte
+    transcript = []
+    for label in ("7^2", "11^2", "13^2", "5^4", "3^4"):
+        argv = ["verify", "elliptic", "--field", label]
+        code = main(argv)
+        transcript.append(f"$ {' '.join(argv)}\n{capsys.readouterr().out}"
+                          f"exit {code}\n")
+    golden = (golden_dir / "verify_elliptic.txt").read_bytes()
+    assert "".join(transcript).encode() == golden
+
+
 def test_verify_invariants(prof49, capsys):
     assert main(["verify", "invariants", "--profile", str(prof49)]) == 0
     out = capsys.readouterr().out
@@ -192,11 +204,15 @@ def test_usage_errors(tmp_path, capsys):
 
 
 def test_tampered_profile_exits_2(prof49, tmp_path, capsys):
-    doc = json.loads(prof49.read_text())
-    doc["n"] = 999
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    assert main(["verify", "invariants", "--profile", str(bad)]) == 2
+    # the last four are well typed but describe no code of F_49
+    for key, value in (("n", 999), ("q", 7), ("m", 3), ("availability", 5),
+                       ("d_witness", ["0"] * 5)):
+        doc = json.loads(prof49.read_text())
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", "invariants", "--profile", str(bad)]) == 2, key
+        assert "profile invariants violated" in capsys.readouterr().err
 
 
 def test_codeword_symbols_not_a_list_exits_1(prof49, cw49, tmp_path, capsys):

@@ -11,16 +11,30 @@ from fibered_lrc.elliptic_verify import (
     NonSquareTwist,
     PointNotOnCurve,
     SingularFiber,
+    WeierstrassCurve,
     discriminant_profile,
     ec_add,
     ec_is_two_torsion,
     ec_neg,
+    horizontal_quartic,
     horizontal_sum_two_torsion,
     verify_vertical_sum,
     vertical_fiber,
 )
 from fibered_lrc.lrc_code import BadLocality
-from fibered_lrc.poly import poly
+from fibered_lrc.poly import constant, poly
+
+
+def general_discriminant(a1, a2, a3, a4, a6, const):
+    """Discriminant of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, by the
+    b2..b8 quantities; const(n) is the integer n in the coefficients' ring."""
+    b2 = a1 * a1 + const(4) * a2
+    b4 = const(2) * a4 + a1 * a3
+    b6 = a3 * a3 + const(4) * a6
+    b8 = (a1 * a1 * a6 + const(4) * a2 * a6 - a1 * a3 * a4
+          + a2 * a3 * a3 - a4 * a4)
+    return (-(b2 * b2 * b8) - const(8) * b4 * b4 * b4 - const(27) * b6 * b6
+            + const(9) * b2 * b4 * b6)
 
 
 def _fiber_points(curve, limit=None):
@@ -81,18 +95,46 @@ def test_two_torsion_subgroup(f49):
         assert ec_add(curve, t2[a], t2[a]) == O
 
 
+def test_discriminant_matches_general_form(f49, f169):
+    rng = random.Random(23)
+    for fld in (f49, f169):
+        const = lambda n: constant(fld, n % fld.p)  # noqa: E731
+        zero = constant(fld, 0)
+        pairs = [(rng.randrange(fld.order), rng.randrange(fld.order))
+                 for _ in range(150)]
+        # a4 = 0, and a2^2 = 4 a4: the two ways to be singular
+        pairs += [(a2, 0) for a2 in range(5)]
+        pairs += [(fld.mul(2, a), fld.mul(a, a)) for a in range(1, 6)]
+        singular = 0
+        for a2, a4 in pairs:
+            delta = general_discriminant(
+                zero, constant(fld, a2), zero, constant(fld, a4), zero,
+                const).coeff(0)
+            if delta == 0:
+                singular += 1
+                with pytest.raises(SingularFiber):
+                    WeierstrassCurve(fld, a2, a4)
+            else:
+                assert WeierstrassCurve(fld, a2, a4).discriminant == delta
+        assert singular >= 10
+
+
 def test_group_law_axioms(f49):
-    curve = vertical_fiber(f49, 5)
-    pts = _fiber_points(curve)
-    rng = random.Random(17)
-    for _ in range(40):
-        p, q, s = (rng.choice(pts) for _ in range(3))
-        assert ec_add(curve, p, O) == p
-        assert ec_add(curve, p, ec_neg(curve, p)) == O
-        assert ec_add(curve, p, q) == ec_add(curve, q, p)
-        lhs = ec_add(curve, ec_add(curve, p, q), s)
-        rhs = ec_add(curve, p, ec_add(curve, q, s))
-        assert lhs == rhs
+    # a vertical fiber, and the horizontal model Y^2 = X^3 - 4AB X
+    es = build_evaluation_set(surface_params(f49, 3))
+    A, B = horizontal_quartic(es, 0, 1)
+    horizontal = WeierstrassCurve(f49, 0, f49.neg(f49.mul(4, f49.mul(A, B))))
+    for curve in (vertical_fiber(f49, 5), horizontal):
+        pts = _fiber_points(curve)
+        rng = random.Random(17)
+        for _ in range(40):
+            p, q, s = (rng.choice(pts) for _ in range(3))
+            assert ec_add(curve, p, O) == p
+            assert ec_add(curve, p, ec_neg(curve, p)) == O
+            assert ec_add(curve, p, q) == ec_add(curve, q, p)
+            lhs = ec_add(curve, ec_add(curve, p, q), s)
+            rhs = ec_add(curve, p, ec_add(curve, q, s))
+            assert lhs == rhs
 
 
 def test_point_not_on_curve(f49):

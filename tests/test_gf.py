@@ -5,7 +5,6 @@ import pytest
 from fibered_lrc import poly
 from fibered_lrc.gf import (
     DivisionByZero,
-    FieldMismatch,
     FieldTooLarge,
     NonSquare,
     NotPrime,
@@ -183,21 +182,6 @@ def test_alternative_modulus():
             assert f.mul(a, f.inv(a)) == 1
         assert f.add(a, f.neg(a)) == 0
         assert f.mul(a, b) == f.mul(b, a)
-
-
-def test_field_elements_wrapper(f49):
-    a = f49.elem(3)
-    b = f49.elem(10)
-    assert (a + b).val == f49.add(3, 10)
-    assert (a * b).val == f49.mul(3, 10)
-    assert (a - a).val == 0
-    assert (a / a).val == 1
-    assert (a**3).val == f49.pow(3, 3)
-    g = make_field(7, 2, modulus=(3, 1, 1))
-    with pytest.raises(FieldMismatch):
-        _ = a + g.elem(3)
-    with pytest.raises(FieldMismatch):
-        _ = a * 3
 
 
 def test_label_round_trip(f169):

@@ -80,6 +80,18 @@ def test_profile_tamper(es49, f49):
     del doc["q"]
     with pytest.raises(SchemaMismatch):
         profile_from_dict(doc)
+    # well-typed documents that describe no code of this field
+    exact = profile_to_dict(code_profile(es49, min_distance(es49)), f49)
+    assert (exact["d_exact"], exact["d_witness"]) == (8, [0, "0", 20, "0", "0"])
+    for key, value in (("q", 7), ("m", 3), ("availability", 5),
+                       ("availability", 1),
+                       ("d_witness", ["0"] * 5),             # the zero message
+                       ("d_witness", [1, "0", 20, "0", "0"]),  # leads with g
+                       ("d_exact", 7), ("d_upper", 9)):
+        doc = dict(exact)
+        doc[key] = value
+        with pytest.raises(SchemaMismatch):
+            profile_from_dict(doc)
 
 
 def test_codeword_round_trip(es49, f49):

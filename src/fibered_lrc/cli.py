@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage/input error, 2 a verified invariant failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 
@@ -116,8 +117,10 @@ def _build_es(args, default_all_orbits=True):
 def run_table(field, r: int = 3, max_subsets: int = 255, threads: int = 1):
     """(q, m, b, n, delta, d) rows over all nonempty orbit subsets.
 
-    Subsets enumerate in (b, subset) order and cap at max_subsets; delta
-    is None on b=1 rows, where d = 8 exactly is the sharper statement.
+    A row is read off the code's exact profile, so a code outside its own
+    bounds raises BoundsViolation here as it does in mindist.  Subsets
+    enumerate in (b, subset) order and cap at max_subsets; delta is None
+    on b=1 rows, where d = 8 exactly is the sharper statement.
     """
     if field.order > TABLE_LIMIT:
         raise FieldTooLarge(
@@ -130,9 +133,9 @@ def run_table(field, r: int = 3, max_subsets: int = 255, threads: int = 1):
     rows = []
     for subset in subsets[:max_subsets]:
         es = build_evaluation_set(sp, subset)
-        dist = min_distance(es, threads=threads)
-        delta = None if len(subset) == 1 else distance_lower_bound(es.n, r)
-        rows.append((sp.q, sp.m, len(subset), es.n, delta, dist.d))
+        prof = code_profile(es, min_distance(es, threads=threads))
+        delta = None if prof.b == 1 else prof.d_lower
+        rows.append((prof.q, prof.m, prof.b, prof.n, delta, prof.d_exact))
     return rows
 
 
@@ -229,7 +232,7 @@ def _cmd_verify_newton(args) -> int:
         print(f"{pl.name:5}  {pl.e}  {pl.f}  {pl.v_t:3}  {pl.v_x:3}")
     total = sum(pl.e * pl.f for pl in vt.places)
     print(f"sum e*f = {total} (degree {r + 1})")
-    mono = basis(r).monomials
+    mono = basis(r)
     maxdeg = max(pole_degree(i, j, r) for i, j in mono)
     minv1 = min(monomial_valuations(vt, i, j)["P1"] for i, j in mono)
     print(f"max pole degree = {maxdeg} = 2r^2-2r-1; min v_P1 = {minv1}")
@@ -314,6 +317,7 @@ def _cmd_verify_invariants(args) -> int:
     return 0 if bad == 0 else 2
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fibered-lrc",
                      description="availability-2 LRC construction toolkit")

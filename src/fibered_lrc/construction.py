@@ -224,12 +224,6 @@ class EvaluationSet:
     def t_value(self, l: int, j: int) -> int:
         return self.orbits[l].members[j]
 
-    def vertical_fibers(self):
-        """(l, j, t value, root tuple) for every vertical fiber."""
-        for l in range(self.b):
-            for j in range(self.params.r + 1):
-                yield l, j, self.orbits[l].members[j], self.orbits[l].roots
-
 
 def _rhs_cubic(fld: FieldSpec, x: int, s: int) -> int:
     """x^3 - x^2 (s + 1) + x s, the surface's right side at t^{r+1} = s."""

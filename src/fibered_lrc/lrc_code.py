@@ -45,33 +45,21 @@ class NotSingleOrbit(ValueError):
 
 
 class BoundsViolation(AssertionError):
-    """A profile's exact distance lies outside its own bounds.
+    """A profile breaks a rule of its own: its shape, bounds or witness.
 
     An AssertionError, as a failed invariant, so that profile readers and
     the CLI report it with exit code 2.
     """
 
 
-@dataclass(frozen=True, slots=True)
-class MonomialBasis:
-    """Ordered exponent pairs (i, j) spanning the message space."""
-
-    r: int
-    monomials: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-
-def basis(r: int) -> MonomialBasis:
-    """x^i t^j for 1 <= i <= r-2, 0 <= j <= r-1, plus x^{r-1} t^h, h <= r-2."""
+def basis(r: int) -> tuple[tuple[int, int], ...]:
+    """Exponent pairs (i, j), sorted, of the monomials x^i t^j spanning the
+    messages: 1 <= i <= r-2, 0 <= j <= r-1, plus x^{r-1} t^h, h <= r-2."""
     if r % 2 == 0 or r < 3:
         raise BadLocality(f"locality r must be odd and >= 3, got {r}")
     monos = [(i, j) for i in range(1, r - 1) for j in range(r)]
     monos += [(r - 1, h) for h in range(r - 1)]
-    monos.sort()
-    assert len(monos) == r * (r - 1) - 1
-    return MonomialBasis(r, tuple(monos))
+    return tuple(sorted(monos))
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +72,6 @@ class GeneratorMatrix:
     """
 
     es: EvaluationSet
-    mb: MonomialBasis
     rows: tuple[tuple[int, ...], ...]
     over_fp: np.ndarray = field(compare=False, repr=False)
 
@@ -99,18 +86,18 @@ class GeneratorMatrix:
 
 def generator_matrix(es: EvaluationSet) -> GeneratorMatrix:
     fld = es.field
-    mb = basis(es.r)
+    mons = basis(es.r)
     rows = []
-    for i, j in mb.monomials:
+    for i, j in mons:
         rows.append(tuple(
             fld.mul(fld.pow(pt.x, i), fld.pow(pt.t, j)) for pt in es.points
         ))
     over_fp = _expand(fld, rows)
     # a rank-k span over F_q is a rank-k·m span over F_p
-    if _rank_mod_p(over_fp, fld.p) != len(mb) * fld.m:
+    if _rank_mod_p(over_fp, fld.p) != len(mons) * fld.m:
         raise RankDeficient(
-            f"generator matrix rank below k={len(mb)} for {fld.label}")
-    return GeneratorMatrix(es, mb, tuple(rows), over_fp)
+            f"generator matrix rank below k={len(mons)} for {fld.label}")
+    return GeneratorMatrix(es, tuple(rows), over_fp)
 
 
 def _expand(fld: FieldSpec, rows) -> np.ndarray:
@@ -210,7 +197,7 @@ def f_min_message(es: EvaluationSet) -> tuple[int, ...]:
         b_x = b_x * linear(xbar)
     # deg b_x = r-2 and deg a_t = r-1, so every monomial lies in the basis
     return tuple(fld.mul(b_x.coeff(i), a_t.coeff(j))
-                 for i, j in basis(r).monomials)
+                 for i, j in basis(r))
 
 
 # -- exact minimum distance ----------------------------------------------------
@@ -426,8 +413,8 @@ def _min_distance_generic(es: EvaluationSet, gm: GeneratorMatrix,
     return DistanceResult(es.n - zeros, msg, enumerated == classes, enumerated)
 
 
-def min_distance(es: EvaluationSet, gm: GeneratorMatrix | None = None,
-                 budget: int | None = None, threads: int = 1) -> DistanceResult:
+def min_distance(es: EvaluationSet, budget: int | None = None,
+                 threads: int = 1) -> DistanceResult:
     """Exact minimum Hamming weight over nonzero codewords, with witness.
 
     The witness is the lexicographically least normalized message (first
@@ -438,21 +425,22 @@ def min_distance(es: EvaluationSet, gm: GeneratorMatrix | None = None,
     which the scan would finish, takes the exact pencil search instead.
     threads is accepted for compatibility and has no effect.
     """
-    if gm is not None and gm.es is not es:
-        raise LengthMismatch("generator matrix built from a different point set")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     if es.r == 3 and es.field.order <= PAIR_TABLE_LIMIT:
         return _min_distance_r3(es, budget)
-    return _min_distance_generic(
-        es, gm if gm is not None else generator_matrix(es), budget)
+    return _min_distance_generic(es, generator_matrix(es), budget)
 
 
 # -- profile -------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class CodeProfile:
-    """Everything reportable about one constructed code."""
+    """Everything reportable about one constructed code.
+
+    The one judge of a code: every profile, computed or read from a file,
+    meets the rules below or raises BoundsViolation.
+    """
 
     field_label: str
     q: int
@@ -469,10 +457,30 @@ class CodeProfile:
     d_witness: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        # a search can meet an exact distance below the lower bound (F_625
+        # orbits 1..7 has d = n - 10), so it is checked first, on its own
         if self.d_exact is not None \
                 and not self.d_lower <= self.d_exact <= self.d_upper:
             raise BoundsViolation(
                 f"d_exact={self.d_exact} outside [{self.d_lower}, {self.d_upper}]")
+        r, k, n, b = self.r, self.k, self.n, self.b
+        if not (r >= 3 and r % 2 and k == r * (r - 1) - 1
+                and b == len(self.orbit_indices) and n == b * (r + 1) ** 2
+                and self.availability == 2):
+            raise BoundsViolation(
+                f"r={r}, k={k}, n={n}, b={b}, availability={self.availability} "
+                f"describe no code on {len(self.orbit_indices)} orbits")
+        if self.d_lower != distance_lower_bound(n, r) \
+                or not self.d_lower <= self.d_upper \
+                <= singleton_availability_upper(n, k, r) \
+                or self.d_exact not in (None, self.d_upper):
+            raise BoundsViolation(
+                f"bounds d_lower={self.d_lower}, d_upper={self.d_upper}, "
+                f"d_exact={self.d_exact} do not fit n={n}, k={k}, r={r}")
+        w = self.d_witness
+        if w is not None and (len(w) != k or next((v for v in w if v), 0) != 1):
+            raise BoundsViolation(
+                f"witness {w} is not a message of length {k} led by 1")
 
 
 def code_profile(es: EvaluationSet, dist: DistanceResult | None = None) -> CodeProfile:

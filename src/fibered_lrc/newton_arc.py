@@ -181,13 +181,13 @@ def splitting_at_infinity(params: SurfaceParams) -> ValuationTable:
 
 def monomial_valuations(vt: ValuationTable, i: int, j: int) -> dict:
     """Per-place valuation of x^i t^j for a basis monomial (i, j)."""
-    if (i, j) not in basis(vt.r).monomials:
+    if (i, j) not in basis(vt.r):
         raise ValueError(f"monomial ({i}, {j}) is outside the basis range")
     return {pl.name: i * pl.v_x + j * pl.v_t for pl in vt.places}
 
 
 def pole_degree(i: int, j: int, r: int) -> int:
     """Degree of the pole divisor of the basis monomial x^i t^j."""
-    if (i, j) not in basis(r).monomials:
+    if (i, j) not in basis(r):
         raise ValueError(f"monomial ({i}, {j}) is outside the basis range")
     return i * (r + 1) + j * r

@@ -114,19 +114,11 @@ def profile_from_dict(d) -> tuple[CodeProfile, FieldSpec]:
             d_witness=witness)
     except (KeyError, TypeError, AssertionError) as exc:
         raise SchemaMismatch(f"profile invariants violated: {exc}") from None
-    r, b = prof.r, prof.b
-    if prof.k != r * (r - 1) - 1 or prof.n != b * (r + 1) ** 2 \
-            or b != len(prof.orbit_indices) or prof.d_lower > prof.d_upper \
-            or witness is not None and len(witness) != prof.k:
-        raise SchemaMismatch("profile invariants violated")
-    sp = surface_params(fld, r)
-    lead = next((v for v in witness or () if v), None)
-    if (prof.q, prof.m, prof.availability) != (sp.q, sp.m, 2) \
-            or witness is not None and lead != 1 \
-            or prof.d_exact not in (None, prof.d_upper):
+    sp = surface_params(fld, prof.r)
+    if (prof.q, prof.m) != (sp.q, sp.m):
         raise SchemaMismatch(
-            "profile invariants violated: q, m, availability, d_exact or the "
-            f"witness's leading 1 does not fit r={r} over {fld.label}")
+            f"profile invariants violated: q={prof.q}, m={prof.m} do not fit "
+            f"r={prof.r} over {fld.label}")
     return prof, fld
 
 

@@ -11,7 +11,7 @@ from fibered_lrc.lrc_code import (DistanceResult, _better, _default_chunk,
 def naive_encode(es, message) -> tuple[int, ...]:
     """The codeword by definition: Σ m_(i,j)·x^i·t^j at each point."""
     fld = es.field
-    terms = [(c, i, j) for c, (i, j) in zip(message, basis(es.r).monomials) if c]
+    terms = [(c, i, j) for c, (i, j) in zip(message, basis(es.r)) if c]
     word = []
     for pt in es.points:
         acc = 0

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fibered_lrc
+from fibered_lrc import cli
 from fibered_lrc.cli import main, run_table
 from fibered_lrc.construction import build_evaluation_set, surface_params
 from fibered_lrc.gf import FieldTooLarge
@@ -80,6 +82,49 @@ def test_table_matches_golden(tmp_path, golden_dir):
     out = tmp_path / "t.csv"
     assert main(["table", "--field", "7^2", "--out", str(out)]) == 0
     assert out.read_bytes() == (golden_dir / "table_7_2.csv").read_bytes()
+
+
+def test_table_and_mindist_give_one_verdict(monkeypatch, capsys):
+    # an exact distance one below delta on the b = 2 code of F_49 fails the
+    # profile check in a table row as it does in mindist
+    real = cli.min_distance
+
+    def below_bound(es, **kwargs):
+        dist = real(es, **kwargs)
+        return replace(dist, d=22) if es.b == 2 else dist
+
+    monkeypatch.setattr(cli, "min_distance", below_bound)
+    for argv in (["table", "--field", "7^2"],
+                 ["mindist", "--field", "7^2", "--orbits", "0,1"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "invariant violation: d_exact=22 outside [23, 22]\n"
+
+
+@pytest.mark.nightly
+def test_mindist_below_lower_bound_exits_2(capsys):
+    # F_625 orbits 1..7 has d = n - 10 = 102 < 103 (a few seconds)
+    assert main(["mindist", "--field", "5^4", "--orbits", "1,2,3,4,5,6,7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "invariant violation: d_exact=102 outside [103, 102]\n"
+
+
+def test_parser_writes_to_the_streams_of_each_call():
+    # the parser is built once; its usage and help still go to the
+    # stdout and stderr in place at each call
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            with pytest.raises(SystemExit) as info:
+                main(["table", "--field", "7^2", "--max-subsets", "0"])
+            assert info.value.code == 1
+            with pytest.raises(SystemExit) as info:
+                main(["--help"])
+            assert info.value.code == 0
+        assert "must be >= 1" in err.getvalue()
+        assert out.getvalue().startswith("usage: fibered-lrc")
 
 
 def test_table_field_cap():
@@ -235,6 +280,23 @@ def test_tampered_bounds_exit_2_under_optimize(prof49, tmp_path):
     res = run_optimized("verify", "invariants", "--profile", str(bad))
     assert res.returncode == 2, res.stderr
     assert "d_exact=99" in res.stderr
+
+
+def test_profile_rules_exit_2_under_optimize(prof49, tmp_path):
+    # CodeProfile raises on each rule, so python -O keeps every check
+    paths = []
+    for idx, (key, value) in enumerate((("d_lower", 6), ("d_upper", 12),
+                                        ("k", 6), ("availability", 5),
+                                        ("d_witness", ["0"] * 5))):
+        doc = json.loads(prof49.read_text())
+        doc[key] = value
+        paths.append(tmp_path / f"bad{idx}.json")
+        paths[-1].write_text(json.dumps(doc))
+    res = run_python("-O", "-c", "import sys; from fibered_lrc.cli import main; "
+                     "print([main(['verify', 'invariants', '--profile', path]) "
+                     "for path in sys.argv[1:]])", *map(str, paths))
+    assert res.stdout == "[2, 2, 2, 2, 2]\n", res.stderr
+    assert res.stderr.count("profile invariants violated") == 5
 
 
 def test_recover_corrupted_exit_2_under_optimize(prof49, cw49, tmp_path, f49):

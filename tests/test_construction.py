@@ -261,7 +261,8 @@ def test_evaluation_set_invariants(sp169, f169):
 
 def test_vertical_fibers_structure(sp169):
     es = build_evaluation_set(sp169, [0, 1])
-    fibers = list(es.vertical_fibers())
+    fibers = [(l, j, t, ob.roots) for l, ob in enumerate(es.orbits)
+              for j, t in enumerate(ob.members)]
     assert len(fibers) == 2 * 4
     for l, j, t, roots in fibers:
         assert len(set(roots)) == 4

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from fibered_lrc.construction import (build_evaluation_set, find_nice_orbits,
                                       surface_params)
 from fibered_lrc.lrc_code import (
     BadLocality,
+    BoundsViolation,
     LengthMismatch,
     NotSingleOrbit,
     basis,
@@ -51,16 +53,13 @@ def gm49(es49):
 
 
 def test_basis_r3():
-    mb = basis(3)
-    assert mb.monomials == ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1))
-    assert len(mb) == 5
+    assert basis(3) == ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1))
 
 
 def test_basis_r5_and_exclusion():
-    mb = basis(5)
-    assert len(mb) == 19
+    assert len(basis(5)) == 19
     for r in (3, 5, 7):
-        assert (r - 1, r - 1) not in basis(r).monomials
+        assert (r - 1, r - 1) not in basis(r)
 
 
 def test_basis_bad_locality():
@@ -172,7 +171,7 @@ def test_scalar_invariance(es49_full, f49):
 
 
 def test_min_distance_single_orbit(es49, gm49):
-    res = min_distance(es49, gm49)
+    res = min_distance(es49)
     assert res.exact
     assert res.d == 8 == distance_b1(3)
     assert sum(map(bool, encode(gm49, res.witness))) == 8
@@ -298,7 +297,7 @@ def kernel_cases(draw):
     es = build_evaluation_set(sp, orbits)
     elem = st.integers(0, fld.order - 1)
     if draw(st.booleans()):
-        fibers = st.sampled_from([t for _l, _j, t, _r in es.vertical_fibers()])
+        fibers = st.sampled_from([t for ob in es.orbits for t in ob.members])
         t = draw(fibers)
         if draw(st.booleans()):
             s = draw(st.one_of(fibers, st.integers(1, fld.order - 1)))
@@ -423,3 +422,31 @@ def test_code_profile(es49, es49_full):
     capped = code_profile(es49_full, min_distance(es49_full, budget=10_000))
     assert capped.d_exact is None
     assert capped.d_upper <= singleton_availability_upper(32, 5, 3)
+
+
+def test_code_profile_rules(es49):
+    # replace reruns __post_init__, so each edited profile is judged anew
+    prof = code_profile(es49, min_distance(es49))
+    for change in ({"k": 6}, {"n": 17}, {"b": 2}, {"orbit_indices": (0, 1)},
+                   {"r": 5}, {"availability": 1}, {"d_lower": 6},
+                   {"d_exact": None, "d_upper": 12},  # above n - 5
+                   {"d_exact": 7},                    # exact but not d_upper
+                   {"d_witness": (1, 0, 0, 0)},
+                   {"d_witness": (0, 0, 0, 0, 0)},
+                   {"d_witness": (3, 0, 0, 0, 0)}):
+        with pytest.raises(BoundsViolation):
+            replace(prof, **change)
+    assert replace(prof, d_exact=None, d_witness=None).d_upper == 8
+
+
+def test_code_below_lower_bound_is_refused(f625):
+    # F_625 orbits 1..7: a codeword of weight n - 10 = 102, one below the
+    # paper's r = 3 bound n - 9; no search needed, only its witness
+    es = build_evaluation_set(surface_params(f625, 3), range(1, 8))
+    witness = (1, 196, 551, 1, 584)
+    assert naive_encode(es, witness).count(0) == 10
+    assert (es.n, distance_lower_bound(es.n, 3)) == (112, 103)
+    dist = lrc_code.DistanceResult(102, witness, True, (625**5 - 1) // 624)
+    with pytest.raises(BoundsViolation,
+                       match=r"^d_exact=102 outside \[103, 102\]$"):
+        code_profile(es, dist)

@@ -126,10 +126,10 @@ def test_monomial_valuations():
         vt = splitting_at_infinity(surface_params(make_field(p, m), r))
         assert monomial_valuations(vt, 1, 0)["P1"] == r + 1
         assert monomial_valuations(vt, 2, 1)["P1"] == 2 * (r + 1) - 1
-        p1 = [monomial_valuations(vt, i, j)["P1"] for i, j in basis(r).monomials]
+        p1 = [monomial_valuations(vt, i, j)["P1"] for i, j in basis(r)]
         assert min(p1) == 2
         assert monomial_valuations(vt, 1, r - 1)["P1"] == 2
-        for i, j in basis(r).monomials:  # no zeros away from P1
+        for i, j in basis(r):  # no zeros away from P1
             vals = monomial_valuations(vt, i, j)
             assert vals["P2"] == -j <= 0
             assert all(vals[pl.name] < 0 for pl in vt.places[2:])
@@ -139,7 +139,7 @@ def test_monomial_valuations():
 
 def test_pole_degrees_and_bound_consistency():
     for r in (3, 5, 7, 9):
-        degrees = {(i, j): pole_degree(i, j, r) for i, j in basis(r).monomials}
+        degrees = {(i, j): pole_degree(i, j, r) for i, j in basis(r)}
         assert max(degrees.values()) == 2 * r * r - 2 * r - 1
         assert degrees[(r - 1, r - 2)] == 2 * r * r - 2 * r - 1
         assert degrees[(1, 0)] == r + 1

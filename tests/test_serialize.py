@@ -71,7 +71,9 @@ def test_profile_round_trip(es49, f49):
 def test_profile_tamper(es49, f49):
     base = profile_to_dict(code_profile(es49), f49)
     for key, value in (("n", 17), ("k", 6), ("schema", "fibered-lrc/v0"),
-                       ("kind", "codeword"), ("d_lower", 100)):
+                       ("kind", "codeword"), ("d_lower", 100),
+                       # below n - 9, above the Singleton-type bound n - 5
+                       ("d_lower", 6), ("d_upper", 12)):
         doc = dict(base)
         doc[key] = value
         with pytest.raises(SchemaMismatch):

@@ -15,7 +15,9 @@ ordering.  The exp/log tables are filled by walking the F_p-linear map
 "multiply by the generator", an m x m matrix over F_p applied to the digit
 vectors of all elements at once.  Addition is digit-wise base p; F_p
 multiplies integers mod p; everything else goes through the log/antilog
-tables.  Orders above 2**20 are rejected.
+tables.  Numpy kernels add and multiply arrays of elements with
+:meth:`FieldSpec.vsum` and :meth:`FieldSpec.vmul`, over lookup arrays of
+about q entries.  Orders above 2**20 are rejected.
 
 Two orderings are used deliberately:
 
@@ -33,7 +35,6 @@ import re
 import numpy as np
 
 TABLE_LIMIT = 1 << 20       # largest supported field order
-PAIR_TABLE_LIMIT = 2048     # largest order for dense Q x Q numpy tables
 
 
 class NotPrime(ValueError):
@@ -114,8 +115,8 @@ class FieldSpec:
         self.order = p ** m
         self.modulus = modulus
         self.gen = gen
-        self._exp = exp      # length 2*(order-1); exp[i] = gen^i
-        self._log = log      # length order; log[0] = -1 sentinel
+        self._exp = exp      # length 4*order-3; gen^i below 2*(order-1), then 0
+        self._log = log      # length order; log[0] = 2*(order-1)
         self._np = {}
 
     # -- identity ----------------------------------------------------------
@@ -177,8 +178,6 @@ class FieldSpec:
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise DivisionByZero(f"division by zero in {self.label}")
-        if a == 0:
-            return 0
         return int(self._exp[int(self._log[a]) - int(self._log[b]) + self.order - 1])
 
     def pow(self, a: int, e: int) -> int:
@@ -232,46 +231,52 @@ class FieldSpec:
                 f"no primitive {n}-th root of unity in {self.label}")
         return int(self._exp[(self.order - 1) // n])
 
-    # -- numpy tables for vectorized kernels --------------------------------
+    # -- vector arithmetic on numpy arrays of elements ---------------------
 
     def np_tables(self) -> dict:
-        """Dense lookup tables (add, mul, neg, inv) as numpy arrays.
+        """The lookup arrays behind :meth:`vsum` and :meth:`vmul`, none q x q.
 
-        Only available for orders up to PAIR_TABLE_LIMIT; the exhaustive
-        search kernels index into these.
+        EXP (4q - 3 entries) holds gen^i below 2(q - 1) and zero from there
+        on, and LOG[0] = 2(q - 1), so EXP[LOG[a] + LOG[b]] = a·b with no
+        branch for zero.  SPREAD rewrites an element's base-p digits in base
+        4p - 3, the low ⌈m/2⌉ digits in the low bit field of an int64 and
+        the others in the high one, so a sum of up to four spread elements
+        has no carry.  RED_LO and RED_HI, of (4p - 3)^⌈m/2⌉ entries, map the
+        low and the high field of such a sum to the element of its digits
+        mod p.  NEG and INV (INV[0] = 0) have q entries.
         """
         if self._np:
             return self._np
-        q = self.order
-        if q > PAIR_TABLE_LIMIT:
-            raise FieldTooLarge(
-                f"dense pair tables unavailable for order {q} > {PAIR_TABLE_LIMIT}")
-        p, m = self.p, self.m
-        av = np.arange(q, dtype=np.int64)
-        addt = np.zeros((q, q), dtype=np.int64)
-        negv = np.zeros(q, dtype=np.int64)
-        ta = av.copy()
-        mult = 1
-        for _ in range(m):
-            da = ta % p
-            addt += ((da[:, None] + da[None, :]) % p) * mult
-            negv += ((p - da) % p) * mult
-            ta //= p
-            mult *= p
-        logv = self._log.astype(np.int64)
-        expd = self._exp.astype(np.int64)
-        mult_t = np.zeros((q, q), dtype=np.int64)
-        ln = logv[1:]
-        mult_t[1:, 1:] = expd[ln[:, None] + ln[None, :]]
-        invv = np.zeros(q, dtype=np.int64)
-        invv[1:] = expd[q - 1 - ln]
-        self._np = {
-            "ADD": addt.astype(np.int32),
-            "MUL": mult_t.astype(np.int32),
-            "NEG": negv.astype(np.int32),
-            "INV": invv.astype(np.int32),
-        }
+        p, q, h = self.p, self.order, (self.m + 1) // 2
+        base = 4 * p - 3
+        shift = (base**h - 1).bit_length()
+        place = np.arange(self.m)
+        elems = digits(np.arange(q), p, self.m)
+        red = digits(np.arange(base**h), base, h) % p @ p**place[:h]
+        self._np = {"EXP": self._exp, "LOG": self._log, "NEG": -elems % p @ p**place,
+                    "INV": self._exp[q - 1 - self._log],  # INV[0] = EXP[1 - q] = 0
+                    "SPREAD": elems @ (base ** (place % h) << shift * (place >= h)),
+                    "RED_LO": red, "RED_HI": red * p**h}
         return self._np
+
+    def vsum(self, *terms) -> np.ndarray:
+        """Elementwise sum of up to four broadcasting element arrays."""
+        if len(terms) > 4:
+            raise ValueError(f"vsum adds at most four terms, got {len(terms)}")
+        tabs = self.np_tables()
+        acc = sum(tabs["SPREAD"][term] for term in terms)
+        shift = (len(tabs["RED_LO"]) - 1).bit_length()
+        return tabs["RED_LO"][acc & ((1 << shift) - 1)] + tabs["RED_HI"][acc >> shift]
+
+    def vmul(self, a, b) -> np.ndarray:
+        """Elementwise product of two broadcasting element arrays."""
+        return self._exp[self._log[a] + self._log[b]]
+
+
+def digits(elems, base: int, count: int) -> np.ndarray:
+    """The low `count` base-`base` digits of integers, along a new last axis."""
+    place = base ** np.arange(count)
+    return np.asarray(elems, dtype=np.int64)[..., None] // place % base
 
 
 _FIELD_CACHE: dict[tuple, FieldSpec] = {}
@@ -285,10 +290,10 @@ def _walk_tables(p: int, m: int, modulus: tuple[int, ...], gen: int,
     for _ in range(q - 1):
         powers.append(cur)
         cur = step[cur]
-    exp = np.array(powers + powers, dtype=np.int32)
-    log = np.full(q, -1, dtype=np.int32)
-    log[exp[:q - 1]] = np.arange(q - 1, dtype=np.int32)
-    if (log[1:] < 0).any():
+    exp = np.array(powers * 2 + [0] * (2 * q - 1), dtype=np.int64)
+    log = np.full(q, 2 * (q - 1), dtype=np.int64)
+    log[exp[:q - 1]] = np.arange(q - 1)
+    if (log[1:] == 2 * (q - 1)).any():
         raise RuntimeError("generator order check failed")
     return FieldSpec(p, m, modulus, gen, exp, log)
 
@@ -307,8 +312,8 @@ def _extension_field(fp: FieldSpec, m: int, modulus: tuple[int, ...]) -> FieldSp
     f, one = poly(fp, modulus), poly(fp, [1])
     cofactors = [(q - 1) // ell for ell in _prime_factors(q - 1)]
     # generator: least element (construction ordering) of order q-1
-    for digits in itertools.product(range(p), repeat=m):
-        g = poly(fp, digits)
+    for coeffs in itertools.product(range(p), repeat=m):
+        g = poly(fp, coeffs)
         if not g.is_zero and all(pow_mod(g, e, f) != one for e in cofactors):
             break
     # row k of the matrix of multiplication by g holds the digits of g X^k
@@ -317,8 +322,7 @@ def _extension_field(fp: FieldSpec, m: int, modulus: tuple[int, ...]) -> FieldSp
         rows.append(row.coeffs + (0,) * (m - len(row.coeffs)))
         row = row * x_poly(fp) % f
     place = p ** np.arange(m, dtype=np.int64)
-    digits = np.arange(q, dtype=np.int64)[:, None] // place % p
-    step = (digits @ np.array(rows, dtype=np.int64) % p @ place).tolist()
+    step = (digits(np.arange(q), p, m) @ np.array(rows) % p @ place).tolist()
     gen = sum(c * p**i for i, c in enumerate(g.coeffs))
     return _walk_tables(p, m, modulus, gen, step)
 

@@ -13,8 +13,7 @@ once, and returns the best of the first `budget` classes, in whole chunks.
 Encoding is F_p-linear: an element is the digit vector of Σ c_i·X^i, so
 the generator matrix expands to a (k·m) x (n·m) matrix over F_p, of rank
 k·m checked mod p, and a block of messages encodes as one integer matrix
-product mod p.  `encode` and the generic search (r > 3, or orders above
-the dense-table limit) both go through it.
+product mod p.  `encode` and the generic search (r > 3) both go through it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .construction import (  # BadLocality is re-exported for importers
     BadLocality,
     EvaluationSet,
 )
-from .gf import PAIR_TABLE_LIMIT, FieldSpec
+from .gf import FieldSpec, digits
 from .poly import UniPoly, poly, x_poly
 
 
@@ -106,7 +105,7 @@ def _expand(fld: FieldSpec, rows) -> np.ndarray:
     # = -(f_0 + ... + f_(m-1)·X^(m-1)) modulo the modulus f
     times_x = np.eye(fld.m, k=1, dtype=np.int64)
     times_x[-1] = np.negative(fld.modulus[:-1]) % fld.p
-    blocks = [_digits(fld, rows)]
+    blocks = [digits(rows, fld.p, fld.m)]
     for _ in range(fld.m - 1):
         blocks.append(blocks[-1] @ times_x % fld.p)
     return np.stack(blocks, axis=1).reshape(len(rows) * fld.m, -1)
@@ -129,17 +128,11 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     return rank
 
 
-def _digits(fld: FieldSpec, elems) -> np.ndarray:
-    """Base-p digits of an array of elements, along a new last axis."""
-    place = fld.p ** np.arange(fld.m)
-    return np.asarray(elems, dtype=np.int64)[..., None] // place % fld.p
-
-
 def _encode_block(gm: GeneratorMatrix, msgs) -> np.ndarray:
     """Codewords of a (B, k) array of messages, as a (B, n) array."""
     fld = gm.es.field
-    digits = _digits(fld, msgs).reshape(len(msgs), gm.k * fld.m)
-    out = (digits @ gm.over_fp % fld.p).reshape(len(msgs), gm.n, fld.m)
+    coords = digits(msgs, fld.p, fld.m).reshape(len(msgs), gm.k * fld.m)
+    out = (coords @ gm.over_fp % fld.p).reshape(len(msgs), gm.n, fld.m)
     return out @ fld.p ** np.arange(fld.m)
 
 
@@ -233,13 +226,13 @@ def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
     before each chunk, admits ⌈budget_left / (chunk·q²)⌉ chunks.  Returns
     (best, candidates, completed).
     """
-    q = es.field.order
-    tabs = es.field.np_tables()
-    ADD, MUL, NEG, INV = tabs["ADD"], tabs["MUL"], tabs["NEG"], tabs["INV"]
+    fld, q = es.field, es.field.order
+    NEG, INV = (fld.np_tables()[name] for name in ("NEG", "INV"))
     tc = np.asarray([pt.t for pt in es.points])
     nix = NEG[INV[np.asarray([pt.x for pt in es.points])]]
+    tt = fld.vmul(tc, tc)
     ci, cj = np.nonzero(tc[:, None] < tc[None, :])
-    dinv = INV[ADD[tc[ci], NEG[tc[cj]]]]
+    dinv = INV[fld.vsum(tc[ci], NEG[tc[cj]])]
     n = es.n
     # the bins of a crossing on line ci and on line cj, per prefix of a chunk
     ends = np.concatenate([ci, cj]) * q + (np.arange(chunk) * (n * q))[:, None]
@@ -250,9 +243,9 @@ def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
         pre = np.arange(s, min(s + chunk, stop), dtype=np.int64)
         a1, a2 = np.divmod(pre, q)
         g = len(pre)
-        at = ADD[ADD[a0val, MUL[a1[:, None], tc]], MUL[a2[:, None], MUL[tc, tc]]]
-        k = MUL[at, nix]
-        vx = MUL.ravel()[ADD.ravel()[(k * q)[:, ci] + NEG[k][:, cj]] * q + dinv]
+        at = fld.vsum(a0val, fld.vmul(a1[:, None], tc), fld.vmul(a2[:, None], tt))
+        k = fld.vmul(at, nix)
+        vx = fld.vmul(fld.vsum(k[:, ci], NEG[k][:, cj]), dinv)
         flat = np.concatenate([vx, vx], axis=1) + ends[:g]
         counts = None  # frees the last chunk's bins before these are made
         counts = np.bincount(flat.ravel(), minlength=g * n * q).reshape(g, n, q)
@@ -262,57 +255,61 @@ def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
         if zmax[gb] <= best[0]:
             continue
         cs, vs = np.nonzero(counts[gb] + w[gb, :, None] == zmax[gb])
-        us = ADD[k[gb, cs], NEG[MUL[tc[cs], vs]]]
+        us = fld.vsum(k[gb, cs], fld.vmul(NEG[tc[cs]], vs))
         u, v = divmod(int((us * q + vs).min()), q)
         best = int(zmax[gb]), (a0val, int(a1[gb]), int(a2[gb]), u, v)
     return best, (stop - lo) * q * q, stop == hi
 
 
-def _r3_pencils(es, tri):
-    """Best (zeros, message) on the pencils through point triples (T, 3).
+def _r3_pencils(es, picks):
+    """Best (zeros, message) on the pencils through point triples.
 
-    Divided by x̄, the symbol at (x̄, t̄) is a(t̄) + x̄·(u + v·t̄).  The
-    messages vanishing at three points on distinct fibers are
-    a = -u·I[x] - v·I[x·t], I[y] interpolating y at their t̄.  Point p
-    vanishes iff u·s1 + v·s2 = 0, s1 = x_p - I[x](t_p) and
-    s2 = x_p·t_p - I[x·t](t_p): it picks the key v/u = -s1/s2 (q for
-    (u, v) = (0, 1)), or every member if s1 = s2 = 0.  The witness is the
-    least normalized message among the best (triple, key) pairs.
+    The array picks (F, 3, C) holds C points on each fiber of F fiber
+    triples; a point triple takes one of each, C³ ways.  Divided by x̄, the
+    symbol at (x̄, t̄) is a(t̄) + x̄·(u + v·t̄).  The messages vanishing at
+    three points on distinct fibers are a = -u·I[x] - v·I[x·t], I[y]
+    interpolating y at their t̄.  Point p vanishes iff u·s1 + v·s2 = 0,
+    s1 = x_p - I[x](t_p) and s2 = x_p·t_p - I[x·t](t_p): it picks the key
+    v/u = -s1/s2 (q for (u, v) = (0, 1)), or every member if s1 = s2 = 0.
+    I[y] = Σ_k y_k·L_k over the fiber triple's Lagrange basis, so the C³
+    triples share their terms.  The witness is the least normalized
+    message among the best (triple, key) pairs.
     """
-    q = es.field.order
-    tabs = es.field.np_tables()
-    ADD, MUL, NEG, INV = tabs["ADD"], tabs["MUL"], tabs["NEG"], tabs["INV"]
-    x = np.asarray([pt.x for pt in es.points])
-    t = np.asarray([pt.t for pt in es.points])
-    cols = np.stack([np.ones_like(t), t, MUL[t, t], x, MUL[x, t]])
-    tri = np.asarray(tri).reshape(-1, 3)
-    tm = t[tri]
-    tl, th = tm[:, [1, 0, 0]], tm[:, [2, 2, 1]]      # the other two t̄
-    # Lagrange basis: c·(t - tl)(t - th), coefficients of 1, t, t²
-    c = INV[MUL[ADD[tm, NEG[tl]], ADD[tm, NEG[th]]]]
-    lag = np.stack([MUL[tl, th], NEG[ADD[tl, th]], np.ones_like(tl)], axis=-1)
-    terms = MUL[MUL[cols[3:, tri], c].transpose(1, 0, 2)[..., None],
-                lag[:, None]]                        # T x 2 x 3 x 3
-    alpha = NEG[ADD[ADD[terms[:, :, 0], terms[:, :, 1]], terms[:, :, 2]]]
-    s = cols[None, 3:]                               # s1, s2: T x 2 x n
-    for j in range(3):
-        s = ADD[s, MUL[alpha[:, :, j, None], cols[j]]]
-    s1, s2 = s[:, 0], s[:, 1]
-    key = np.where(s2 != 0, MUL[NEG[s1], INV[s2]], np.where(s1 != 0, q, q + 1))
+    fld, q = es.field, es.field.order
+    NEG, INV = (fld.np_tables()[name] for name in ("NEG", "INV"))
+    mul, add = fld.vmul, fld.vsum
+    x, t = np.asarray([(pt.x, pt.t) for pt in es.points]).T
+    y = np.stack([x, mul(x, t)])
+    tk = t[picks[:, :, 0]]
+    tl, th = tk[:, [1, 0, 0]], tk[:, [2, 2, 1]]      # the other two t̄
+    # L_k = c_k·(t - tl)(t - th); w = -y_k·c_k at each pick: 2 x F x 3 x C
+    c = INV[mul(add(tk, NEG[tl]), add(tk, NEG[th]))]
+    w = mul(y[:, picks], NEG[c][..., None])
+    at = mul(add(t, NEG[tl][..., None]), add(t, NEG[th][..., None]))
+    part = mul(w[..., None], at[:, :, None])         # 2 x F x 3 x C x n
+    s = add(y[:, None, None, None, None], part[:, :, 0, :, None, None],
+            part[:, :, 1, None, :, None], part[:, :, 2, None, None])
+    s1, s2 = s.reshape(2, -1, es.n)                  # T x n, T = F·C³
+    key = np.where(s2 != 0, mul(NEG[s1], INV[s2]), np.where(s1 != 0, q, q + 1))
     # a member's zeros: the all-member points (key q + 1) + its key's count
-    keys, mult = np.unique(key + np.arange(len(tri))[:, None] * (q + 2),
+    keys, mult = np.unique(key + np.arange(len(key))[:, None] * (q + 2),
                            return_counts=True)
     row, kv = np.divmod(keys, q + 2)
     score = np.where(kv > q, -1, (key > q).sum(axis=1)[row] + mult)
     best = int(score.max())
     row, kv = row[score == best], kv[score == best]
-    u = (kv < q).astype(np.int64)
-    v = np.where(kv < q, kv, 1)
-    a = ADD[MUL[u[:, None], alpha[row, 0]], MUL[v[:, None], alpha[row, 1]]]
+    u = (kv < q).astype(np.int64)[:, None]
+    v = np.where(kv < q, kv, 1)[:, None]
+    # a = Σ_k a(t_k)·c_k·(t - tl)(t - th), a(t_k) = -(u·x_k + v·x_k·t_k)
+    f, *choice = np.unravel_index(row, s.shape[1:-1])
+    wk = w[:, f[:, None], [0, 1, 2], np.stack(choice, axis=1)]  # 2 x R x 3
+    ak = add(mul(u, wk[0]), mul(v, wk[1]))
+    lag = np.stack([mul(tl, th), NEG[add(tl, th)], np.ones_like(tl)], axis=-1)[f]
+    a = add(*(mul(ak[:, k, None], lag[:, k]) for k in range(3)))
     msgs = np.column_stack([a, u, v])
     lead = msgs[np.arange(len(msgs)), (msgs != 0).argmax(axis=1)]
-    msgs = MUL[msgs, INV[lead][:, None]]
-    pick = int((msgs @ (q ** np.arange(4, -1, -1))).argmin())
+    msgs = mul(msgs, INV[lead][:, None])
+    pick = np.lexsort(msgs.T[::-1])[0]  # the least; q^4 may pass int64
     return best, tuple(int(m) for m in msgs[pick])
 
 
@@ -333,11 +330,9 @@ def _r3_pencil_search(es):
         msg = (1, fld.neg(fld.mul(fld.add(t1, t2), inv)), inv, 0, 0)
         best = _better(2 * (es.r + 1), msg, *best)
     ftri = np.asarray(list(combinations(range(len(tf)), 3)))
-    choice = np.indices((es.r + 1,) * 3).reshape(3, -1).T  # a point per fiber
-    per = (1 << 17) // (es.n * len(choice)) or 1  # ~2^17 (triple, point) pairs
+    per = (1 << 15) // (es.n * (es.r + 1) ** 3) or 1  # 2^15 pairs fit in cache
     for s in range(0, len(ftri), per):
-        tri = fibers[ftri[s:s + per, None], choice].reshape(-1, 3)
-        best = _better(*_r3_pencils(es, tri), *best)
+        best = _better(*_r3_pencils(es, fibers[ftri[s:s + per]]), *best)
     return best
 
 
@@ -374,7 +369,7 @@ GENERIC_CLASS_LIMIT = 100_000
 
 def _min_distance_generic(es: EvaluationSet, gm: GeneratorMatrix,
                           budget) -> DistanceResult:
-    """Fallback for r > 3 or orders beyond the dense-table limit.
+    """The search for r > 3; every r = 3 search takes _min_distance_r3.
 
     Encodes the classes in lex order (lead position, then the tail in
     base q) in blocks through the F_p expansion of gm.  Without a budget
@@ -427,7 +422,7 @@ def min_distance(es: EvaluationSet, budget: int | None = None,
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    if es.r == 3 and es.field.order <= PAIR_TABLE_LIMIT:
+    if es.r == 3:
         return _min_distance_r3(es, budget)
     return _min_distance_generic(es, generator_matrix(es), budget)
 

@@ -43,16 +43,36 @@ def naive_generic_search(es, budget) -> DistanceResult:
     return DistanceResult(es.n - zeros, msg, exact, enumerated)
 
 
+def dense_tables(fld):
+    """q x q addition and multiplication tables (int32), ADD[a, b] = a + b.
+
+    Addition adds base-p digits mod p; multiplication reads the scalar
+    log tables.  Neither goes through the vector arithmetic of
+    ``FieldSpec.vsum``/``vmul``, which the kernels use.
+    """
+    p, q = fld.p, fld.order
+    digits = np.arange(q, dtype=np.int32)
+    add = np.zeros((q, q), dtype=np.int32)
+    for i in range(fld.m):
+        digit = digits % p
+        add += (digit[:, None] + digit[None, :]) % p * p**i
+        digits //= p
+    log = np.array([fld.log(a) for a in range(1, q)], dtype=np.int32)
+    exp = np.array([fld.from_log(k) for k in range(2 * q - 3)], dtype=np.int32)
+    mul = np.zeros((q, q), dtype=np.int32)
+    mul[1:, 1:] = exp[log[:, None] + log[None, :]]
+    return add, mul
+
+
 def naive_zero_grid(es, gm, prefix) -> np.ndarray:
     """Zeros of every message (a0, a1, a2, u, v) of one x-block prefix.
 
     Evaluates all n symbols from the generator matrix rows for each tail
-    (u, v); returns the q² counts, indexed by u·q + v.
+    (u, v) with ``dense_tables``; returns the q² counts, indexed by u·q + v.
     """
     fld = es.field
     q = fld.order
-    tabs = fld.np_tables()
-    ADD, MUL = tabs["ADD"], tabs["MUL"]
+    ADD, MUL = dense_tables(fld)
     rows = [np.asarray(row, dtype=np.int64) for row in gm.rows]
     uv = np.arange(q, dtype=np.int64)
     a0, a1, a2 = prefix
@@ -188,7 +208,7 @@ def pencil_agreement(es, gm, triple) -> None:
         members.append((word.count(0), _normalized(fld, (*a, u, v))))
     best = max(z for z, _ in members)
     least = min(m for z, m in members if z == best)
-    assert _r3_pencils(es, [triple]) == (best, least), triple
+    assert _r3_pencils(es, np.reshape(triple, (1, 3, 1))) == (best, least), triple
 
 
 def scan_distance(es, gm):

@@ -125,6 +125,31 @@ def test_625_chain():
             assert es.n == 112 and distance_lower_bound(es.n, 3) == 103
 
 
+_TAIL = (1, 2, 542, 2, 2208)
+
+
+# orbits 0..b-1, read without a CodeProfile: the F_2401 codes from b = 7 on
+# have d = n - 10, below the paper's n - 9 (each chain 15-40 s)
+@pytest.mark.nightly
+@pytest.mark.parametrize("pm, expected", [
+    ((7, 4), {2: (24, (1, 0, 735, 0, 0)), 3: (39, _TAIL), 4: (55, _TAIL),
+              5: (71, _TAIL), 6: (87, _TAIL), 7: (102, _TAIL),
+              8: (118, _TAIL), 9: (134, _TAIL)}),
+    # 91 orbits; x·(1 + t²) kills two whole fibers, and nothing beats it
+    ((3, 8), {b: (16 * b - 8, (1, 0, 1, 0, 0)) for b in range(2, 11)}),
+], ids=["2401", "6561"])
+def test_large_field_chain(pm, expected):
+    sp = surface_params(make_field(*pm), 3)
+    for b, (d_want, witness) in expected.items():
+        es = build_evaluation_set(sp, tuple(range(b)))
+        dist = min_distance(es)
+        assert (dist.exact, dist.d, dist.witness) == (True, d_want, witness), b
+        word = encode(generator_matrix(es), dist.witness)
+        assert sum(1 for v in word if v) == d_want, b
+    if pm == (7, 4):
+        assert distance_lower_bound(112, 3) == 103 == expected[7][0] + 1
+
+
 # --- 3. structural parameters over every constructed code ---------------------
 
 @pytest.mark.parametrize("key", ["49", "81", "121", "169"])

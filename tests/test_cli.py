@@ -78,6 +78,13 @@ def test_mindist_exact_and_budgeted(tmp_path, capsys):
     assert doc["d_exact"] is None and doc["d_upper"] >= 8
 
 
+def test_mindist_exact_on_2401(capsys):
+    # q x q tables would not fit F_2401; it takes the exact pencil search
+    assert main(["mindist", "--field", "7^4", "--orbits", "0,1,2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["n"], doc["d_exact"], doc["d_upper"]) == (48, 39, 39)
+
+
 def test_table_matches_golden(tmp_path, golden_dir):
     out = tmp_path / "t.csv"
     assert main(["table", "--field", "7^2", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fibered_lrc import poly
@@ -192,13 +193,48 @@ def test_label_round_trip(f169):
         parse_field_label("garbage")
 
 
+def check_vector_ops(fld, cols):
+    """vsum of 2, 3 and 4 terms, vmul, NEG and INV on element arrays
+    a, b, c, d equal the scalar operations, element by element."""
+    a, b, c, d = (np.asarray(col, dtype=np.int64) for col in cols)
+    tabs = fld.np_tables()
+    got = [fld.vsum(a, b), fld.vsum(a, b, c), fld.vsum(a, b, c, d),
+           fld.vmul(a, b), tabs["NEG"][a], tabs["INV"][a]]
+    for row in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist(),
+                   *(g.tolist() for g in got)):
+        x, y, z, w, s2, s3, s4, prod, neg, inv = row
+        assert s2 == fld.add(x, y), row
+        assert s3 == fld.add(s2, z), row
+        assert s4 == fld.add(s3, w), row
+        assert prod == fld.mul(x, y), row
+        assert neg == fld.neg(x), row
+        assert inv == (fld.inv(x) if x else 0), row
+
+
 def test_np_tables(f49):
-    t = f49.np_tables()
-    rng = random.Random(5)
-    for _ in range(200):
-        a, b = rng.randrange(49), rng.randrange(49)
-        assert int(t["ADD"][a, b]) == f49.add(a, b)
-        assert int(t["MUL"][a, b]) == f49.mul(a, b)
-        assert int(t["NEG"][a]) == f49.neg(a)
-        if a:
-            assert int(t["INV"][a]) == f49.inv(a)
+    # all q² pairs (a, b); c and d run over the elements in two other orders
+    a, b = np.divmod(np.arange(49 * 49), 49)
+    check_vector_ops(f49, (a, b, (a + 3 * b) % 49, 48 - b))
+
+
+@pytest.mark.parametrize("p, m", [(13, 1), (3, 5), (5, 4), (7, 4), (3, 8)])
+def test_vector_ops_random(p, m):
+    fld = make_field(p, m)
+    q = fld.order
+    rng = random.Random(repr((p, m)))
+    # q - 1 has every digit p - 1: four of them reach the largest digit sums
+    cols = [[q - 1] * 4 + [rng.randrange(q) for _ in range(1500)]
+            for _ in range(4)]
+    check_vector_ops(fld, cols)
+    with pytest.raises(ValueError, match="at most four"):
+        fld.vsum(*[cols[0]] * 5)
+
+
+@pytest.mark.parametrize("p, m", [(13, 1), (7, 2), (3, 5), (5, 4), (7, 4),
+                                  (3, 8)])
+def test_np_tables_hold_no_pair_table(p, m):
+    fld = make_field(p, m)
+    q = fld.order
+    cap = max(4 * q, (4 * p - 3) ** ((m + 1) // 2))
+    sizes = {name: arr.size for name, arr in fld.np_tables().items()}
+    assert all(size <= cap for size in sizes.values()), (cap, sizes)

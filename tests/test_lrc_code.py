@@ -133,7 +133,7 @@ def test_encode_linear(gm49, f49):
         assert lhs == rhs
 
 
-# m = 2, 4 and 6; 7^4 lies above PAIR_TABLE_LIMIT; r = 5 has k = 19
+# m = 2, 4 and 6, up to q = 2401; r = 5 has k = 19
 @pytest.mark.parametrize("pm, r, orbits", [
     ((7, 2), 3, (0, 1)), ((3, 4), 3, None), ((11, 2), 3, (0, 2)),
     ((13, 2), 3, (1,)), ((5, 4), 3, (0, 1)), ((3, 6), 3, (0,)),
@@ -216,7 +216,7 @@ def test_min_distance_budget_and_generic_prefix(es49_full, monkeypatch):
     assert not capped.exact
     assert capped.enumerated < full.enumerated
     assert capped.d >= full.d
-    # the generic fallback agrees candidate-for-candidate on the same prefix
+    # the generic search agrees candidate-for-candidate on the same prefix
     gen = _min_distance_generic(es49_full, generator_matrix(es49_full),
                                 budget=capped.enumerated)
     assert (gen.d, gen.witness) == (capped.d, capped.witness)
@@ -366,6 +366,22 @@ def test_pencil_search_matches_full_scan(pm, orbits):
     es = build_evaluation_set(surface_params(make_field(*pm), 3), orbits)
     res = min_distance(es)
     assert (res.d, res.witness) == scan_distance(es, generator_matrix(es))
+
+
+def test_min_distance_on_2401():
+    # above 2048, where dense q x q tables once ended the exact search
+    es = build_evaluation_set(surface_params(make_field(7, 4), 3), (0, 1, 2))
+    witness = (1, 2, 542, 2, 2208)
+    assert min_distance(es) == lrc_code.DistanceResult(
+        39, witness, True, (2401**5 - 1) // 2400)
+    assert naive_encode(es, witness).count(0) == es.n - 39
+
+
+@pytest.mark.nightly
+def test_kernel_matches_naive_grid_on_2401():
+    # the witness's prefix; the q x q oracle tables take ~3 s and ~150 MB
+    es = build_evaluation_set(surface_params(make_field(7, 4), 3), (0, 1, 2))
+    prefix_agreement(es, generator_matrix(es), (1, 2, 542))
 
 
 def test_min_distance_orbit_permutation(f49):

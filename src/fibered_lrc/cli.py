@@ -101,17 +101,13 @@ def _load(path: str) -> dict:
         return load_json(fh)
 
 
-def _build_es(args, default_all_orbits=True):
+def _build_es(args):
     """Evaluation set from --profile if given, else --field/--r/--orbits."""
     if getattr(args, "profile", None):
         prof, fld = profile_from_dict(_load(args.profile))
         return evaluation_set_from_profile(prof, fld)
     fld = _require(args, "field")
-    sp = surface_params(fld, args.r)
-    orbits = args.orbits
-    if orbits is None and not default_all_orbits:
-        raise ValueError("--orbits is required here")
-    return build_evaluation_set(sp, orbits)
+    return build_evaluation_set(surface_params(fld, args.r), args.orbits)
 
 
 def run_table(field, r: int = 3, max_subsets: int = 255, threads: int = 1):

@@ -11,13 +11,12 @@ root, found with ``pow``.  For m > 1, polynomials over that F_p
 lexicographically least monic irreducible polynomial of degree m
 (coefficient vectors compared low-degree-first, Rabin's test), and the
 generator, the least element of full multiplicative order under the same
-ordering.  The exp/log tables are filled by walking the F_p-linear map
+ordering.  The log/antilog tables are filled by walking the F_p-linear map
 "multiply by the generator", an m x m matrix over F_p applied to the digit
-vectors of all elements at once.  Addition is digit-wise base p; F_p
-multiplies integers mod p; everything else goes through the log/antilog
-tables.  Numpy kernels add and multiply arrays of elements with
-:meth:`FieldSpec.vsum` and :meth:`FieldSpec.vmul`, over lookup arrays of
-about q entries.  Orders above 2**20 are rejected.
+vectors of all elements at once.  Each field holds one set of lookup
+tables, Python lists of at most about 4q entries: the scalar operations
+read them, and :meth:`FieldSpec.vsum` and :meth:`FieldSpec.vmul` read
+int64 copies with the same algorithms.  Orders above 2**20 are rejected.
 
 Two orderings are used deliberately:
 
@@ -99,24 +98,45 @@ def _prime_factors(n: int) -> list[int]:
 
 
 class FieldSpec:
-    """A finite field of order p^m with log/antilog tables.
+    """A finite field of order p^m with its lookup tables.
 
     Instances are obtained through :func:`make_field`.  All element-level
-    methods take and return raw integer encodings; ring code that wants
-    operators uses :class:`poly.UniPoly` (constants included).
+    methods take and return raw integer encodings, as built-in ints; ring
+    code that wants operators uses :class:`poly.UniPoly` (constants
+    included).
+
+    The tables are lists.  EXP (4q - 3 entries) holds gen^i below
+    2(q - 1) and zero from there on, and LOG[0] = 2(q - 1), so
+    EXP[LOG[a] + LOG[b]] = a·b with no branch for zero.  NEG[a] is
+    EXP[LOG[a] + (q - 1)/2], as -1 = gen^((q - 1)/2).  SPREAD rewrites an
+    element's base-p digits in base 4p - 3, the low ⌈m/2⌉ digits in the low
+    bit field of an integer and the others in the high one, so a sum of up
+    to four spread elements has no carry; RED_LO and RED_HI, of
+    (4p - 3)^⌈m/2⌉ entries, map the low and the high field of such a sum
+    to the element of its digits mod p.  Prime fields add and negate mod p
+    and hold NEG, SPREAD and the RED tables (up to 4p entries each) only
+    as the arrays of :meth:`np_tables`.
     """
 
-    __slots__ = ("p", "m", "order", "modulus", "gen", "_exp", "_log", "_np")
+    __slots__ = ("p", "m", "order", "modulus", "gen", "_exp", "_log", "_neg",
+                 "_spread", "_red_lo", "_red_hi", "_shift", "_mask", "_np")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], gen: int,
-                 exp: np.ndarray, log: np.ndarray):
+                 exp: list[int], log: list[int]):
         self.p = p
         self.m = m
         self.order = p ** m
         self.modulus = modulus
         self.gen = gen
-        self._exp = exp      # length 4*order-3; gen^i below 2*(order-1), then 0
-        self._log = log      # length order; log[0] = 2*(order-1)
+        self._exp = exp
+        self._log = log
+        self._shift = ((4 * p - 3) ** ((m + 1) // 2) - 1).bit_length()
+        self._mask = (1 << self._shift) - 1
+        if m > 1:
+            half = (self.order - 1) // 2
+            self._neg = [exp[k + half] for k in log]
+            self._spread, self._red_lo, self._red_hi = (
+                tab.tolist() for tab in self._digit_tables())
         self._np = {}
 
     # -- identity ----------------------------------------------------------
@@ -138,47 +158,31 @@ class FieldSpec:
     # -- raw arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (a + b) % p
-        out, mult = 0, 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+            return (a + b) % self.p
+        s = self._spread[a] + self._spread[b]
+        return self._red_lo[s & self._mask] + self._red_hi[s >> self._shift]
 
     def neg(self, a: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (-a) % p
-        out, mult = 0, 1
-        while a:
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
+            return -a % self.p
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[int(self._log[a]) + int(self._log[b])])
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"inverse of zero in {self.label}")
-        return int(self._exp[self.order - 1 - int(self._log[a])])
+        return self._exp[self.order - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise DivisionByZero(f"division by zero in {self.label}")
-        return int(self._exp[int(self._log[a]) - int(self._log[b]) + self.order - 1])
+        return self._exp[self._log[a] - self._log[b] + self.order - 1]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -187,76 +191,71 @@ class FieldSpec:
             if e < 0:
                 raise DivisionByZero(f"zero to a negative power in {self.label}")
             return 0
-        n = self.order - 1
-        return int(self._exp[(int(self._log[a]) * e) % n])
+        return self._exp[self._log[a] * e % (self.order - 1)]
 
     # -- discrete logs and ordering ----------------------------------------
 
     def log(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"discrete log of zero in {self.label}")
-        return int(self._log[a])
+        return self._log[a]
 
     def from_log(self, k: int) -> int:
-        return int(self._exp[k % (self.order - 1)])
+        return self._exp[k % (self.order - 1)]
 
     def order_key(self, a: int) -> int:
         """Canonical element ordering: zero first, then discrete-log index."""
-        return -1 if a == 0 else int(self._log[a])
+        return -1 if a == 0 else self._log[a]
 
     def elements(self):
         """All elements in canonical order (zero, then powers of gen)."""
         yield 0
-        for k in range(self.order - 1):
-            yield int(self._exp[k])
+        yield from itertools.islice(self._exp, self.order - 1)
 
     # -- squares -------------------------------------------------------------
 
     def is_square(self, a: int) -> bool:
-        return a == 0 or int(self._log[a]) % 2 == 0
+        return self._log[a] % 2 == 0     # zero too: LOG[0] = 2(q - 1)
 
     def sqrt(self, a: int) -> int:
         """Canonical square root (the one with the smaller discrete log)."""
         if a == 0:
             return 0
-        l = int(self._log[a])
+        l = self._log[a]
         if l % 2:
             raise NonSquare(f"{a} is not a square in {self.label}")
-        return int(self._exp[l // 2])
+        return self._exp[l // 2]
 
     def nth_root_of_unity(self, n: int) -> int:
         """A primitive n-th root of unity, gen^((order-1)/n)."""
         if n <= 0 or (self.order - 1) % n:
             raise OrderNotDivisible(
                 f"no primitive {n}-th root of unity in {self.label}")
-        return int(self._exp[(self.order - 1) // n])
+        return self._exp[(self.order - 1) // n]
 
     # -- vector arithmetic on numpy arrays of elements ---------------------
 
-    def np_tables(self) -> dict:
-        """The lookup arrays behind :meth:`vsum` and :meth:`vmul`, none q x q.
-
-        EXP (4q - 3 entries) holds gen^i below 2(q - 1) and zero from there
-        on, and LOG[0] = 2(q - 1), so EXP[LOG[a] + LOG[b]] = a·b with no
-        branch for zero.  SPREAD rewrites an element's base-p digits in base
-        4p - 3, the low ⌈m/2⌉ digits in the low bit field of an int64 and
-        the others in the high one, so a sum of up to four spread elements
-        has no carry.  RED_LO and RED_HI, of (4p - 3)^⌈m/2⌉ entries, map the
-        low and the high field of such a sum to the element of its digits
-        mod p.  NEG and INV (INV[0] = 0) have q entries.
-        """
-        if self._np:
-            return self._np
-        p, q, h = self.p, self.order, (self.m + 1) // 2
+    def _digit_tables(self) -> tuple[np.ndarray, ...]:
+        """SPREAD, RED_LO and RED_HI (see the class docstring) as arrays."""
+        p, m, h = self.p, self.m, (self.m + 1) // 2
         base = 4 * p - 3
-        shift = (base**h - 1).bit_length()
-        place = np.arange(self.m)
-        elems = digits(np.arange(q), p, self.m)
+        place = np.arange(m)
         red = digits(np.arange(base**h), base, h) % p @ p**place[:h]
-        self._np = {"EXP": self._exp, "LOG": self._log, "NEG": -elems % p @ p**place,
-                    "INV": self._exp[q - 1 - self._log],  # INV[0] = EXP[1 - q] = 0
-                    "SPREAD": elems @ (base ** (place % h) << shift * (place >= h)),
-                    "RED_LO": red, "RED_HI": red * p**h}
+        spread = (digits(np.arange(self.order), p, m)
+                  @ (base ** (place % h) << self._shift * (place >= h)))
+        return spread, red, red * p**h
+
+    def np_tables(self) -> dict:
+        """The tables as int64 arrays, made on first call: EXP, LOG, NEG,
+        SPREAD, RED_LO, RED_HI (prime fields too) and INV = EXP[q - 1 - LOG],
+        with INV[0] = 0.  None is q x q."""
+        if not self._np:
+            exp, log = np.array(self._exp), np.array(self._log)
+            spread, red_lo, red_hi = self._digit_tables()
+            self._np = {"EXP": exp, "LOG": log,
+                        "NEG": exp[log + (self.order - 1) // 2],
+                        "INV": exp[self.order - 1 - log],  # INV[0] = EXP[1 - q] = 0
+                        "SPREAD": spread, "RED_LO": red_lo, "RED_HI": red_hi}
         return self._np
 
     def vsum(self, *terms) -> np.ndarray:
@@ -265,12 +264,12 @@ class FieldSpec:
             raise ValueError(f"vsum adds at most four terms, got {len(terms)}")
         tabs = self.np_tables()
         acc = sum(tabs["SPREAD"][term] for term in terms)
-        shift = (len(tabs["RED_LO"]) - 1).bit_length()
-        return tabs["RED_LO"][acc & ((1 << shift) - 1)] + tabs["RED_HI"][acc >> shift]
+        return tabs["RED_LO"][acc & self._mask] + tabs["RED_HI"][acc >> self._shift]
 
     def vmul(self, a, b) -> np.ndarray:
         """Elementwise product of two broadcasting element arrays."""
-        return self._exp[self._log[a] + self._log[b]]
+        tabs = self.np_tables()
+        return tabs["EXP"][tabs["LOG"][a] + tabs["LOG"][b]]
 
 
 def digits(elems, base: int, count: int) -> np.ndarray:
@@ -290,12 +289,16 @@ def _walk_tables(p: int, m: int, modulus: tuple[int, ...], gen: int,
     for _ in range(q - 1):
         powers.append(cur)
         cur = step[cur]
-    exp = np.array(powers * 2 + [0] * (2 * q - 1), dtype=np.int64)
-    log = np.full(q, 2 * (q - 1), dtype=np.int64)
-    log[exp[:q - 1]] = np.arange(q - 1)
-    if (log[1:] == 2 * (q - 1)).any():
+    log = [2 * (q - 1)] * q
+    for k, v in enumerate(powers):
+        log[v] = k
+    if log.count(2 * (q - 1)) > 1:
         raise RuntimeError("generator order check failed")
-    return FieldSpec(p, m, modulus, gen, exp, log)
+    # EXP, grown in place (no temporary lists of 4q entries): gen^i for
+    # i < 2(q - 1), then zeros
+    powers.extend(powers)
+    powers.extend(itertools.repeat(0, 2 * q - 1))
+    return FieldSpec(p, m, modulus, gen, powers, log)
 
 
 def _prime_field(p: int, modulus: tuple[int, int]) -> FieldSpec:

@@ -116,14 +116,8 @@ class UniPoly:
         return acc
 
     def derivative(self) -> "UniPoly":
-        f = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            c = 0
-            for _ in range(i % f.p):
-                c = f.add(c, self.coeffs[i])
-            out.append(c)
-        return poly(f, out)
+        f = self.field   # the integer i is the prime-subfield element i mod p
+        return poly(f, [f.mul(i % f.p, c) for i, c in enumerate(self.coeffs[1:], 1)])
 
     def monic(self) -> "UniPoly":
         if self.is_zero:

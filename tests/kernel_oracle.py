@@ -1,4 +1,4 @@
-"""Reference checks of the encoder and distance kernels against direct evaluation."""
+"""Digit-wise field addition and direct-evaluation checks of the encoder and kernels."""
 
 from itertools import product
 
@@ -6,6 +6,29 @@ import numpy as np
 
 from fibered_lrc.lrc_code import (DistanceResult, _better, _default_chunk,
                                   _r3_pencils, _r3_scan_prefixes, basis, encode)
+
+
+def digit_add(fld, a, b) -> int:
+    """a + b by adding the base-p digits of the encodings mod p."""
+    p = fld.p
+    out, mult = 0, 1
+    while a or b:
+        out += ((a + b) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+def digit_neg(fld, a) -> int:
+    """-a by negating the base-p digits of the encoding mod p."""
+    p = fld.p
+    out, mult = 0, 1
+    while a:
+        out += ((p - a % p) % p) * mult
+        a //= p
+        mult *= p
+    return out
 
 
 def naive_encode(es, message) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ from fibered_lrc.gf import (
     make_field,
     parse_field_label,
 )
+from kernel_oracle import digit_add, digit_neg
 
 # Construction is deterministic, so these stay frozen.  Each value was first
 # confirmed by an exhaustive oracle: the modulus is the lex-least monic
@@ -194,8 +195,9 @@ def test_label_round_trip(f169):
 
 
 def check_vector_ops(fld, cols):
-    """vsum of 2, 3 and 4 terms, vmul, NEG and INV on element arrays
-    a, b, c, d equal the scalar operations, element by element."""
+    """On element arrays a, b, c, d, element by element: vsum of 2, 3 and
+    4 terms, NEG and the scalar add and neg equal the digit-wise oracles;
+    vmul and INV equal the scalar mul and inv."""
     a, b, c, d = (np.asarray(col, dtype=np.int64) for col in cols)
     tabs = fld.np_tables()
     got = [fld.vsum(a, b), fld.vsum(a, b, c), fld.vsum(a, b, c, d),
@@ -203,11 +205,11 @@ def check_vector_ops(fld, cols):
     for row in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist(),
                    *(g.tolist() for g in got)):
         x, y, z, w, s2, s3, s4, prod, neg, inv = row
-        assert s2 == fld.add(x, y), row
-        assert s3 == fld.add(s2, z), row
-        assert s4 == fld.add(s3, w), row
+        assert s2 == fld.add(x, y) == digit_add(fld, x, y), row
+        assert s3 == fld.add(s2, z) == digit_add(fld, s2, z), row
+        assert s4 == fld.add(s3, w) == digit_add(fld, s3, w), row
+        assert neg == fld.neg(x) == digit_neg(fld, x), row
         assert prod == fld.mul(x, y), row
-        assert neg == fld.neg(x), row
         assert inv == (fld.inv(x) if x else 0), row
 
 
@@ -237,4 +239,19 @@ def test_np_tables_hold_no_pair_table(p, m):
     q = fld.order
     cap = max(4 * q, (4 * p - 3) ** ((m + 1) // 2))
     sizes = {name: arr.size for name, arr in fld.np_tables().items()}
+    # the scalar operations' lists, however they are named
+    sizes.update((name, len(getattr(fld, name))) for name in fld.__slots__
+                 if isinstance(getattr(fld, name, None), list))
     assert all(size <= cap for size in sizes.values()), (cap, sizes)
+
+
+@pytest.mark.parametrize("p, m", [(13, 1), (7, 2), (3, 8)])
+def test_scalar_ops_return_builtin_ints(p, m):
+    # encode, repair and serialize refuse symbols that are not ints
+    fld = make_field(p, m)
+    a, b = fld.gen, fld.add(fld.gen, 1)
+    values = [fld.add(a, b), fld.neg(a), fld.sub(a, b), fld.mul(a, b),
+              fld.inv(a), fld.div(a, b), fld.pow(a, 5), fld.pow(a, -3),
+              fld.from_log(7), fld.sqrt(fld.mul(a, a)),
+              fld.nth_root_of_unity(2), *fld.elements()]
+    assert all(type(v) is int for v in values), [type(v) for v in values]

@@ -8,8 +8,7 @@ from .lrc_code import (CodeProfile, DistanceResult, GeneratorMatrix, basis,
                        code_profile, distance_b1, distance_lower_bound, encode,
                        f_min_message, generator_matrix, min_distance,
                        singleton_availability_upper)
-from .recovery import (ErasurePattern, RepairResult, recover_horizontal,
-                       recover_vertical, repair)
+from .recovery import RepairResult, recover_horizontal, recover_vertical, repair
 from .simulate import SimReport, StorageScenario, run_simulation, storage_scenario
 
 __version__ = "0.1.0"
@@ -17,7 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CodeProfile",
     "DistanceResult",
-    "ErasurePattern",
     "EvaluationSet",
     "FieldSpec",
     "GeneratorMatrix",

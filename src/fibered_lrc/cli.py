@@ -19,7 +19,7 @@ from .gf import TABLE_LIMIT, FieldTooLarge, parse_field_label
 from .lrc_code import (basis, code_profile, distance_b1, distance_lower_bound,
                        encode, f_min_message, generator_matrix, min_distance)
 from .newton_arc import monomial_valuations, pole_degree, splitting_at_infinity
-from .recovery import (Corrupted, ErasurePattern, IncompleteRecoverySet,
+from .recovery import (Corrupted, IncompleteRecoverySet,
                        recover_vertical, repair)
 from .serialize import (ParseError, SchemaMismatch, codeword_from_dict,
                         codeword_to_dict, evaluation_set_from_profile,
@@ -185,10 +185,9 @@ def _cmd_recover(args) -> int:
         raise SchemaMismatch("codeword field differs from profile field")
     if len(symbols) != es.n:
         raise SchemaMismatch(f"codeword has {len(symbols)} symbols, code n={es.n}")
-    triples = args.erase or []
-    for trip in triples:
+    for trip in args.erase:
         symbols[es.point_index(*trip)] = None
-    res = repair(es, symbols, ErasurePattern.of(triples))
+    res = repair(es, symbols)
     _check_horizontal_repairs(es, res)
     for trip in sorted(res.paths):
         print(f"({trip[0]},{trip[1]},{trip[2]}) {res.paths[trip]}")

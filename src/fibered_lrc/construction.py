@@ -218,8 +218,19 @@ class EvaluationSet:
             raise IndexError(f"point ({l},{i},{j}) out of range")
         return (l * rp1 + i) * rp1 + j
 
-    def point_at(self, pos: int) -> SurfacePoint:
-        return self.points[pos]
+    def fibers(self, pos: int) -> tuple[range, range]:
+        """(horizontal, vertical): the positions of the two fibers through pos.
+
+        Both include pos.  The horizontal fiber (same orbit and root,
+        varying t) has step 1; the vertical one (same t, varying root) has
+        step r+1.
+        """
+        if not 0 <= pos < self.n:
+            raise IndexError(f"position {pos} out of range [0, {self.n})")
+        rp1 = self.params.r + 1
+        row = pos - pos % rp1
+        col = pos - pos % rp1**2 + pos % rp1
+        return range(row, row + rp1), range(col, col + rp1**2, rp1)
 
     def t_value(self, l: int, j: int) -> int:
         return self.orbits[l].members[j]
@@ -287,11 +298,10 @@ def recovery_indices(es: EvaluationSet, l: int, i: int, j: int):
     horizontal: same orbit and root, other fibers (fixed x, varying t);
     vertical: same fiber, other roots (fixed t, varying x).
     """
-    rp1 = es.params.r + 1
-    es.point_index(l, i, j)  # range check
-    horizontal = tuple((l, i, jj) for jj in range(rp1) if jj != j)
-    vertical = tuple((l, ii, j) for ii in range(rp1) if ii != i)
-    return horizontal, vertical
+    pos = es.point_index(l, i, j)
+    return tuple(tuple((es.points[k].l, es.points[k].i, es.points[k].j)
+                       for k in fiber if k != pos)
+                 for fiber in es.fibers(pos))
 
 
 def m_sufficient(q: int, r: int) -> int:

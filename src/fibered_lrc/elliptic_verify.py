@@ -130,8 +130,7 @@ def vertical_fiber(field: FieldSpec, tbar: int) -> WeierstrassCurve:
 def verify_vertical_sum(es: EvaluationSet, l: int, j: int) -> bool:
     """Do the four evaluation points of vertical fiber (l, ., j) sum to O?"""
     fld = es.field
-    idxs = [es.point_index(l, i, j) for i in range(es.params.r + 1)]
-    pts = [es.points[k] for k in idxs]
+    pts = [es.points[k] for k in es.fibers(es.point_index(l, 0, j))[1]]
     curve = vertical_fiber(fld, pts[0].t)
     total = O
     for pt in pts:
@@ -160,8 +159,8 @@ def horizontal_sum_two_torsion(es: EvaluationSet, l: int, i: int) -> bool:
     a4 = fld.neg(fld.mul(four, fld.mul(A, B)))
     curve = WeierstrassCurve(fld, 0, a4)
     total = O
-    for j in range(es.params.r + 1):
-        pt = es.points[es.point_index(l, i, j)]
+    for k in es.fibers(es.point_index(l, i, 0))[0]:
+        pt = es.points[k]
         if fld.mul(pt.y, pt.y) != fld.add(fld.mul(A, fld.pow(pt.t, 4)), B):
             raise PointNotOnCurve(
                 f"(t, y) = ({pt.t}, {pt.y}) is off the quartic model")

@@ -239,10 +239,10 @@ class FieldSpec:
         """SPREAD, RED_LO and RED_HI (see the class docstring) as arrays."""
         p, m, h = self.p, self.m, (self.m + 1) // 2
         base = 4 * p - 3
-        place = np.arange(m)
-        red = digits(np.arange(base**h), base, h) % p @ p**place[:h]
-        spread = (digits(np.arange(self.order), p, m)
-                  @ (base ** (place % h) << self._shift * (place >= h)))
+        red = digits(np.arange(base**h), base, h) % p @ p**np.arange(h)
+        # a = lo + p^h·hi, and hi < p^(m-h) <= p^h spreads like a low half
+        low = digits(np.arange(p**h), p, h) @ base**np.arange(h)
+        spread = ((low[:p**(m - h), None] << self._shift) + low).ravel()
         return spread, red, red * p**h
 
     def np_tables(self) -> dict:

@@ -2,19 +2,21 @@
 
 Every symbol sits in two disjoint size-r recovery sets: the rest of its
 vertical fiber (fixed t, varying root) and the rest of its horizontal fiber
-(fixed root, varying t).  Each fiber has fixed parity checks.  On a
-vertical fiber f(x, t̄) = x·g(x) with deg g <= r-2, so the symbols c_i at
-the roots x_i satisfy Σ w_i·c_i = Σ w_i·x_i·c_i = 0 with
+(fixed root, varying t); `EvaluationSet.fibers` gives both fibers as
+positions.  Each fiber has fixed parity checks.  On a vertical fiber
+f(x, t̄) = x·g(x) with deg g <= r-2, so the symbols c_i at the roots x_i
+satisfy Σ w_i·c_i = Σ w_i·x_i·c_i = 0 with
 w_i = 1/(x_i·∏_(k≠i)(x_i - x_k)).  On a horizontal fiber deg_t f <= r-1
 and t = ζ^j·t̄, so Σ_j ζ^j·c_j = 0.  Either set determines the symbol by
-its checks; the multi-erasure repairer peels with whichever is available.
+its checks.  A codeword marks an erased symbol by None, and the
+multi-erasure repairer peels with whichever set is available.
 """
 
 from dataclasses import dataclass
 from functools import cache, reduce
 from typing import Optional
 
-from .construction import EvaluationSet, recovery_indices
+from .construction import EvaluationSet
 from .gf import FieldSpec
 from .lrc_code import LengthMismatch
 
@@ -26,15 +28,6 @@ class IncompleteRecoverySet(Exception):
 class Corrupted(ArithmeticError):
     """The r symbols of a vertical recovery set are not consistent with
     any codeword: at least one of them is corrupted, not merely erased."""
-
-
-@dataclass(frozen=True)
-class ErasurePattern:
-    erased: frozenset  # (l, i, j) triples
-
-    @classmethod
-    def of(cls, triples) -> "ErasurePattern":
-        return cls(frozenset(tuple(t) for t in triples))
 
 
 @dataclass(frozen=True)
@@ -53,14 +46,14 @@ def _vertical_weights(fld: FieldSpec, roots: tuple[int, ...]) -> tuple[int, ...]
                  for xi in roots)
 
 
-def _gather(es: EvaluationSet, codeword, triples):
-    symbols = []
-    for l, i, j in triples:
-        v = codeword[es.point_index(l, i, j)]
-        if v is None:
-            raise IncompleteRecoverySet(f"recovery symbol at {(l, i, j)} is erased")
-        symbols.append(v)
-    return symbols
+def _others(codeword, fiber, skip: int):
+    """(k, symbol) for the k-th position of fiber, every k but skip."""
+    pairs = [(k, codeword[pos]) for k, pos in enumerate(fiber) if k != skip]
+    for k, c in pairs:
+        if c is None:
+            raise IncompleteRecoverySet(
+                f"recovery symbol at position {fiber[k]} is erased")
+    return pairs
 
 
 def recover_vertical(es: EvaluationSet, codeword, target) -> int:
@@ -73,12 +66,11 @@ def recover_vertical(es: EvaluationSet, codeword, target) -> int:
     """
     fld = es.field
     l, i, j = target
-    _, vertical = recovery_indices(es, l, i, j)
-    symbols = _gather(es, codeword, vertical)
+    _, vertical = es.fibers(es.point_index(l, i, j))
     roots = es.orbits[l].roots
     w = _vertical_weights(fld, roots)
     acc = residual = 0
-    for (_, k, _), c in zip(vertical, symbols):
+    for k, c in _others(codeword, vertical, i):
         wc = fld.mul(w[k], c)
         acc = fld.add(acc, wc)
         residual = fld.add(residual, fld.mul(wc, fld.sub(roots[k], roots[i])))
@@ -95,23 +87,22 @@ def recover_horizontal(es: EvaluationSet, codeword, target) -> int:
     """
     fld = es.field
     l, i, j = target
-    horizontal, _ = recovery_indices(es, l, i, j)
-    symbols = _gather(es, codeword, horizontal)
+    horizontal, _ = es.fibers(es.point_index(l, i, j))
     zeta = es.params.zeta
     acc = 0
-    for (_, _, k), c in zip(horizontal, symbols):
+    for k, c in _others(codeword, horizontal, j):
         acc = fld.add(acc, fld.mul(fld.pow(zeta, k - j), c))
     return fld.neg(acc)
 
 
-def repair(es: EvaluationSet, codeword, pattern: ErasurePattern) -> RepairResult:
-    """Peel erasures until fixpoint.
+def repair(es: EvaluationSet, codeword) -> RepairResult:
+    """Peel the erased (None) symbols of codeword until fixpoint.
 
-    Each round scans erased positions in ascending point index and repairs
-    every one whose vertical (preferred) or horizontal set is fully present
-    in the round-start state; repairs apply at end of round, so results do
-    not depend on within-round order.  Every symbol must be None or an
-    int in [0, q).
+    Each round scans erased positions in ascending order and repairs every
+    one whose vertical (preferred) or horizontal fiber has no other None in
+    the round-start state; repairs apply at end of round, so results do
+    not depend on within-round order.  Every other symbol must be an int
+    in [0, q).
     """
     work: list[Optional[int]] = list(codeword)
     if len(work) != es.n:
@@ -119,10 +110,11 @@ def repair(es: EvaluationSet, codeword, pattern: ErasurePattern) -> RepairResult
     q = es.field.order
     if not all(v is None or isinstance(v, int) and 0 <= v < q for v in work):
         raise ValueError(f"codeword symbols must be None or ints in [0, {q})")
-    erased = {es.point_index(*trip) for trip in pattern.erased}
-    erased |= {idx for idx, v in enumerate(work) if v is None}
-    for idx in erased:
-        work[idx] = None
+    erased = {idx for idx, v in enumerate(work) if v is None}
+
+    def trip(idx):
+        pt = es.points[idx]
+        return pt.l, pt.i, pt.j
 
     paths: dict = {}
     rounds = 0
@@ -130,22 +122,17 @@ def repair(es: EvaluationSet, codeword, pattern: ErasurePattern) -> RepairResult
         snapshot = tuple(work)
         batch = []
         for idx in sorted(erased):
-            pt = es.points[idx]
-            trip = (pt.l, pt.i, pt.j)
-            horizontal, vertical = recovery_indices(es, *trip)
-            if all(snapshot[es.point_index(*v)] is not None for v in vertical):
-                batch.append((idx, recover_vertical(es, snapshot, trip), "V"))
-            elif all(snapshot[es.point_index(*h)] is not None for h in horizontal):
-                batch.append((idx, recover_horizontal(es, snapshot, trip), "H"))
+            horizontal, vertical = es.fibers(idx)
+            if [snapshot[k] for k in vertical].count(None) == 1:
+                batch.append((idx, recover_vertical(es, snapshot, trip(idx)), "V"))
+            elif [snapshot[k] for k in horizontal].count(None) == 1:
+                batch.append((idx, recover_horizontal(es, snapshot, trip(idx)), "H"))
         if not batch:
             break
         for idx, value, path in batch:
             work[idx] = value
-            pt = es.points[idx]
-            paths[(pt.l, pt.i, pt.j)] = path
+            paths[trip(idx)] = path
             erased.discard(idx)
         rounds += 1
 
-    left = frozenset((es.points[idx].l, es.points[idx].i, es.points[idx].j)
-                     for idx in erased)
-    return RepairResult(tuple(work), left, paths, rounds)
+    return RepairResult(tuple(work), frozenset(map(trip, erased)), paths, rounds)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Optional
 
 from .construction import EvaluationSet, build_evaluation_set, surface_params
 from .gf import FieldSpec, make_field, parse_field_label
@@ -123,10 +122,8 @@ def profile_from_dict(d) -> tuple[CodeProfile, FieldSpec]:
 
 
 def evaluation_set_from_profile(prof: CodeProfile,
-                                fld: Optional[FieldSpec] = None) -> EvaluationSet:
+                                fld: FieldSpec) -> EvaluationSet:
     """Rebuild the deterministic evaluation set a profile describes."""
-    if fld is None:
-        fld = _field_from_label(prof.field_label)
     es = build_evaluation_set(surface_params(fld, prof.r), prof.orbit_indices)
     if es.n != prof.n:
         raise SchemaMismatch(f"profile n={prof.n} but construction gives {es.n}")

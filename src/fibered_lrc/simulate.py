@@ -14,7 +14,7 @@ import numpy as np
 
 from .construction import EvaluationSet
 from .lrc_code import encode, generator_matrix
-from .recovery import ErasurePattern, repair
+from .recovery import repair
 
 
 class BadScenario(ValueError):
@@ -43,8 +43,8 @@ def storage_scenario(es: EvaluationSet, failures: int, trials: int, seed: int,
     """One symbol per node by default; group_by_fiber co-locates each
     vertical fiber (r+1 symbols) on a single node."""
     if group_by_fiber:
-        # vertical fiber (l, j): points (l, 0..r, j), stride r+1 in layout
-        node_of = tuple(p.l * (es.r + 1) + p.j for p in es.points)
+        # a node per vertical fiber, named by the fiber's first position
+        node_of = tuple(es.fibers(pos)[1].start for pos in range(es.n))
     else:
         node_of = tuple(range(es.n))
     nodes = len(set(node_of))
@@ -104,16 +104,15 @@ def run_simulation(scenario: StorageScenario) -> SimReport:
         cw = encode(gm, message)
         picked = rng.choice(nodes, size=scenario.failures, replace=False)
         erased = [pos for node in picked for pos in symbols_on[node_ids[node]]]
-        pattern = ErasurePattern.of(
-            (es.point_at(pos).l, es.point_at(pos).i, es.point_at(pos).j)
-            for pos in erased)
         holed = list(cw)
         for pos in erased:
             holed[pos] = None
-        res = repair(es, holed, pattern)
-        for trip, path in res.paths.items():
-            if res.codeword[es.point_index(*trip)] != cw[es.point_index(*trip)]:
-                raise RepairMismatch(f"symbol {trip} repaired to a wrong value")
+        res = repair(es, holed)
+        for pos in erased:
+            if res.codeword[pos] not in (None, cw[pos]):
+                raise RepairMismatch(
+                    f"symbol at position {pos} repaired to a wrong value")
+        for path in res.paths.values():
             hist[path] += 1
         repaired_counts.append(len(res.paths))
         unrecovered_counts.append(len(res.unrecovered))

@@ -29,8 +29,7 @@ from fibered_lrc.newton_arc import (defining_coefficients, lower_hull,
                                     monomial_valuations, pole_degree,
                                     segment_polynomials, splitting_at_infinity,
                                     support_set_at_infinity)
-from fibered_lrc.recovery import (ErasurePattern, recover_horizontal,
-                                  recover_vertical, repair)
+from fibered_lrc.recovery import recover_horizontal, recover_vertical, repair
 from fibered_lrc.serialize import write_table_csv
 from kernel_oracle import zero_grid_agreement
 
@@ -206,8 +205,9 @@ def test_recovery_thousand_messages(key):
         # two erasures inside one vertical fiber always come back
         j = rng.randrange(4)
         i1, i2 = rng.sample(range(4), 2)
-        holes = ErasurePattern.of([(0, i1, j), (0, i2, j)])
-        res = repair(es, cw, holes)
+        holes = list(cw)
+        holes[es.point_index(0, i1, j)] = holes[es.point_index(0, i2, j)] = None
+        res = repair(es, holes)
         assert not res.unrecovered and tuple(res.codeword) == cw
 
 

@@ -186,6 +186,16 @@ def test_recover_unrecoverable(prof49, cw49, tmp_path, capsys):
     assert json.loads(out.read_text())["symbols"].count(None) == 16
 
 
+def test_recover_bad_erase_triple_exits_1(prof49, cw49, capsys):
+    # prof49 has b = 1, so (1,0,0) names an orbit the code does not have
+    for trip in ("0,9,0", "1,0,0", "-1,0,0"):
+        assert main(["recover", "--profile", str(prof49), "--codeword",
+                     str(cw49[0]), f"--erase={trip}"]) == 1, trip
+        err = capsys.readouterr().err
+        assert f"point ({trip}) out of range" in err, err
+        assert "Traceback" not in err
+
+
 def test_simulate_deterministic(prof49, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

@@ -272,7 +272,7 @@ def test_vertical_fibers_structure(sp169):
 def test_point_index_round_trip(sp169):
     es = build_evaluation_set(sp169, [2, 0])
     for pos in range(es.n):
-        pt = es.point_at(pos)
+        pt = es.points[pos]
         assert es.point_index(pt.l, pt.i, pt.j) == pos
     with pytest.raises(IndexError):
         es.point_index(2, 0, 0)
@@ -303,6 +303,22 @@ def test_recovery_indices(sp169):
                 assert {h[2] for h in hor} | {j} == {0, 1, 2, 3}
                 assert {v[1] for v in ver} | {i} == {0, 1, 2, 3}
                 assert len({(l, i, j), *hor, *ver}) == 7
+    for pos in range(es.n):
+        pt = es.points[pos]
+        horizontal, vertical = es.fibers(pos)
+        assert len(horizontal) == len(vertical) == 4
+        assert set(horizontal) & set(vertical) == {pos}
+        assert all((es.points[k].l, es.points[k].i) == (pt.l, pt.i)
+                   for k in horizontal)
+        assert all((es.points[k].l, es.points[k].j) == (pt.l, pt.j)
+                   for k in vertical)
+        for fiber, rest in zip((horizontal, vertical),
+                               recovery_indices(es, pt.l, pt.i, pt.j)):
+            assert [k for k in fiber if k != pos] == [
+                es.point_index(*trip) for trip in rest]
+    for pos in (-1, es.n):
+        with pytest.raises(IndexError):
+            es.fibers(pos)
     with pytest.raises(IndexError):
         recovery_indices(es, 0, 0, 7)
 

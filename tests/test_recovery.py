@@ -12,7 +12,6 @@ from fibered_lrc.gf import make_field
 from fibered_lrc.lrc_code import LengthMismatch, encode, generator_matrix
 from fibered_lrc.recovery import (
     Corrupted,
-    ErasurePattern,
     IncompleteRecoverySet,
     recover_horizontal,
     recover_vertical,
@@ -117,7 +116,7 @@ def test_repair_single_erasure(code49):
     cw = encode(gm, [3, 0, 48, 7, 1])
     for pt in es.points:
         trip = (pt.l, pt.i, pt.j)
-        res = repair(es, cw, ErasurePattern.of([trip]))
+        res = repair(es, _erase(cw, es, [trip]))
         assert res.codeword == cw
         assert not res.unrecovered
         assert res.rounds == 1
@@ -128,7 +127,7 @@ def test_repair_two_in_one_vertical_set(code49):
     es, gm = code49
     cw = encode(gm, [1, 2, 3, 4, 5])
     a, b = (0, 0, 1), (0, 2, 1)  # same fiber j=1
-    res = repair(es, cw, ErasurePattern.of([a, b]))
+    res = repair(es, _erase(cw, es, [a, b]))
     assert res.codeword == cw and not res.unrecovered
     assert res.paths[a] == "H" and res.paths[b] == "H"
     assert res.rounds == 1
@@ -141,7 +140,7 @@ def test_repair_crossed_fibers(code49):
     cw = encode(gm, [9, 9, 9, 9, 9])
     triples = {(0, i, 0) for i in range(4)} | {(0, 0, j) for j in range(4)}
     assert len(triples) == 7
-    res = repair(es, cw, ErasurePattern.of(triples))
+    res = repair(es, _erase(cw, es, triples))
     assert res.codeword == cw and not res.unrecovered
     assert res.rounds == 2
     assert res.paths[(0, 0, 0)] == "V"
@@ -156,7 +155,7 @@ def test_repair_matches_reachability_oracle(code49_full):
         cw = encode(gm, msg)
         k = rng.randrange(1, 21)
         pattern = rng.sample(all_triples, k)
-        res = repair(es, cw, ErasurePattern.of(pattern))
+        res = repair(es, _erase(cw, es, pattern))
         assert res.unrecovered == _oracle_unrecoverable(es, pattern)
         assert res.unrecovered <= set(pattern)
         assert res.rounds <= es.n
@@ -176,19 +175,19 @@ def test_repair_matches_reachability_oracle(code49_full):
 def test_repair_empty_and_preerased(code49):
     es, gm = code49
     cw = encode(gm, [5, 4, 3, 2, 1])
-    res = repair(es, cw, ErasurePattern.of([]))
+    res = repair(es, cw)
     assert res.codeword == cw and res.rounds == 0 and not res.paths
-    # a None symbol counts as erased even when the pattern misses it
     hole = _erase(cw, es, [(0, 3, 3)])
-    res = repair(es, hole, ErasurePattern.of([]))
+    res = repair(es, hole)
     assert res.codeword == cw and res.paths[(0, 3, 3)] == "V"
 
 
 def test_repair_rejects_bad_triple(code49):
     es, gm = code49
     cw = encode(gm, [1, 1, 1, 1, 1])
+    # repair reads None holes; the caller's point_index rejects the triple
     with pytest.raises(IndexError):
-        repair(es, cw, ErasurePattern.of([(0, 9, 0)]))
+        repair(es, _erase(cw, es, [(0, 9, 0)]))
 
 
 def test_repair_rejects_out_of_range_symbols(code49):
@@ -196,15 +195,15 @@ def test_repair_rejects_out_of_range_symbols(code49):
     # to 48 where the codeword has 15; 49 and 1.5 ended in a numpy IndexError
     es, gm = code49
     cw = encode(gm, [3, 14, 0, 25, 6])
-    pattern = ErasurePattern.of([(0, 0, 0), (0, 1, 0)])
-    assert repair(es, cw, pattern).codeword == cw
+    holes = _erase(cw, es, [(0, 0, 0), (0, 1, 0)])
+    assert repair(es, holes).codeword == cw
     for bad in (-1, 49, 1.5, "3"):
-        word = list(cw)
+        word = list(holes)
         word[es.point_index(0, 0, 1)] = bad
         with pytest.raises(ValueError, match="ints in"):
-            repair(es, word, pattern)
+            repair(es, word)
     with pytest.raises(LengthMismatch):
-        repair(es, cw[:-1], pattern)
+        repair(es, holes[:-1])
 
 
 @cache
@@ -234,7 +233,7 @@ def round_trip_cases(draw):
 def test_repair_round_trip_property(case):
     es, gm, msg, erased, target, partner, delta = case
     cw = encode(gm, msg)
-    res = repair(es, _erase(cw, es, erased), ErasurePattern.of(erased))
+    res = repair(es, _erase(cw, es, erased))
     assert res.unrecovered == _oracle_unrecoverable(es, erased)
     for trip in res.paths:
         idx = es.point_index(*trip)

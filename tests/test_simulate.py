@@ -89,8 +89,8 @@ def test_bad_scenarios(es49):
 
 def test_wrong_repair_raises(es49, monkeypatch):
     # an explicit check, so python -O cannot strip it
-    def off_by_one(es, codeword, pattern):
-        res = repair(es, codeword, pattern)
+    def off_by_one(es, codeword):
+        res = repair(es, codeword)
         work = list(res.codeword)
         for trip in res.paths:
             pos = es.point_index(*trip)

@@ -15,7 +15,7 @@ from .construction import (build_evaluation_set, find_nice_orbits,
 from .elliptic_verify import (NonSquareTwist, SingularFiber,
                               discriminant_profile, horizontal_sum_two_torsion,
                               verify_vertical_sum)
-from .gf import TABLE_LIMIT, FieldTooLarge, parse_field_label
+from .gf import parse_field_label
 from .lrc_code import (basis, code_profile, distance_b1, distance_lower_bound,
                        encode, f_min_message, generator_matrix, min_distance)
 from .newton_arc import monomial_valuations, pole_degree, splitting_at_infinity
@@ -88,12 +88,13 @@ def _require(args, name: str):
     return value
 
 
-def _emit_json(obj: dict, out):
+def _emit(write, obj, out):
+    """write(obj, file) to the file named out, or to stdout."""
     if out:
         with open(out, "w") as fh:
-            save_json(obj, fh)
+            write(obj, fh)
     else:
-        save_json(obj, sys.stdout)
+        write(obj, sys.stdout)
 
 
 def _load(path: str) -> dict:
@@ -103,7 +104,7 @@ def _load(path: str) -> dict:
 
 def _build_es(args):
     """Evaluation set from --profile if given, else --field/--r/--orbits."""
-    if getattr(args, "profile", None):
+    if getattr(args, "profile", None) is not None:
         prof, fld = profile_from_dict(_load(args.profile))
         return evaluation_set_from_profile(prof, fld)
     fld = _require(args, "field")
@@ -118,9 +119,6 @@ def run_table(field, r: int = 3, max_subsets: int = 255, threads: int = 1):
     enumerate in (b, subset) order and cap at max_subsets; delta is None
     on b=1 rows, where d = 8 exactly is the sharper statement.
     """
-    if field.order > TABLE_LIMIT:
-        raise FieldTooLarge(
-            f"table enumeration supports order <= 2^20, got {field.order}")
     sp = surface_params(field, r)
     catalog = find_nice_orbits(sp)
     subsets = []
@@ -136,28 +134,22 @@ def run_table(field, r: int = 3, max_subsets: int = 255, threads: int = 1):
 
 
 def _cmd_construct(args) -> int:
-    fld = _require(args, "field")
-    es = build_evaluation_set(surface_params(fld, args.r), args.orbits)
-    _emit_json(profile_to_dict(code_profile(es), fld), args.out)
+    es = _build_es(args)
+    _emit(save_json, profile_to_dict(code_profile(es), es.field), args.out)
     return 0
 
 
 def _cmd_mindist(args) -> int:
-    fld = _require(args, "field")
-    es = build_evaluation_set(surface_params(fld, args.r), args.orbits)
+    es = _build_es(args)
     dist = min_distance(es, budget=args.budget, threads=args.threads)
-    _emit_json(profile_to_dict(code_profile(es, dist), fld), args.out)
+    _emit(save_json, profile_to_dict(code_profile(es, dist), es.field), args.out)
     return 0
 
 
 def _cmd_table(args) -> int:
     rows = run_table(_require(args, "field"), args.r, args.max_subsets,
                      args.threads)
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_table_csv(rows, fh)
-    else:
-        write_table_csv(rows, sys.stdout)
+    _emit(write_table_csv, rows, args.out)
     return 0
 
 
@@ -178,10 +170,9 @@ def _check_horizontal_repairs(es, res) -> None:
 
 
 def _cmd_recover(args) -> int:
-    prof, fld = profile_from_dict(_load(_require(args, "profile")))
-    es = evaluation_set_from_profile(prof, fld)
-    cfld, symbols = codeword_from_dict(_load(_require(args, "codeword")))
-    if cfld != fld:
+    es = _build_es(args)
+    cfld, symbols = codeword_from_dict(_load(args.codeword))
+    if cfld != es.field:
         raise SchemaMismatch("codeword field differs from profile field")
     if len(symbols) != es.n:
         raise SchemaMismatch(f"codeword has {len(symbols)} symbols, code n={es.n}")
@@ -193,17 +184,14 @@ def _cmd_recover(args) -> int:
         print(f"({trip[0]},{trip[1]},{trip[2]}) {res.paths[trip]}")
     for trip in sorted(res.unrecovered):
         print(f"({trip[0]},{trip[1]},{trip[2]}) UNRECOVERED")
-    _emit_json(codeword_to_dict(fld, res.codeword), args.out)
+    _emit(save_json, codeword_to_dict(es.field, res.codeword), args.out)
     return 2 if res.unrecovered else 0
 
 
 def _cmd_simulate(args) -> int:
-    prof, fld = profile_from_dict(_load(_require(args, "profile")))
-    es = evaluation_set_from_profile(prof, fld)
-    scenario = storage_scenario(es, _require(args, "failures"), args.trials,
+    scenario = storage_scenario(_build_es(args), args.failures, args.trials,
                                 args.seed, args.group_by_fiber)
-    report = run_simulation(scenario)
-    _emit_json(report.to_dict(), args.out)
+    _emit(save_json, run_simulation(scenario).to_dict(), args.out)
     return 0
 
 
@@ -356,7 +344,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", parents=[common],
                        help="storage node failure simulation")
     p.add_argument("--profile", required=True)
-    p.add_argument("--failures", type=int, default=None, required=True)
+    p.add_argument("--failures", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--group-by-fiber", action="store_true",
                    help="co-locate each vertical fiber on one node")

@@ -26,6 +26,7 @@ Points are flattened in (l, i, j) row-major order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,11 @@ class InternalNicenessViolation(AssertionError):
     pass
 
 
+def check_locality(r: int) -> None:
+    if r < 3 or r % 2 == 0:
+        raise BadLocality(f"locality r must be odd and >= 3, got {r}")
+
+
 @dataclass(frozen=True)
 class SurfaceParams:
     """Field and locality parameters of one surface."""
@@ -69,8 +75,7 @@ class SurfaceParams:
 
 
 def surface_params(field: FieldSpec, r: int) -> SurfaceParams:
-    if r < 3 or r % 2 == 0:
-        raise ValueError(f"locality r must be odd and >= 3, got {r}")
+    check_locality(r)
     try:
         zeta = field.nth_root_of_unity(r + 1)
     except OrderNotDivisible as exc:
@@ -87,9 +92,7 @@ def surface_params(field: FieldSpec, r: int) -> SurfaceParams:
     return SurfaceParams(field, r, q, m, zeta)
 
 
-_COEFF_CACHE: dict[tuple[FieldSpec, int], tuple[UniPoly, ...]] = {}
-
-
+@functools.cache
 def defining_coefficients(field: FieldSpec, r: int) -> tuple[UniPoly, ...]:
     """Coefficients of P_t(T) as polynomials in t, indexed by power of T.
 
@@ -97,22 +100,18 @@ def defining_coefficients(field: FieldSpec, r: int) -> tuple[UniPoly, ...]:
     with coincident powers of T merged (for r=3 the T^2 coefficient becomes
     t^4 + 3).  It is also the defining polynomial of the x/t function field.
     """
-    if r < 3 or r % 2 == 0:
-        raise BadLocality(f"locality must be an odd integer >= 3, got {r}")
-    key = (field, r)
-    if key not in _COEFF_CACHE:
-        rp1 = r + 1
-        one = constant(field, 1)
-        t_rp1 = poly(field, [0] * rp1 + [1])
-        coeffs = [poly(field, [])] * (rp1 + 1)
-        coeffs[0] = one
-        coeffs[1] = -t_rp1
-        coeffs[2] = t_rp1 + one
-        coeffs[3] = coeffs[3] - one
-        coeffs[rp1 // 2] = coeffs[rp1 // 2] + constant(field, 2)
-        coeffs[rp1] = one
-        _COEFF_CACHE[key] = tuple(coeffs)
-    return _COEFF_CACHE[key]
+    check_locality(r)
+    rp1 = r + 1
+    one = constant(field, 1)
+    t_rp1 = poly(field, [0] * rp1 + [1])
+    coeffs = [poly(field, [])] * (rp1 + 1)
+    coeffs[0] = one
+    coeffs[1] = -t_rp1
+    coeffs[2] = t_rp1 + one
+    coeffs[3] = coeffs[3] - one
+    coeffs[rp1 // 2] = coeffs[rp1 // 2] + constant(field, 2)
+    coeffs[rp1] = one
+    return tuple(coeffs)
 
 
 def specialize_P(params: SurfaceParams, tbar: int) -> UniPoly:
@@ -136,9 +135,7 @@ class NiceOrbit:
     roots: tuple[int, ...]
 
 
-_ORBIT_CACHE: dict[SurfaceParams, tuple[NiceOrbit, ...]] = {}
-
-
+@functools.cache
 def find_nice_orbits(params: SurfaceParams) -> tuple[NiceOrbit, ...]:
     """All nice orbits with their fiber roots, sorted by representative.
 
@@ -148,8 +145,6 @@ def find_nice_orbits(params: SurfaceParams) -> tuple[NiceOrbit, ...]:
     orbit when it holds r+1 roots and s = g^{(r+1)k} is a nonzero
     (r+1)-th power; its members are g^{k + j(q-1)/(r+1)}, least first.
     """
-    if params in _ORBIT_CACHE:
-        return _ORBIT_CACHE[params]
     fld, r = params.field, params.r
     rp1 = r + 1
     a = specialize_P(params, 0)
@@ -168,8 +163,7 @@ def find_nice_orbits(params: SurfaceParams) -> tuple[NiceOrbit, ...]:
     if not orbits:
         raise NoNiceElements(f"no nice elements in {fld.label} for r={r}")
     orbits.sort(key=lambda ob: fld.order_key(ob.representative))
-    result = _ORBIT_CACHE[params] = tuple(orbits)
-    return result
+    return tuple(orbits)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import numpy as np
 from .construction import (  # BadLocality is re-exported for importers
     BadLocality,
     EvaluationSet,
+    check_locality,
 )
 from .gf import FieldSpec, digits
 from .poly import UniPoly, poly, x_poly
@@ -54,8 +55,7 @@ class BoundsViolation(AssertionError):
 def basis(r: int) -> tuple[tuple[int, int], ...]:
     """Exponent pairs (i, j), sorted, of the monomials x^i t^j spanning the
     messages: 1 <= i <= r-2, 0 <= j <= r-1, plus x^{r-1} t^h, h <= r-2."""
-    if r % 2 == 0 or r < 3:
-        raise BadLocality(f"locality r must be odd and >= 3, got {r}")
+    check_locality(r)
     monos = [(i, j) for i in range(1, r - 1) for j in range(r)]
     monos += [(r - 1, h) for h in range(r - 1)]
     return tuple(sorted(monos))
@@ -161,8 +161,7 @@ def distance_lower_bound(n: int, r: int) -> int:
 
 def distance_b1(r: int) -> int:
     """Exact single-orbit distance: (r+1)^2 - (r^2 + 2r - 7) = 8 for all r."""
-    if r % 2 == 0 or r < 3:
-        raise BadLocality(f"locality r must be odd and >= 3, got {r}")
+    check_locality(r)
     return (r + 1) ** 2 - (r * r + 2 * r - 7)
 
 
@@ -362,34 +361,28 @@ def _min_distance_r3(es: EvaluationSet, budget) -> DistanceResult:
     return DistanceResult(es.n - zeros, msg, False, enumerated)
 
 
-# unbudgeted generic searches above this many classes are refused: the
-# count (q^k - 1)/(q - 1) grows as q^18 at r = 5, past any run time
-GENERIC_CLASS_LIMIT = 100_000
-
-
 def _min_distance_generic(es: EvaluationSet, gm: GeneratorMatrix,
                           budget) -> DistanceResult:
     """The search for r > 3; every r = 3 search takes _min_distance_r3.
 
     Encodes the classes in lex order (lead position, then the tail in
-    base q) in blocks through the F_p expansion of gm.  Without a budget
-    it refuses to enumerate more than GENERIC_CLASS_LIMIT classes.
+    base q) in blocks through the F_p expansion of gm.  It needs a budget:
+    at r >= 5 there are at least (7^19 - 1)/6 classes, past any run time.
     """
     q = es.field.order
     k = gm.k
     classes = (q**k - 1) // (q - 1)
-    if budget is None and classes > GENERIC_CLASS_LIMIT:
+    if budget is None:
         raise ValueError(
             f"exhaustive search over {classes} message classes (r={es.r}, "
             f"{es.field.label}) would not finish; pass --budget")
     per = max(1, (1 << 16) // (es.n * es.field.m))
-    left = classes if budget is None else budget
     best = (-1, None)
     enumerated = 0
     for lead in range(k):
         tails = q ** (k - 1 - lead)
         for start in range(0, tails, per):
-            count = min(per, tails - start, left - enumerated)
+            count = min(per, tails - start, budget - enumerated)
             if count == 0:
                 break
             msgs = np.zeros((count, k), dtype=np.int64)

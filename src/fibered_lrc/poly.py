@@ -11,8 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gf import (TABLE_LIMIT, DivisionByZero, FieldMismatch, FieldSpec,
-                 FieldTooLarge, _prime_factors)
+from .gf import DivisionByZero, FieldMismatch, FieldSpec, _prime_factors
 
 
 @dataclass(frozen=True)
@@ -211,10 +210,7 @@ def all_roots(f: UniPoly) -> tuple[int, ...]:
     """Roots in the field, by exhaustive scan, in canonical element order."""
     if f.is_zero:
         raise ValueError("zero polynomial vanishes everywhere")
-    field = f.field
-    if field.order > TABLE_LIMIT:
-        raise FieldTooLarge(f"exhaustive root scan refused for order {field.order}")
-    return tuple(v for v in field.elements() if f.eval_at(v) == 0)
+    return tuple(v for v in f.field.elements() if f.eval_at(v) == 0)
 
 
 def _equal_degree_split(g: UniPoly, d: int, rng: random.Random) -> list[UniPoly]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict, fields
 
 from .construction import EvaluationSet, build_evaluation_set, surface_params
 from .gf import FieldSpec, make_field, parse_field_label
@@ -75,42 +76,29 @@ def _expect(d, kind: str) -> None:
 
 
 def profile_to_dict(prof: CodeProfile, fld: FieldSpec) -> dict:
-    witness = None
+    doc = {"schema": SCHEMA, "kind": "profile", **asdict(prof)}
     if prof.d_witness is not None:
-        witness = [encode_element(fld, v) for v in prof.d_witness]
-    return {
-        "schema": SCHEMA,
-        "kind": "profile",
-        "field_label": prof.field_label,
-        "q": prof.q,
-        "m": prof.m,
-        "r": prof.r,
-        "availability": prof.availability,
-        "b": prof.b,
-        "orbit_indices": list(prof.orbit_indices),
-        "n": prof.n,
-        "k": prof.k,
-        "d_lower": prof.d_lower,
-        "d_upper": prof.d_upper,
-        "d_exact": prof.d_exact,
-        "d_witness": witness,
-    }
+        doc["d_witness"] = [encode_element(fld, v) for v in prof.d_witness]
+    return doc
+
+
+def _profile_value(fld: FieldSpec, attr, value):
+    """One CodeProfile field from its JSON value; _int refuses a wrong type."""
+    if value is None and attr.default is None:  # d_exact, d_witness may be null
+        return None
+    if attr.name == "d_witness":
+        return tuple(decode_element(fld, tok) for tok in value)
+    if attr.name == "orbit_indices":
+        return tuple(map(_int, value))
+    return value if attr.name == "field_label" else _int(value)
 
 
 def profile_from_dict(d) -> tuple[CodeProfile, FieldSpec]:
     _expect(d, "profile")
     try:
         fld = _field_from_label(d["field_label"])
-        ints = {key: _int(d[key]) for key in ("q", "m", "r", "availability",
-                "b", "n", "k", "d_lower", "d_upper")}
-        witness = d["d_witness"]
-        if witness is not None:
-            witness = tuple(decode_element(fld, tok) for tok in witness)
-        prof = CodeProfile(
-            field_label=d["field_label"], **ints,
-            orbit_indices=tuple(map(_int, d["orbit_indices"])),
-            d_exact=None if d["d_exact"] is None else _int(d["d_exact"]),
-            d_witness=witness)
+        prof = CodeProfile(**{f.name: _profile_value(fld, f, d[f.name])
+                              for f in fields(CodeProfile)})
     except (KeyError, TypeError, AssertionError) as exc:
         raise SchemaMismatch(f"profile invariants violated: {exc}") from None
     sp = surface_params(fld, prof.r)

@@ -8,13 +8,14 @@ gives a byte-identical report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .construction import EvaluationSet
 from .lrc_code import encode, generator_matrix
 from .recovery import repair
+from .serialize import SCHEMA
 
 
 class BadScenario(ValueError):
@@ -70,19 +71,7 @@ class SimReport:
     path_histogram: dict         # {"V": count, "H": count} across all trials
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "fibered-lrc/v1",
-            "kind": "sim-report",
-            "failures": self.failures,
-            "trials": self.trials,
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "repaired_per_trial": list(self.repaired_per_trial),
-            "unrecovered_per_trial": list(self.unrecovered_per_trial),
-            "success_rate": self.success_rate,
-            "reads_per_repair": self.reads_per_repair,
-            "path_histogram": dict(self.path_histogram),
-        }
+        return {"schema": SCHEMA, "kind": "sim-report", **asdict(self)}
 
 
 def run_simulation(scenario: StorageScenario) -> SimReport:

@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 import fibered_lrc
 from fibered_lrc import cli
-from fibered_lrc.cli import main, run_table
+from fibered_lrc.cli import main
 from fibered_lrc.construction import build_evaluation_set, surface_params
-from fibered_lrc.gf import FieldTooLarge
 from fibered_lrc.lrc_code import encode, generator_matrix
 from fibered_lrc.serialize import codeword_to_dict, save_json
 
@@ -85,6 +84,28 @@ def test_mindist_exact_on_2401(capsys):
     assert (doc["n"], doc["d_exact"], doc["d_upper"]) == (48, 39, 39)
 
 
+def test_documents_match_golden(tmp_path, golden_dir):
+    # profiles and seeded simulation reports, byte for byte
+    prof = tmp_path / "prof.json"
+    assert main(["construct", "--field", "7^2", "--orbits", "0,1",
+                 "--out", str(prof)]) == 0
+    sim = ["simulate", "--profile", str(prof), "--seed", "7"]
+    runs = {
+        "construct_7_2_o0.json": ["construct", "--field", "7^2", "--orbits", "0"],
+        "mindist_7_2_o01.json": ["mindist", "--field", "7^2", "--orbits", "0,1"],
+        # a budgeted r = 5 search: d_exact is null
+        "mindist_7_2_r5_budget5000.json": ["mindist", "--field", "7^2",
+                                           "--r", "5", "--budget", "5000"],
+        "simulate_7_2_o01_f3.json": sim + ["--failures", "3", "--trials", "40"],
+        "simulate_7_2_o01_f1_fiber.json": sim + ["--failures", "1", "--trials",
+                                                 "10", "--group-by-fiber"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        assert out.read_bytes() == (golden_dir / name).read_bytes(), name
+
+
 def test_table_matches_golden(tmp_path, golden_dir):
     out = tmp_path / "t.csv"
     assert main(["table", "--field", "7^2", "--out", str(out)]) == 0
@@ -134,21 +155,15 @@ def test_parser_writes_to_the_streams_of_each_call():
         assert out.getvalue().startswith("usage: fibered-lrc")
 
 
-def test_table_field_cap():
-    class Huge:
-        order = (1 << 20) + 1
-
-    with pytest.raises(FieldTooLarge):
-        run_table(Huge())
-
-
 @pytest.mark.parametrize("field", ["1000000000000000003", "3^100000000"])
 def test_huge_field_exits_1_quickly(field):
-    # trial division up to sqrt(p), or computing 3^100000000, would not end
-    res = run_python("-m", "fibered_lrc.cli", "construct", "--field", field,
-                     timeout=30)
-    assert res.returncode == 1, res.stderr
-    assert "exceeds" in res.stderr and "Traceback" not in res.stderr
+    # trial division up to sqrt(p), or computing 3^100000000, would not end;
+    # make_field refuses the order before any command sees the field
+    for command in ("construct", "table"):
+        res = run_python("-m", "fibered_lrc.cli", command, "--field", field,
+                         timeout=30)
+        assert res.returncode == 1, (command, res.stderr)
+        assert "exceeds" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_recover_huge_codeword_field_exits_1(prof49, cw49, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from fibered_lrc import construction, make_field
 from fibered_lrc.construction import (
+    BadLocality,
     EmptySelection,
     NiceOrbit,
     NoAdmissibleBase,
@@ -104,7 +105,7 @@ def test_base_split_and_zeta(f49, f81, f121, f169, f625):
 
 def test_surface_params_rejects_bad_r(f49):
     for r in (2, 4, 1, -3):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadLocality):
             surface_params(f49, r)
 
 
@@ -213,7 +214,7 @@ def test_one_pass_catalog(sp169, f169, monkeypatch):
             for name in ("splits_completely_distinct", "all_roots"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, forbidden)
-    monkeypatch.setattr(construction, "_ORBIT_CACHE", {})
+    construction.find_nice_orbits.cache_clear()
     es = build_evaluation_set(sp169)
     assert sorted(evaluated) == list(range(2, f169.order))
     assert es.b == 5

@@ -5,7 +5,10 @@ fiber at t̄ are the fiber roots x̄ with f(x̄, t̄) = 0: all r+1 of them when
 every coefficient polynomial vanishes at t̄.  For r = 3,
 f = x·a(t) + x²(u + v·t) has five coefficients, and the exact distance
 counts zeros on the pencils of messages through three points on distinct
-fibers: C(n, 3)·n work, whatever q is.  A budgeted search instead scans
+fibers.  t -> ζt (ζ⁴ = 1) maps the code onto itself and moves every fiber
+triple, so the best messages form a set closed under it, and one triple
+per ζ-orbit is searched with the images of its best messages: about
+C(n, 3)·n/4 work, whatever q is.  A budgeted search instead scans
 message classes in lex order (first nonzero coordinate = 1), each prefix
 a(t) on its n point-lines in the (u, v) plane, each crossing of two lines
 once, and returns the best of the first `budget` classes, in whole chunks.
@@ -260,7 +263,7 @@ def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
     return best, (stop - lo) * q * q, stop == hi
 
 
-def _r3_pencils(es, picks):
+def _r3_pencils(es, picks, zetas=(1,)):
     """Best (zeros, message) on the pencils through point triples.
 
     The array picks (F, 3, C) holds C points on each fiber of F fiber
@@ -272,7 +275,8 @@ def _r3_pencils(es, picks):
     v/u = -s1/s2 (q for (u, v) = (0, 1)), or every member if s1 = s2 = 0.
     I[y] = Σ_k y_k·L_k over the fiber triple's Lagrange basis, so the C³
     triples share their terms.  The witness is the least normalized
-    message among the best (triple, key) pairs.
+    message among the best (triple, key) pairs and their images f(x, z·t),
+    z in zetas: (a0, a1·z, a2·z², u, v·z).
     """
     fld, q = es.field, es.field.order
     NEG, INV = (fld.np_tables()[name] for name in ("NEG", "INV"))
@@ -305,11 +309,21 @@ def _r3_pencils(es, picks):
     ak = add(mul(u, wk[0]), mul(v, wk[1]))
     lag = np.stack([mul(tl, th), NEG[add(tl, th)], np.ones_like(tl)], axis=-1)[f]
     a = add(*(mul(ak[:, k, None], lag[:, k]) for k in range(3)))
-    msgs = np.column_stack([a, u, v])
+    scale = np.asarray([(1, z, fld.mul(z, z), 1, z) for z in zetas])
+    msgs = mul(np.column_stack([a, u, v])[:, None], scale).reshape(-1, 5)
     lead = msgs[np.arange(len(msgs)), (msgs != 0).argmax(axis=1)]
     msgs = mul(msgs, INV[lead][:, None])
     pick = np.lexsort(msgs.T[::-1])[0]  # the least; q^4 may pass int64
     return best, tuple(int(m) for m in msgs[pick])
+
+
+def _fiber_orbit_triples(nf: int, rp1: int) -> np.ndarray:
+    """The triples of fibers l·rp1 + j lex-least among their rp1 images
+    under the shift (l, j) -> (l, j + 1 mod rp1)."""
+    tri = np.asarray(list(combinations(range(nf), 3)))
+    rank = [np.sort(tri - tri % rp1 + (tri + s) % rp1, axis=1) @ [nf * nf, nf, 1]
+            for s in range(rp1)]
+    return tri[np.min(rank, axis=0) == rank[0]]
 
 
 def _r3_pencil_search(es):
@@ -317,21 +331,28 @@ def _r3_pencil_search(es):
 
     A best message meeting three fibers lies on the pencil through three of
     its zeros; on two fibers it has at most 8 zeros, 8 when it kills both
-    whole: a(t) ∝ (t - t1)(t - t2), u = v = 0.
+    whole: a(t) ∝ (t - t1)(t - t2), u = v = 0.  t -> ζt maps the points
+    onto themselves, fiber (l, j) to (l, j + 1) and f to f(x, ζt), with as
+    many zeros, so the best set is closed under it.  It moves every 3-set
+    of fibers (its cycles have 2 or 4), so one triple per orbit is searched,
+    C(F, 3)/4 of them.  The least of the 4 images of their best messages is
+    the least best message, the unreduced search's witness: d and the
+    witness cannot move.
     """
-    fld = es.field
-    t = np.asarray([pt.t for pt in es.points])
-    fibers = np.argsort(t, kind="stable").reshape(-1, es.r + 1)
-    tf = t[fibers[:, 0]].tolist()
+    fld, rp1 = es.field, es.r + 1
+    fibers = np.asarray([es.fibers(es.point_index(l, 0, j))[1]
+                         for l in range(es.b) for j in range(rp1)])
+    tf = [es.points[f[0]].t for f in fibers]
     best = (-1, None)
     for t1, t2 in combinations(tf, 2):
         inv = fld.inv(fld.mul(t1, t2))
         msg = (1, fld.neg(fld.mul(fld.add(t1, t2), inv)), inv, 0, 0)
-        best = _better(2 * (es.r + 1), msg, *best)
-    ftri = np.asarray(list(combinations(range(len(tf)), 3)))
-    per = (1 << 15) // (es.n * (es.r + 1) ** 3) or 1  # 2^15 pairs fit in cache
+        best = _better(2 * rp1, msg, *best)
+    zetas = [fld.pow(es.params.zeta, s) for s in range(rp1)]
+    ftri = _fiber_orbit_triples(len(tf), rp1)
+    per = (1 << 15) // (es.n * rp1 ** 3) or 1  # 2^15 pairs fit in cache
     for s in range(0, len(ftri), per):
-        best = _better(*_r3_pencils(es, fibers[ftri[s:s + per]]), *best)
+        best = _better(*_r3_pencils(es, fibers[ftri[s:s + per]], zetas), *best)
     return best
 
 

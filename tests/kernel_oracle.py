@@ -1,6 +1,6 @@
 """Digit-wise field addition and direct-evaluation checks of the encoder and kernels."""
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -232,6 +232,29 @@ def pencil_agreement(es, gm, triple) -> None:
     best = max(z for z, _ in members)
     least = min(m for z, m in members if z == best)
     assert _r3_pencils(es, np.reshape(triple, (1, 3, 1))) == (best, least), triple
+
+
+def unreduced_pencil_search(es):
+    """What ``_r3_pencil_search`` returns, searching every fiber triple.
+
+    The fibers are the points grouped by t̄; each pair of fibers gives
+    the message killing both whole, and each block of fiber triples goes
+    through ``_r3_pencils`` with no images, so no ζ-orbit is skipped.
+    """
+    fld = es.field
+    t = np.asarray([pt.t for pt in es.points])
+    fibers = np.argsort(t, kind="stable").reshape(-1, es.r + 1)
+    tf = t[fibers[:, 0]].tolist()
+    best = (-1, None)
+    for t1, t2 in combinations(tf, 2):
+        inv = fld.inv(fld.mul(t1, t2))
+        msg = (1, fld.neg(fld.mul(fld.add(t1, t2), inv)), inv, 0, 0)
+        best = _better(2 * (es.r + 1), msg, *best)
+    ftri = np.asarray(list(combinations(range(len(tf)), 3)))
+    per = (1 << 15) // (es.n * (es.r + 1) ** 3) or 1
+    for s in range(0, len(ftri), per):
+        best = _better(*_r3_pencils(es, fibers[ftri[s:s + per]]), *best)
+    return best
 
 
 def scan_distance(es, gm):

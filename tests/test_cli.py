@@ -84,6 +84,14 @@ def test_mindist_exact_on_2401(capsys):
     assert (doc["n"], doc["d_exact"], doc["d_upper"]) == (48, 39, 39)
 
 
+def test_mindist_below_lower_bound_on_3_6_exits_2(capsys):
+    # the cheapest code below n - 9: n = 48, d = 38 (well under a second)
+    assert main(["mindist", "--field", "3^6", "--orbits", "2,4,5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "invariant violation: d_exact=38 outside [39, 38]\n"
+
+
 def test_documents_match_golden(tmp_path, golden_dir):
     # profiles and seeded simulation reports, byte for byte
     prof = tmp_path / "prof.json"

@@ -2,7 +2,9 @@
 
 import multiprocessing
 import random
+from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -28,13 +30,15 @@ from fibered_lrc.lrc_code import (
     singleton_availability_upper,
     _default_chunk,
     _expand,
+    _fiber_orbit_triples,
     _min_distance_generic,
+    _r3_pencil_search,
     _r3_scan_prefixes,
     _rank_mod_p,
 )
 from kernel_oracle import (_rank, naive_encode, naive_generic_search,
                            pencil_agreement, prefix_agreement, scan_distance,
-                           scan_reference)
+                           scan_reference, unreduced_pencil_search)
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +370,65 @@ def test_pencil_search_matches_full_scan(pm, orbits):
     es = build_evaluation_set(surface_params(make_field(*pm), 3), orbits)
     res = min_distance(es)
     assert (res.d, res.witness) == scan_distance(es, generator_matrix(es))
+
+
+def _orbit_subsets(pm, containing=(), max_b=None):
+    sp = surface_params(make_field(*pm), 3)
+    count = len(find_nice_orbits(sp))
+    for b in range(1, (max_b or count) + 1):
+        for orbits in combinations(range(count), b):
+            if set(containing) <= set(orbits):
+                yield build_evaluation_set(sp, orbits)
+
+
+# every orbit subset of F_49..F_169 (1 + 3 + 7 + 31 = 42 codes), and the
+# 21 of F_3^6 with b <= 2: on (2, 4) and (2, 5) the witness comes from a
+# skipped triple, found only as an image of a searched one's best message
+@pytest.mark.parametrize("pm, max_b", [
+    ((7, 2), None), ((3, 4), None), ((11, 2), None), ((13, 2), None),
+    ((3, 6), 2),
+], ids=["49", "81", "121", "169", "729-b2"])
+def test_pencil_search_matches_unreduced_search(pm, max_b):
+    for es in _orbit_subsets(pm, max_b=max_b):
+        assert _r3_pencil_search(es) == unreduced_pencil_search(es), \
+            es.orbit_indices
+
+
+def test_pencil_search_on_3_6_below_lower_bound():
+    # a shape-A witness: x·(t - t̄)·(...) kills the whole fiber at t̄
+    es = build_evaluation_set(surface_params(make_field(3, 6), 3), (2, 4, 5))
+    witness = (0, 1, 327, 46, 79)
+    assert _r3_pencil_search(es) == unreduced_pencil_search(es) == (10, witness)
+    assert es.n == 48 and distance_lower_bound(es.n, 3) == 39
+    zeros = [es.points[c] for c, v in enumerate(naive_encode(es, witness))
+             if v == 0]
+    fibers = sorted(Counter((pt.l, pt.j) for pt in zeros).values())
+    assert len(zeros) == 10 and fibers == [1] * 6 + [4]
+
+
+@pytest.mark.nightly
+def test_pencil_search_matches_unreduced_search_on_3_6():
+    # the 8 subsets containing {2, 4, 5}, each with 10 zeros
+    for es in _orbit_subsets((3, 6), containing=(2, 4, 5)):
+        best = _r3_pencil_search(es)
+        assert best == unreduced_pencil_search(es), es.orbit_indices
+        assert best[0] == 10, es.orbit_indices
+
+
+def test_fiber_orbit_triples_one_per_orbit(f169):
+    # fiber l·4 + j is t = members[j] of orbit l; the shift j -> j + 1
+    # multiplies every fiber's t̄ by one primitive 4th root of unity
+    for es in _orbit_subsets((13, 2)):
+        shift = {f169.div(es.t_value(l, (j + 1) % 4), es.t_value(l, j))
+                 for l in range(es.b) for j in range(4)}
+        assert len(shift) == 1 and f169.pow(shift.pop(), 2) == f169.neg(1)
+        nf = 4 * es.b
+        kept = _fiber_orbit_triples(nf, 4)
+        assert len(kept) * 4 == len(list(combinations(range(nf), 3)))
+        images = [tuple(sorted(f - f % 4 + (f + s) % 4 for f in tri))
+                  for tri in kept.tolist() for s in range(4)]
+        assert sorted(images) == list(combinations(range(nf), 3)), \
+            es.orbit_indices
 
 
 def test_min_distance_on_2401():

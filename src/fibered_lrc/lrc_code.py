@@ -5,13 +5,15 @@ fiber at t̄ are the fiber roots x̄ with f(x̄, t̄) = 0: all r+1 of them when
 every coefficient polynomial vanishes at t̄.  For r = 3,
 f = x·a(t) + x²(u + v·t) has five coefficients, and the exact distance
 counts zeros on the pencils of messages through three points on distinct
-fibers.  t -> ζt (ζ⁴ = 1) maps the code onto itself and moves every fiber
-triple, so the best messages form a set closed under it, and one triple
-per ζ-orbit is searched with the images of its best messages: about
-C(n, 3)·n/4 work, whatever q is.  A budgeted search instead scans
-message classes in lex order (first nonzero coordinate = 1), each prefix
-a(t) on its n point-lines in the (u, v) plane, each crossing of two lines
-once, and returns the best of the first `budget` classes, in whole chunks.
+fibers.  t -> ζt (ζ⁴ = 1) maps the code onto itself, and so does the
+Frobenius power (x, t) -> (x^(p^k), t^(p^k)) when it keeps the chosen
+orbits; the best messages form a set closed under the group G these
+generate, and one fiber triple per G-orbit is searched with the images of
+its best messages: at most about C(n, 3)·n/4 work, whatever q is.  A
+budgeted search instead scans message classes in lex order (first nonzero
+coordinate = 1), each prefix a(t) on its n point-lines in the (u, v)
+plane, each crossing of two lines once, and returns the best of the first
+`budget` classes, in whole chunks.
 
 Encoding is F_p-linear: an element is the digit vector of Σ c_i·X^i, so
 the generator matrix expands to a (k·m) x (n·m) matrix over F_p, of rank
@@ -263,7 +265,7 @@ def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
     return best, (stop - lo) * q * q, stop == hi
 
 
-def _r3_pencils(es, picks, zetas=(1,)):
+def _r3_pencils(es, picks, images=((1, 1),)):
     """Best (zeros, message) on the pencils through point triples.
 
     The array picks (F, 3, C) holds C points on each fiber of F fiber
@@ -275,11 +277,13 @@ def _r3_pencils(es, picks, zetas=(1,)):
     v/u = -s1/s2 (q for (u, v) = (0, 1)), or every member if s1 = s2 = 0.
     I[y] = Σ_k y_k·L_k over the fiber triple's Lagrange basis, so the C³
     triples share their terms.  The witness is the least normalized
-    message among the best (triple, key) pairs and their images f(x, z·t),
-    z in zetas: (a0, a1·z, a2·z², u, v·z).
+    message among the best (triple, key) pairs and their images
+    f^(w)(x, z·t), (w, z) in images: each coefficient c -> c^w, w = p^e,
+    then (a0, a1, a2, u, v) scaled by (1, z, z², 1, z).
     """
     fld, q = es.field, es.field.order
-    NEG, INV = (fld.np_tables()[name] for name in ("NEG", "INV"))
+    NEG, INV, LOG, EXP = (fld.np_tables()[name]
+                          for name in ("NEG", "INV", "LOG", "EXP"))
     mul, add = fld.vmul, fld.vsum
     x, t = np.asarray([(pt.x, pt.t) for pt in es.points]).T
     y = np.stack([x, mul(x, t)])
@@ -309,21 +313,41 @@ def _r3_pencils(es, picks, zetas=(1,)):
     ak = add(mul(u, wk[0]), mul(v, wk[1]))
     lag = np.stack([mul(tl, th), NEG[add(tl, th)], np.ones_like(tl)], axis=-1)[f]
     a = add(*(mul(ak[:, k, None], lag[:, k]) for k in range(3)))
-    scale = np.asarray([(1, z, fld.mul(z, z), 1, z) for z in zetas])
-    msgs = mul(np.column_stack([a, u, v])[:, None], scale).reshape(-1, 5)
+    msgs = np.column_stack([a, u, v])[:, None]
+    w, z = np.asarray(images).T[..., None]
+    lg = (LOG[msgs] * w + LOG[z] * [0, 1, 2, 0, 1]) % (q - 1)  # c^w·z^j
+    msgs = np.where(msgs != 0, EXP[lg], 0).reshape(-1, 5)
     lead = msgs[np.arange(len(msgs)), (msgs != 0).argmax(axis=1)]
     msgs = mul(msgs, INV[lead][:, None])
     pick = np.lexsort(msgs.T[::-1])[0]  # the least; q^4 may pass int64
     return best, tuple(int(m) for m in msgs[pick])
 
 
-def _fiber_orbit_triples(nf: int, rp1: int) -> np.ndarray:
-    """The triples of fibers l·rp1 + j lex-least among their rp1 images
-    under the shift (l, j) -> (l, j + 1 mod rp1)."""
+def _fiber_group(es, tf):
+    """The images (p^e, z) that map the code onto itself, and the group G
+    of fiber permutations they induce, fiber f -> that of z·tf[f]^(p^e).
+
+    z runs over the powers of ζ (the shift t̄ -> ζ·t̄), e over the multiples
+    of the least k in 1..m - 1 for which σ^k, t̄ -> t̄^(p^k), maps every
+    chosen fiber to a chosen one; with no such k, G is the shift alone.
+    The pairs form a group, so G does: |G| <= 4·m.
+    """
+    fld, where = es.field, {t: f for f, t in enumerate(tf)}
+    k = next((k for k in range(1, fld.m) if all(
+        fld.pow(t, fld.p ** k) in where for t in tf)), fld.m)
+    images = [(fld.p ** e, fld.pow(es.params.zeta, s))
+              for e in range(0, fld.m, k) for s in range(es.r + 1)]
+    return images, np.asarray(sorted({tuple(
+        where[fld.mul(z, fld.pow(t, w))] for t in tf) for w, z in images}))
+
+
+def _fiber_orbit_triples(perms) -> np.ndarray:
+    """The fiber triples lex-least among their images under the group
+    perms, G = <shift, σ^k> of _fiber_group: one per G-orbit."""
+    nf = perms.shape[1]
     tri = np.asarray(list(combinations(range(nf), 3)))
-    rank = [np.sort(tri - tri % rp1 + (tri + s) % rp1, axis=1) @ [nf * nf, nf, 1]
-            for s in range(rp1)]
-    return tri[np.min(rank, axis=0) == rank[0]]
+    rank = np.sort(perms[:, tri], axis=2) @ [nf * nf, nf, 1]
+    return tri[rank.min(axis=0) == tri @ [nf * nf, nf, 1]]
 
 
 def _r3_pencil_search(es):
@@ -331,13 +355,14 @@ def _r3_pencil_search(es):
 
     A best message meeting three fibers lies on the pencil through three of
     its zeros; on two fibers it has at most 8 zeros, 8 when it kills both
-    whole: a(t) ∝ (t - t1)(t - t2), u = v = 0.  t -> ζt maps the points
-    onto themselves, fiber (l, j) to (l, j + 1) and f to f(x, ζt), with as
-    many zeros, so the best set is closed under it.  It moves every 3-set
-    of fibers (its cycles have 2 or 4), so one triple per orbit is searched,
-    C(F, 3)/4 of them.  The least of the 4 images of their best messages is
-    the least best message, the unreduced search's witness: d and the
-    witness cannot move.
+    whole: a(t) ∝ (t - t1)(t - t2), u = v = 0.  The surface, its section
+    and the basis have coefficients in F_p, so each image (p^e, z) of
+    _fiber_group maps f to f^(p^e)(x, z·t) with as many zeros, and the best
+    set is closed under G.  Some G-image of every fiber triple is kept, so
+    every best message is an image of one found on a kept triple: the
+    least image is the unreduced search's witness, and d cannot move.  The
+    shift alone moves every 3-set of fibers (cycles of 2 or 4), so at most
+    C(F, 3)/4 triples are searched, fewer when σ^k joins.
     """
     fld, rp1 = es.field, es.r + 1
     fibers = np.asarray([es.fibers(es.point_index(l, 0, j))[1]
@@ -348,11 +373,11 @@ def _r3_pencil_search(es):
         inv = fld.inv(fld.mul(t1, t2))
         msg = (1, fld.neg(fld.mul(fld.add(t1, t2), inv)), inv, 0, 0)
         best = _better(2 * rp1, msg, *best)
-    zetas = [fld.pow(es.params.zeta, s) for s in range(rp1)]
-    ftri = _fiber_orbit_triples(len(tf), rp1)
+    images, perms = _fiber_group(es, tf)
+    ftri = _fiber_orbit_triples(perms)
     per = (1 << 15) // (es.n * rp1 ** 3) or 1  # 2^15 pairs fit in cache
     for s in range(0, len(ftri), per):
-        best = _better(*_r3_pencils(es, fibers[ftri[s:s + per]], zetas), *best)
+        best = _better(*_r3_pencils(es, fibers[ftri[s:s + per]], images), *best)
     return best
 
 

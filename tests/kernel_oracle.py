@@ -195,15 +195,16 @@ def _normalized(fld, msg):
     return tuple(fld.mul(lead, m) for m in msg)
 
 
-def pencil_agreement(es, gm, triple) -> None:
+def pencil_agreement(es, gm, triple, images=((1, 1),)) -> None:
     """Cross-check the pencil kernel on one triple of point indices.
 
     Solves the generator columns of the three points for every member
     (u, v) of their pencil, (1, v) and (0, 1), by Cramer's rule on the
     x-block, counts each member's zeros by encoding it, and requires
     ``_r3_pencils`` on that one triple to return the naive maximum and the
-    least normalized message reaching it.  Raises AssertionError on a
-    disagreement.
+    least normalized image f^(w)(x, z·t), (w, z) in images, of a message
+    reaching it: each coefficient of x^i·t^j goes to c^w·z^j, by scalar
+    powers.  Raises AssertionError on a disagreement.
     """
     fld = es.field
     q = fld.order
@@ -229,9 +230,12 @@ def pencil_agreement(es, gm, triple) -> None:
         word = encode(gm, (*a, u, v))
         assert all(word[c] == 0 for c in triple), (triple, u, v)
         members.append((word.count(0), _normalized(fld, (*a, u, v))))
-    best = max(z for z, _ in members)
-    least = min(m for z, m in members if z == best)
-    assert _r3_pencils(es, np.reshape(triple, (1, 3, 1))) == (best, least), triple
+    best = max(zeros for zeros, _ in members)
+    least = min(_normalized(fld, tuple(fld.mul(fld.pow(c, w), fld.pow(z, j))
+                                       for c, (_, j) in zip(msg, basis(3))))
+                for zeros, msg in members if zeros == best for w, z in images)
+    assert _r3_pencils(es, np.reshape(triple, (1, 3, 1)), images) \
+        == (best, least), triple
 
 
 def unreduced_pencil_search(es):

@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,9 +31,11 @@ from fibered_lrc.lrc_code import (
     singleton_availability_upper,
     _default_chunk,
     _expand,
+    _fiber_group,
     _fiber_orbit_triples,
     _min_distance_generic,
     _r3_pencil_search,
+    _r3_pencils,
     _r3_scan_prefixes,
     _rank_mod_p,
 )
@@ -347,7 +350,12 @@ def pencil_cases(draw):
 @given(pencil_cases())
 def test_pencil_kernel_matches_naive_pencil(case):
     es, triple = case
-    pencil_agreement(es, generator_matrix(es), triple)
+    fld, gm = es.field, generator_matrix(es)
+    pencil_agreement(es, gm, triple)
+    # every power of Frobenius with every power of ζ, whether or not the
+    # code is kept by them: the kernel applies the maps it is given
+    pencil_agreement(es, gm, triple, [(fld.p ** e, fld.pow(es.params.zeta, s))
+                                      for e in range(fld.m) for s in range(4)])
 
 
 # (0, 1, 2) and (0, 1, 3): a fourth point lies on every member of the
@@ -364,6 +372,22 @@ def test_pencil_kernel_special_triples(pm, orbits, triple):
     pencil_agreement(es, generator_matrix(es), triple)
 
 
+def test_pencil_images_invariant_under_fiber_group():
+    # the best messages on the fibers g(T) are the images of those on T,
+    # so the least image of a triple's best messages is the same for each
+    # g in G: on F_121 (0, 1, 2) and F_3^6 (2, 4, 5) σ joins the shift
+    for pm, orbits in [((11, 2), (0, 1, 2)), ((3, 6), (2, 4, 5))]:
+        es = build_evaluation_set(surface_params(make_field(*pm), 3), orbits)
+        fibers = np.asarray([es.fibers(es.point_index(l, 0, j))[1]
+                             for l in range(es.b) for j in range(4)])
+        images, perms = _fiber_group(es, [es.points[f[0]].t for f in fibers])
+        for tri in _fiber_orbit_triples(perms):
+            want = _r3_pencils(es, fibers[[tri]], images)
+            for g in perms:
+                assert _r3_pencils(es, fibers[[np.sort(g[tri])]], images) \
+                    == want, (orbits, tri, g)
+
+
 @pytest.mark.parametrize("pm, orbits", [((11, 2), (0, 1, 2)),
                                         ((13, 2), (0, 2, 3, 4))])
 def test_pencil_search_matches_full_scan(pm, orbits):
@@ -372,33 +396,58 @@ def test_pencil_search_matches_full_scan(pm, orbits):
     assert (res.d, res.witness) == scan_distance(es, generator_matrix(es))
 
 
-def _orbit_subsets(pm, containing=(), max_b=None):
+def _orbit_subsets(pm, containing=(), sizes=None):
     sp = surface_params(make_field(*pm), 3)
     count = len(find_nice_orbits(sp))
-    for b in range(1, (max_b or count) + 1):
+    for b in sizes or range(1, count + 1):
         for orbits in combinations(range(count), b):
             if set(containing) <= set(orbits):
                 yield build_evaluation_set(sp, orbits)
 
 
+def _search_matches_oracle(es):
+    """(zeros, witness) of the search, checked against the unreduced
+    search and against the place-wise bound: at most 2r² - 2r - 2 = 10
+    zeros, so d >= n - 10."""
+    best = _r3_pencil_search(es)
+    assert best == unreduced_pencil_search(es), es.orbit_indices
+    assert best[0] <= 10, es.orbit_indices
+    return best
+
+
 # every orbit subset of F_49..F_169 (1 + 3 + 7 + 31 = 42 codes), and the
-# 21 of F_3^6 with b <= 2: on (2, 4) and (2, 5) the witness comes from a
-# skipped triple, found only as an image of a searched one's best message
-@pytest.mark.parametrize("pm, max_b", [
+# 41 of F_3^6 with b <= 3: on (2, 4) and (2, 5) the witness comes from a
+# skipped triple, found only as an image of a searched one's best message,
+# and with b = 3, σ³ (or σ) joins the shift: |G| is 8 or 24
+@pytest.mark.parametrize("pm, sizes", [
     ((7, 2), None), ((3, 4), None), ((11, 2), None), ((13, 2), None),
-    ((3, 6), 2),
-], ids=["49", "81", "121", "169", "729-b2"])
-def test_pencil_search_matches_unreduced_search(pm, max_b):
-    for es in _orbit_subsets(pm, max_b=max_b):
-        assert _r3_pencil_search(es) == unreduced_pencil_search(es), \
-            es.orbit_indices
+    ((3, 6), (1, 2)), ((3, 6), (3,)),
+], ids=["49", "81", "121", "169", "729-b2", "729-b3"])
+def test_pencil_search_matches_unreduced_search(pm, sizes):
+    for es in _orbit_subsets(pm, sizes=sizes):
+        _search_matches_oracle(es)
+
+
+@st.composite
+def oracle_cases(draw):
+    """An orbit subset with b <= 3 of F_5^4 (q = 5, m = 4) or F_7^4."""
+    sp = surface_params(make_field(*draw(st.sampled_from([(5, 4), (7, 4)]))), 3)
+    orbits = draw(st.lists(st.integers(0, len(find_nice_orbits(sp)) - 1),
+                           min_size=1, max_size=3, unique=True))
+    return build_evaluation_set(sp, orbits)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(oracle_cases())
+def test_pencil_search_matches_unreduced_search_on_big_fields(es):
+    _search_matches_oracle(es)
 
 
 def test_pencil_search_on_3_6_below_lower_bound():
     # a shape-A witness: x·(t - t̄)·(...) kills the whole fiber at t̄
     es = build_evaluation_set(surface_params(make_field(3, 6), 3), (2, 4, 5))
     witness = (0, 1, 327, 46, 79)
-    assert _r3_pencil_search(es) == unreduced_pencil_search(es) == (10, witness)
+    assert _search_matches_oracle(es) == (10, witness)
     assert es.n == 48 and distance_lower_bound(es.n, 3) == 39
     zeros = [es.points[c] for c, v in enumerate(naive_encode(es, witness))
              if v == 0]
@@ -408,27 +457,50 @@ def test_pencil_search_on_3_6_below_lower_bound():
 
 @pytest.mark.nightly
 def test_pencil_search_matches_unreduced_search_on_3_6():
-    # the 8 subsets containing {2, 4, 5}, each with 10 zeros
-    for es in _orbit_subsets((3, 6), containing=(2, 4, 5)):
-        best = _r3_pencil_search(es)
-        assert best == unreduced_pencil_search(es), es.orbit_indices
-        assert best[0] == 10, es.orbit_indices
+    # all 57 subsets with b >= 2: the 8 containing {2, 4, 5} have 10
+    # zeros, the others 8
+    for es in _orbit_subsets((3, 6), sizes=range(2, 7)):
+        zeros = 10 if {2, 4, 5} <= set(es.orbit_indices) else 8
+        assert _search_matches_oracle(es)[0] == zeros, es.orbit_indices
 
 
-def test_fiber_orbit_triples_one_per_orbit(f169):
-    # fiber l·4 + j is t = members[j] of orbit l; the shift j -> j + 1
-    # multiplies every fiber's t̄ by one primitive 4th root of unity
-    for es in _orbit_subsets((13, 2)):
-        shift = {f169.div(es.t_value(l, (j + 1) % 4), es.t_value(l, j))
-                 for l in range(es.b) for j in range(4)}
-        assert len(shift) == 1 and f169.pow(shift.pop(), 2) == f169.neg(1)
-        nf = 4 * es.b
-        kept = _fiber_orbit_triples(nf, 4)
-        assert len(kept) * 4 == len(list(combinations(range(nf), 3)))
-        images = [tuple(sorted(f - f % 4 + (f + s) % 4 for f in tri))
-                  for tri in kept.tolist() for s in range(4)]
-        assert sorted(images) == list(combinations(range(nf), 3)), \
-            es.orbit_indices
+@pytest.mark.nightly
+def test_pencil_search_matches_unreduced_search_on_625_chain():
+    sp = surface_params(make_field(5, 4), 3)
+    for b in range(3, 8):
+        _search_matches_oracle(build_evaluation_set(sp, tuple(range(b))))
+
+
+def test_fiber_orbit_triples_one_per_orbit():
+    # the fibers of F_121 (0, 1, 2), F_169 (0, 2, 3, 4) and F_3^6 (2, 4, 5)
+    # are kept by σ (|G| = 8, 8, 24), those of F_169 (0, 1, 2, 3) by no
+    # power of σ
+    for pm, orbits, kept_count in [
+            ((11, 2), (0, 1, 2), 35), ((13, 2), (0, 2, 3, 4), 77),
+            ((13, 2), (0, 1, 2, 3), 140), ((3, 6), (2, 4, 5), 13)]:
+        fld = make_field(*pm)
+        es = build_evaluation_set(surface_params(fld, 3), orbits)
+        # fiber l·4 + j is t = members[j] of orbit l
+        tf = [es.t_value(l, j) for l in range(es.b) for j in range(4)]
+        where = {t: f for f, t in enumerate(tf)}
+        perms = _fiber_group(es, tf)[1].tolist()
+        maps = {tuple(where.get(fld.mul(fld.pow(es.params.zeta, s),
+                                        fld.pow(t, fld.p ** e))) for t in tf)
+                for e in range(fld.m) for s in range(4)}
+        group = set(map(tuple, perms))
+        # each g maps fiber t̄ to the chosen fiber ζ^s·t̄^(p^e); the identity
+        # and the shift are in G, and so is g·h for g, h in G
+        assert group <= maps and len(group) == len(perms) <= 4 * fld.m
+        assert tuple(range(len(tf))) in group
+        assert tuple(f - f % 4 + (f + 1) % 4 for f in range(len(tf))) in group
+        assert all(tuple(g[f] for f in h) in group for g in perms for h in perms)
+        # the kept triples' G-orbits are disjoint and cover all C(F, 3)
+        kept = _fiber_orbit_triples(np.asarray(perms)).tolist()
+        images = [{tuple(sorted(g[f] for f in tri)) for g in perms}
+                  for tri in kept]
+        assert sum(map(len, images)) == len(set().union(*images)) \
+            == len(list(combinations(range(len(tf)), 3))), orbits
+        assert len(kept) == kept_count, orbits
 
 
 def test_min_distance_on_2401():

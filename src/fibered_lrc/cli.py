@@ -97,6 +97,12 @@ def _emit(write, obj, out):
         write(obj, sys.stdout)
 
 
+def _report(lines, out, code: int) -> int:
+    """Write a verify report, one line per entry, to out or stdout."""
+    _emit(lambda ls, fh: fh.writelines(line + "\n" for line in ls), lines, out)
+    return code
+
+
 def _load(path: str) -> dict:
     with open(path) as fh:
         return load_json(fh)
@@ -201,37 +207,38 @@ def _cmd_verify_newton(args) -> int:
     # raises on a wrong segment count, a non-squarefree segment polynomial
     # or a wrong sum e*f, so only the pole-degree checks are left here
     vt = splitting_at_infinity(surface_params(fld, r))
-    print("support points at the pole of t: "
-          + " ".join(f"({i},{v})" for i, v in vt.support.points))
+    lines = ["support points at the pole of t: "
+             + " ".join(f"({i},{v})" for i, v in vt.support.points)]
     for idx, (seg, data) in enumerate(vt.segments, start=1):
         facs = ", ".join(f"({f})^{mult}" for f, mult in data.factors)
-        print(f"segment {idx}: slope {seg.slope} from {seg.start} to {seg.end}")
-        print(f"  gamma = {data.gamma}")
-        print(f"  delta = {data.delta}  factors: {facs}")
+        lines += [f"segment {idx}: slope {seg.slope} from {seg.start} to {seg.end}",
+                  f"  gamma = {data.gamma}",
+                  f"  delta = {data.delta}  factors: {facs}"]
     word = "a square" if vt.case == 1 else "not a square"
-    print(f"case {vt.case}: -1 is {word} in {fld.label}")
-    print("place  e  f  v_t  v_x")
+    lines += [f"case {vt.case}: -1 is {word} in {fld.label}",
+              "place  e  f  v_t  v_x"]
     for pl in vt.places:
-        print(f"{pl.name:5}  {pl.e}  {pl.f}  {pl.v_t:3}  {pl.v_x:3}")
+        lines.append(f"{pl.name:5}  {pl.e}  {pl.f}  {pl.v_t:3}  {pl.v_x:3}")
     total = sum(pl.e * pl.f for pl in vt.places)
-    print(f"sum e*f = {total} (degree {r + 1})")
+    lines.append(f"sum e*f = {total} (degree {r + 1})")
     mono = basis(r)
     maxdeg = max(pole_degree(i, j, r) for i, j in mono)
     minv1 = min(monomial_valuations(vt, i, j)["P1"] for i, j in mono)
-    print(f"max pole degree = {maxdeg} = 2r^2-2r-1; min v_P1 = {minv1}")
-    print(f"distance bound: d >= n - {maxdeg - minv1} for any b >= 2 selection")
+    lines += [f"max pole degree = {maxdeg} = 2r^2-2r-1; min v_P1 = {minv1}",
+              f"distance bound: d >= n - {maxdeg - minv1} "
+              "for any b >= 2 selection"]
     ok = maxdeg == 2 * r * r - 2 * r - 1 and minv1 == 2 \
         and distance_lower_bound(2 * (r + 1) ** 2, r) \
         == 2 * (r + 1) ** 2 - (maxdeg - minv1)
-    print("newton checks: " + ("ok" if ok else "FAILED"))
-    return 0 if ok else 2
+    lines.append("newton checks: " + ("ok" if ok else "FAILED"))
+    return _report(lines, args.out, 0 if ok else 2)
 
 
 def _cmd_verify_elliptic(args) -> int:
     es = _build_es(args)
     if es.r != 3:
         raise ValueError("elliptic checks apply to locality r = 3 only")
-    bad = 0
+    lines, bad = [], 0
     for l in range(es.b):
         for j in range(es.r + 1):
             t = es.t_value(l, j)
@@ -242,7 +249,7 @@ def _cmd_verify_elliptic(args) -> int:
             except SingularFiber:
                 verdict = "SINGULAR (tbar^4 = 1), group sum undefined"
                 bad += 1
-            print(f"vertical (l={l}, j={j}) t={t}: {verdict}")
+            lines.append(f"vertical (l={l}, j={j}) t={t}: {verdict}")
         for i in range(es.r + 1):
             x = es.roots[l][i]
             try:
@@ -252,16 +259,16 @@ def _cmd_verify_elliptic(args) -> int:
             except NonSquareTwist:
                 verdict = "NONSQUARE TWIST (x - x^2 not a square)"
                 bad += 1
-            print(f"horizontal (l={l}, i={i}) x={x}: {verdict}")
+            lines.append(f"horizontal (l={l}, i={i}) x={x}: {verdict}")
     profile = discriminant_profile(es.params)
     orders = sorted((o for _, o in profile), reverse=True)
-    print("discriminant vanishing orders: "
-          + " ".join(f"{lbl}:{o}" for lbl, o in profile))
+    lines.append("discriminant vanishing orders: "
+                 + " ".join(f"{lbl}:{o}" for lbl, o in profile))
     if orders != [8, 8, 2, 2, 2, 2]:
-        print("discriminant profile MISMATCH, wanted [8, 8, 2, 2, 2, 2]")
+        lines.append("discriminant profile MISMATCH, wanted [8, 8, 2, 2, 2, 2]")
         bad += 1
-    print(f"elliptic checks: {'ok' if bad == 0 else f'{bad} FAILED'}")
-    return 0 if bad == 0 else 2
+    lines.append(f"elliptic checks: {'ok' if bad == 0 else f'{bad} FAILED'}")
+    return _report(lines, args.out, 0 if bad == 0 else 2)
 
 
 def _cmd_verify_invariants(args) -> int:
@@ -293,11 +300,9 @@ def _cmd_verify_invariants(args) -> int:
         w = sum(1 for v in encode(gm, vec) if v)
         checks.append(("f_min witness weight 8",
                        w == 8 == distance_b1(r)))
-    bad = 0
-    for name, good in checks:
-        print(("ok   " if good else "FAIL ") + name)
-        bad += 0 if good else 1
-    return 0 if bad == 0 else 2
+    lines = [("ok   " if good else "FAIL ") + name for name, good in checks]
+    return _report(lines, args.out,
+                   0 if all(good for _, good in checks) else 2)
 
 
 @functools.cache

@@ -81,15 +81,10 @@ def surface_params(field: FieldSpec, r: int) -> SurfaceParams:
     except OrderNotDivisible as exc:
         raise NoAdmissibleBase(
             f"{r+1} does not divide {field.order} - 1") from exc
-    q = m = None
-    for s in range(1, field.m + 1):
-        if field.m % s == 0 and (field.p**s - 1) % (r + 1) == 0:
-            q, m = field.p**s, field.m // s
-            break
-    if q is None:
-        raise NoAdmissibleBase(
-            f"no base power of {field.p} is 1 mod {r+1} within {field.label}")
-    return SurfaceParams(field, r, q, m, zeta)
+    # s = field.m qualifies once the root of unity exists
+    s = next(s for s in range(1, field.m + 1)
+             if field.m % s == 0 and (field.p**s - 1) % (r + 1) == 0)
+    return SurfaceParams(field, r, field.p**s, field.m // s, zeta)
 
 
 @functools.cache

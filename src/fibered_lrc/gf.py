@@ -9,14 +9,16 @@ comes first, in integer arithmetic: its generator is the least primitive
 root, found with ``pow``.  For m > 1, polynomials over that F_p
 (:class:`poly.UniPoly`) then pick the modulus, by default the
 lexicographically least monic irreducible polynomial of degree m
-(coefficient vectors compared low-degree-first, Rabin's test), and the
-generator, the least element of full multiplicative order under the same
-ordering.  The log/antilog tables are filled by walking the F_p-linear map
-"multiply by the generator", an m x m matrix over F_p applied to the digit
-vectors of all elements at once.  Each field holds one set of lookup
-tables, Python lists of at most about 4q entries: the scalar operations
-read them, and :meth:`FieldSpec.vsum` and :meth:`FieldSpec.vmul` read
-int64 copies with the same algorithms.  Orders above 2**20 are rejected.
+(coefficient vectors compared low-degree-first; Ben-Or's test, the
+distinct-degree loop of :func:`poly.factor_monic` stopped at its first
+factor), and the generator, the least element of full multiplicative
+order under the same ordering.  The log/antilog tables are filled by
+walking the F_p-linear map "multiply by the generator", an m x m matrix
+over F_p applied to the digit vectors of all elements at once.  Each
+field holds one set of lookup tables, Python lists of at most about 4q
+entries: the scalar operations read them, and :meth:`FieldSpec.vsum` and
+:meth:`FieldSpec.vmul` read int64 copies with the same algorithms.
+Orders above 2**20 are rejected.
 
 Two orderings are used deliberately:
 
@@ -66,21 +68,6 @@ class OrderNotDivisible(ValueError):
 
 class NonSquare(ValueError):
     pass
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -339,7 +326,7 @@ def make_field(p: int, m: int, modulus=None) -> FieldSpec:
     # before trial division up to sqrt(p), and before p**m for a huge m
     if isinstance(p, int) and (p > TABLE_LIMIT or m > TABLE_LIMIT.bit_length()):
         raise FieldTooLarge(f"order {p}^{m} exceeds {TABLE_LIMIT}")
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or _prime_factors(p) != [p]:
         raise NotPrime(f"{p} is not prime")
     if p == 2:
         raise UnsupportedCharacteristic("characteristic 2 is not supported")

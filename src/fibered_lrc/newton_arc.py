@@ -50,18 +50,10 @@ class ArcSegment:
 
 
 @dataclass(frozen=True)
-class PlaceSplit:
-    e: int
-    f: int
-
-
-@dataclass(frozen=True)
 class SegmentFactorData:
     gamma: UniPoly
     delta: UniPoly
     factors: tuple           # (irreducible monic UniPoly, multiplicity)
-    squarefree: bool
-    places: tuple            # PlaceSplit per factor; only valid when squarefree
 
 
 @dataclass(frozen=True)
@@ -124,8 +116,7 @@ def lower_hull(ss: SupportSet) -> list:
 def segment_polynomials(seg: ArcSegment, ss: SupportSet) -> SegmentFactorData:
     """Build the segment polynomial (monic, normalized by the residue at the
     segment's right endpoint), compress by the slope denominator b, and
-    factor; when squarefree, each factor yields a place with e = b and
-    f = its degree."""
+    factor.  Each simple factor g is one place, with e = b and f = deg g."""
     fld = ss.field
     i0, i1 = seg.start[0], seg.end[0]
     norm = fld.inv(ss.residues[i1])
@@ -137,11 +128,7 @@ def segment_polynomials(seg: ArcSegment, ss: SupportSet) -> SegmentFactorData:
         gcoeffs[l - i0] = fld.mul(norm, ss.residues[l])
     gamma = poly(fld, gcoeffs)
     delta = poly(fld, [gcoeffs[k * seg.b] for k in range(width // seg.b + 1)])
-    factors = factor_monic(delta)
-    squarefree = all(m == 1 for _, m in factors)
-    places = tuple(PlaceSplit(seg.b, g.degree) for g, _ in factors) \
-        if squarefree else ()
-    return SegmentFactorData(gamma, delta, factors, squarefree, places)
+    return SegmentFactorData(gamma, delta, factor_monic(delta))
 
 
 def splitting_at_infinity(params: SurfaceParams) -> ValuationTable:
@@ -161,13 +148,13 @@ def splitting_at_infinity(params: SurfaceParams) -> ValuationTable:
     for seg in segments:
         data = segment_polynomials(seg, ss)
         read.append((seg, data))
-        if not data.squarefree:
+        if any(mult > 1 for _, mult in data.factors):
             raise ArithmeticError(
                 "segment polynomial is not squarefree; "
                 "splitting data cannot be read off this arc")
-        for split in data.places:
-            places.append(PlaceRecord(f"P{len(places) + 1}", split.e, split.f,
-                                      -split.e, seg.a))
+        for g, _ in data.factors:
+            places.append(PlaceRecord(f"P{len(places) + 1}", seg.b, g.degree,
+                                      -seg.b, seg.a))
     if sum(pl.e * pl.f for pl in places) != r + 1:
         raise ArcMismatch(f"sum of e*f over {places} is not {r + 1}")
     if len(places) != (4 if case == 1 else 3):

@@ -3,7 +3,8 @@
 Coefficients are raw element encodings, ascending degree, no trailing
 zeros; the zero polynomial has an empty coefficient tuple and degree -1.
 Everything here is scalar-path code: the exhaustive search kernels never
-route through this module.
+route through this module.  One distinct-degree loop serves Ben-Or's
+irreducibility test and the Cantor-Zassenhaus factoring.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gf import DivisionByZero, FieldMismatch, FieldSpec, _prime_factors
+from .gf import DivisionByZero, FieldMismatch, FieldSpec
 
 
 @dataclass(frozen=True)
@@ -175,21 +176,14 @@ def pow_mod(base: UniPoly, e: int, mod: UniPoly) -> UniPoly:
 
 
 def is_irreducible(f: UniPoly) -> bool:
-    """Rabin's test: f of degree d is irreducible iff X^(q^d) = X (mod f)
-    and gcd(X^(q^(d/l)) - X, f) = 1 for every prime l dividing d."""
-    d = f.degree
-    if d < 1:
+    """Ben-Or's test, f squarefree or not: f is irreducible iff the
+    distinct-degree loop yields its first part at d = deg f, not at a lower
+    d with the part f itself, as two cubics do at d = 3."""
+    if f.degree < 1:
         return False
-    if d == 1:
-        return True
     if f.coeffs[0] == 0:  # divisible by X
-        return False
-    x = x_poly(f.field)
-    frob = [x]  # frob[j] = X^(q^j) mod f
-    for _ in range(d):
-        frob.append(pow_mod(frob[-1], f.field.order, f))
-    return frob[d] == x and all(poly_gcd(frob[d // ell] - x, f).degree == 0
-                                for ell in _prime_factors(d))
+        return f.degree == 1
+    return next(_distinct_degree_split(f))[0] == f.degree
 
 
 def splits_completely_distinct(f: UniPoly) -> bool:
@@ -229,20 +223,21 @@ def _equal_degree_split(g: UniPoly, d: int, rng: random.Random) -> list[UniPoly]
                     + _equal_degree_split(g // w, d, rng))
 
 
-def _distinct_degree_split(g: UniPoly, rng: random.Random) -> list[UniPoly]:
-    out = []
-    d = 1
+def _distinct_degree_split(g: UniPoly):
+    """(d, product of the degree-d factors) of the squarefree g, d ascending;
+    X^(q^d) mod g advances by one q-th power per step."""
     x = x_poly(g.field)
-    while g.degree >= 2 * d:
-        h = pow_mod(x, g.field.order**d, g) - (x % g)
-        w = poly_gcd(h, g)
-        if w.degree > 0:
-            out.extend(_equal_degree_split(w, d, rng))
-            g = g // w
+    h, d = x, 0
+    while g.degree >= 2 * (d + 1):
         d += 1
-    if g.degree > 0:
-        out.append(g)
-    return out
+        h = pow_mod(h, g.field.order, g)
+        w = poly_gcd(h - x, g)
+        if w.degree > 0:
+            yield d, w
+            g = g // w
+            h = h % g
+    if g.degree > 0:  # below 2(d + 1): one irreducible factor is left
+        yield g.degree, g
 
 
 def factor_monic(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
@@ -272,15 +267,16 @@ def factor_monic(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
             stack.append((root, mult * field.p))
             continue
         squarefree_part = g // poly_gcd(g, der)
-        for piece in _distinct_degree_split(squarefree_part, rng):
-            e = 0
-            while True:
-                quo, rem = divmod(g, piece)
-                if not rem.is_zero:
-                    break
-                g, e = quo, e + 1
-            item = found.setdefault(piece.coeffs, [piece, 0])
-            item[1] += mult * e
+        for d, part in _distinct_degree_split(squarefree_part):
+            for piece in _equal_degree_split(part, d, rng):
+                e = 0
+                while True:
+                    quo, rem = divmod(g, piece)
+                    if not rem.is_zero:
+                        break
+                    g, e = quo, e + 1
+                item = found.setdefault(piece.coeffs, [piece, 0])
+                item[1] += mult * e
         stack.append((g, mult))  # factors with p | multiplicity remain here
     out = tuple(sorted(((p_, m) for p_, m in found.values()),
                        key=lambda it: (it[0].degree, it[0].coeffs)))

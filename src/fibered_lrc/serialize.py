@@ -111,11 +111,8 @@ def profile_from_dict(d) -> tuple[CodeProfile, FieldSpec]:
 
 def evaluation_set_from_profile(prof: CodeProfile,
                                 fld: FieldSpec) -> EvaluationSet:
-    """Rebuild the deterministic evaluation set a profile describes."""
-    es = build_evaluation_set(surface_params(fld, prof.r), prof.orbit_indices)
-    if es.n != prof.n:
-        raise SchemaMismatch(f"profile n={prof.n} but construction gives {es.n}")
-    return es
+    """Rebuild the evaluation set a profile describes (n is CodeProfile's)."""
+    return build_evaluation_set(surface_params(fld, prof.r), prof.orbit_indices)
 
 
 def codeword_to_dict(fld: FieldSpec, symbols) -> dict:

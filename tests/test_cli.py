@@ -269,6 +269,23 @@ def test_verify_invariants(prof49, capsys):
     assert main(["verify", "invariants", "--field", "11^2"]) == 0
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "newton", "--field", "13^2"], 0),
+    (["verify", "elliptic", "--field", "11^2"], 2),
+    (["verify", "invariants", "--field", "7^2"], 0),
+], ids=["newton", "elliptic", "invariants"])
+def test_verify_out_writes_the_report(argv, code, tmp_path, capsys):
+    assert main(argv) == code
+    report = capsys.readouterr().out
+    path = tmp_path / "report.txt"
+    assert main([*argv, "--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == report.encode()
+    # a path that cannot be written is an input error, as for construct
+    assert main([*argv, "--out", str(tmp_path / "no" / "report.txt")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_usage_errors(tmp_path, capsys):
     # argparse-level problems must exit 1, not its default 2
     for argv in (["table", "--field", "99"],

@@ -28,6 +28,9 @@ FROZEN = {
     (11, 2): ((1, 0, 1), 45),
     (13, 2): ((1, 3, 1), 79),
     (5, 4): ((1, 0, 1, 1, 1), 150),
+    (3, 6): ((1, 0, 0, 0, 1, 1, 1), 324),
+    (7, 4): ((1, 0, 0, 1, 1), 1764),
+    (3, 8): ((1, 0, 0, 0, 0, 1, 1, 0, 1), 2916),
 }
 
 

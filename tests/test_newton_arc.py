@@ -93,7 +93,7 @@ def test_segment_polynomials():
             for k, c in enumerate(data.delta.coeffs):
                 spread[k * seg.b] = c
             assert data.gamma == poly(fld, spread)
-            assert data.squarefree
+            assert all(m == 1 for _, m in data.factors)
         # the last segment's polynomial has only its endpoints as support
         assert len(segs[2].points) == 2
         assert sum(1 for c in datas[2].gamma.coeffs if c) == 2

@@ -115,7 +115,10 @@ def test_frobenius_fixes_prime_subfield(f169):
 def test_is_irreducible_counts(f5):
     # Gauss: (1/d) sum_{e|d} mu(d/e) q^e monic irreducibles of degree d
     f3 = make_field(3, 1)
-    for fld, d, count in ((f5, 1, 5), (f5, 2, 10), (f5, 3, 40), (f3, 4, 18)):
+    # degree 6 over F_3 includes products of two cubics, where the
+    # distinct-degree loop's first gcd is f itself
+    for fld, d, count in ((f5, 1, 5), (f5, 2, 10), (f5, 3, 40), (f5, 4, 150),
+                          (f3, 4, 18), (f3, 6, 116)):
         q = fld.order
         monic = [poly(fld, [v // q**i % q for i in range(d)] + [1])
                  for v in range(q**d)]

@@ -351,9 +351,10 @@ def make_field(p: int, m: int, modulus=None) -> FieldSpec:
 
         fp = make_field(p, 1)
         if modulus is None:
-            modulus = next(tail + (1,)
-                           for tail in itertools.product(range(p), repeat=m)
-                           if is_irreducible(poly(fp, tail + (1,))))
+            # c0 = 0 makes X a factor: the lex-least has c0 >= 1
+            tails = itertools.product(range(1, p), *[range(p)] * (m - 1))
+            modulus = next(t + (1,) for t in tails
+                           if is_irreducible(poly(fp, t + (1,))))
         elif not is_irreducible(poly(fp, modulus)):
             raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
     spec = _FIELD_CACHE.get((p, m, modulus))

@@ -12,7 +12,8 @@ generate, and one fiber triple per G-orbit is searched with the images of
 its best messages: at most about C(n, 3)·n/4 work, whatever q is.  A
 budgeted search instead scans message classes in lex order (first nonzero
 coordinate = 1), each prefix a(t) on its n point-lines in the (u, v)
-plane, each crossing of two lines once, and returns the best of the first
+plane, where two lines cross at a linear form in (a0, a1, a2), counted
+once, on the line of lesser t̄, and returns the best of the first
 `budget` classes, in whole chunks.
 
 Encoding is F_p-linear: an element is the digit vector of Σ c_i·X^i, so
@@ -221,37 +222,43 @@ def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
 
     One prefix a(t) covers the q² tails (u, v).  The symbol at point
     c = (x̄, t̄) vanishes on the line u + t̄·v = k_c = -a(t̄)/x̄.  Lines of one
-    fiber (one t̄) are parallel and coincide when a(t̄) = 0; lines with
-    t̄ < t̄' cross once, at v = (k_c - k_c')·(t̄ - t̄')⁻¹, counted on both by
-    one bincount over g·n·q bins per chunk of g prefixes.  A line's best
-    cell adds its fiber's weight (r+1 or 1) to its most crossings.  The
-    least best line cell is the witness, sought only when a chunk beats the
-    best so far: a later prefix loses every tie.  The budget, checked
-    before each chunk, admits ⌈budget_left / (chunk·q²)⌉ chunks.  Returns
-    (best, candidates, completed).
+    fiber are parallel and coincide when a(t̄) = 0; lines c, c' with
+    t̄ < t̄' cross once, at v = (k_c - k_c')·(t̄ - t̄')⁻¹, a linear form
+    a0·E0 + a1·E1 + a2·E2 in the prefix, the E_e built once.  Blocks of at
+    most `chunk` prefixes stop at multiples of q, so a0·E0 + a1·E1 is one
+    row per block.  A point (u, v) has as zeros the weights (r+1 if
+    a(t̄) = 0, else 1) of the fibers whose lines pass through it.  Each
+    crossing is counted once, on line c, by one bincount over g·n·q bins
+    per block of g prefixes: on the least-t̄ line through a point, count +
+    weight is all its zeros, on the others at most that.  So the best per
+    prefix and the set of best points are those of counting each crossing
+    on both lines.  The least best point is the witness, sought only when
+    a block beats the best so far: a later prefix loses every tie.  The
+    budget, checked before each chunk, admits ⌈budget_left / (chunk·q²)⌉
+    chunks.  Returns (best, candidates, completed).
     """
-    fld, q = es.field, es.field.order
+    fld, q, n = es.field, es.field.order, es.n
     NEG, INV = (fld.np_tables()[name] for name in ("NEG", "INV"))
     tc = np.asarray([pt.t for pt in es.points])
     nix = NEG[INV[np.asarray([pt.x for pt in es.points])]]
     tt = fld.vmul(tc, tc)
     ci, cj = np.nonzero(tc[:, None] < tc[None, :])
-    dinv = INV[fld.vsum(tc[ci], NEG[tc[cj]])]
-    n = es.n
-    # the bins of a crossing on line ci and on line cj, per prefix of a chunk
-    ends = np.concatenate([ci, cj]) * q + (np.arange(chunk) * (n * q))[:, None]
+    ke = np.stack([nix, fld.vmul(tc, nix), fld.vmul(tt, nix)])  # k = Σ a·ke
+    e0, e1, e2 = fld.vmul(fld.vsum(ke[:, ci], NEG[ke][:, cj]),
+                          INV[fld.vsum(tc[ci], NEG[tc[cj]])])
+    ends = ci * q + (np.arange(chunk) * (n * q))[:, None]
     stop = hi if budget_left is None else min(
         hi, lo + max(0, -(-budget_left // (chunk * q * q))) * chunk)
     best = (-1, None)
-    for s in range(lo, stop, chunk):
-        pre = np.arange(s, min(s + chunk, stop), dtype=np.int64)
-        a1, a2 = np.divmod(pre, q)
-        g = len(pre)
-        at = fld.vsum(a0val, fld.vmul(a1[:, None], tc), fld.vmul(a2[:, None], tt))
-        k = fld.vmul(at, nix)
-        vx = fld.vmul(fld.vsum(k[:, ci], NEG[k][:, cj]), dinv)
-        flat = np.concatenate([vx, vx], axis=1) + ends[:g]
-        counts = None  # frees the last chunk's bins before these are made
+    s = lo
+    while s < stop:
+        a1, first = divmod(s, q)
+        a2 = np.arange(first, min(first + chunk, q, first + stop - s))
+        g, s = len(a2), s + len(a2)
+        at = fld.vsum(a0val, fld.vmul(a1, tc), fld.vmul(a2[:, None], tt))
+        row = fld.vsum(fld.vmul(a0val, e0), fld.vmul(a1, e1))
+        flat = fld.vsum(row, fld.vmul(a2[:, None], e2)) + ends[:g]
+        counts = None  # frees the last block's bins before these are made
         counts = np.bincount(flat.ravel(), minlength=g * n * q).reshape(g, n, q)
         w = np.where(at == 0, es.r + 1, 1)
         zmax = (counts.max(axis=2) + w).max(axis=1)
@@ -259,9 +266,9 @@ def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
         if zmax[gb] <= best[0]:
             continue
         cs, vs = np.nonzero(counts[gb] + w[gb, :, None] == zmax[gb])
-        us = fld.vsum(k[gb, cs], fld.vmul(NEG[tc[cs]], vs))
+        us = fld.vsum(fld.vmul(at[gb, cs], nix[cs]), NEG[fld.vmul(tc[cs], vs)])
         u, v = divmod(int((us * q + vs).min()), q)
-        best = int(zmax[gb]), (a0val, int(a1[gb]), int(a2[gb]), u, v)
+        best = int(zmax[gb]), (a0val, a1, int(a2[gb]), u, v)
     return best, (stop - lo) * q * q, stop == hi
 
 

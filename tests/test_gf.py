@@ -31,10 +31,14 @@ FROZEN = {
     (3, 6): ((1, 0, 0, 0, 1, 1, 1), 324),
     (7, 4): ((1, 0, 0, 1, 1), 1764),
     (3, 8): ((1, 0, 0, 0, 0, 1, 1, 0, 1), 2916),
+    (3, 12): ((1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1), 373977),
 }
 
 
-@pytest.mark.parametrize("p,m", sorted(FROZEN))
+# F_3^12 takes about a second to build: its walk has 531 440 steps
+@pytest.mark.parametrize("p,m", [
+    pytest.param(*pm, marks=[pytest.mark.nightly] if pm == (3, 12) else [])
+    for pm in sorted(FROZEN)])
 def test_frozen_construction(p, m):
     f = make_field(p, m)
     modulus, gen = FROZEN[(p, m)]

@@ -290,6 +290,38 @@ def test_budgeted_scan_later_chunk_ties(es49_full, budget):
     assert _r3_scan_prefixes(es49_full, 1, 14, 24, 2, budget)[0][0] == 8
 
 
+# prefixes 2q - 3 .. 2q + 4: a chunk of 8 spans a1 = 1 and a1 = 2, and the
+# scan splits it at 2q; a0 = 0 takes the same range in its own scan.  The
+# budget is unset or one class either side of one whole chunk.
+@pytest.mark.parametrize("a0", [1, 0])
+@pytest.mark.parametrize("chunk", [3, 8])
+@pytest.mark.parametrize("whole", [None, -1, 1])
+def test_budgeted_scan_across_multiple_of_q(es49_full, a0, chunk, whole):
+    q = 49
+    budget = None if whole is None else chunk * q * q + whole
+    scan = (a0, 2 * q - 3, 2 * q + 5, chunk, budget)
+    assert _r3_scan_prefixes(es49_full, *scan) == scan_reference(
+        es49_full, generator_matrix(es49_full), *scan)
+
+
+def test_budgeted_scan_across_q_on_625(f625):
+    # n = 48 << q: prefixes q - 2 .. q + 1 in one default chunk of 5, the
+    # best (8 zeros) at prefix q = (1, 1, 0)
+    es = build_evaluation_set(surface_params(f625, 3), [0, 1, 2])
+    scan = (1, 623, 627, _default_chunk(625, es.n), None)
+    best, *rest = scan_reference(es, generator_matrix(es), *scan)
+    assert best == (8, (1, 1, 0, 98, 98))
+    assert _r3_scan_prefixes(es, *scan) == (best, *rest)
+
+
+@pytest.mark.parametrize("orbits, d", [((0, 1, 2), 40), (tuple(range(7)), 104)])
+def test_min_distance_budget_on_625(f625, orbits, d):
+    # the bench scan625 searches: 400 prefixes of F_625, n << q
+    es = build_evaluation_set(surface_params(f625, 3), orbits)
+    assert min_distance(es, budget=400 * 625**2) == lrc_code.DistanceResult(
+        d=d, witness=(1, 0, 1, 0, 0), exact=False, enumerated=156250000)
+
+
 @st.composite
 def kernel_cases(draw):
     """An orbit subset of F_81, F_121 or F_169 and one x-block prefix.

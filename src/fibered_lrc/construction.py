@@ -197,7 +197,7 @@ class EvaluationSet:
     def b(self) -> int:
         return len(self.orbits)
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
         return self.b * self.params.n_per_orbit
 

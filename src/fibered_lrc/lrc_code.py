@@ -19,7 +19,8 @@ once, on the line of lesser t̄, and returns the best of the first
 Encoding is F_p-linear: an element is the digit vector of Σ c_i·X^i, so
 the generator matrix expands to a (k·m) x (n·m) matrix over F_p, of rank
 k·m checked mod p, and a block of messages encodes as one integer matrix
-product mod p.  `encode` and the generic search (r > 3) both go through it.
+product mod p.  `encode`, the generic search (r > 3) and
+`simulate.run_simulation` all go through it.
 """
 
 from __future__ import annotations

@@ -8,12 +8,16 @@ f(x, t̄) = x·g(x) with deg g <= r-2, so the symbols c_i at the roots x_i
 satisfy Σ w_i·c_i = Σ w_i·x_i·c_i = 0 with
 w_i = 1/(x_i·∏_(k≠i)(x_i - x_k)).  On a horizontal fiber deg_t f <= r-1
 and t = ζ^j·t̄, so Σ_j ζ^j·c_j = 0.  Either set determines the symbol by
-its checks.  A codeword marks an erased symbol by None, and the
-multi-erasure repairer peels with whichever set is available.
+its checks, solved once into check rows cached per field, fiber roots and
+index: a recovery is the dot product of a row with the fiber's symbols,
+and the vertical residual is one more.  A codeword marks an erased symbol
+by None, and the multi-erasure repairer peels with whichever set is
+available.
 """
 
 from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import repeat
 from typing import Optional
 
 from .construction import EvaluationSet
@@ -39,60 +43,74 @@ class RepairResult:
 
 
 @cache
-def _vertical_weights(fld: FieldSpec, roots: tuple[int, ...]) -> tuple[int, ...]:
-    """w_i = 1/(x_i·∏_(k≠i)(x_i - x_k)) for the roots x_i of one fiber."""
-    return tuple(fld.inv(reduce(fld.mul, (fld.sub(xi, xk) for xk in roots
-                                          if xk != xi), xi))
-                 for xi in roots)
+def _vertical_rows(fld: FieldSpec, roots: tuple[int, ...], i: int):
+    """(α, β) for root i of a vertical fiber: c_i = Σ_(k≠i) α_k·c_k, and
+    Σ_(k≠i) β_k·c_k = 0 on every codeword.
+
+    The first check gives α_k = -w_k/w_i; eliminating c_i from the second
+    gives β_k = w_k·(x_k - x_i).
+    """
+    w = [fld.inv(reduce(fld.mul, (fld.sub(xk, x) for x in roots if x != xk), xk))
+         for xk in roots]
+    return (tuple(fld.neg(fld.div(wk, w[i])) for wk in w),
+            tuple(fld.mul(wk, fld.sub(xk, roots[i])) for wk, xk in zip(w, roots)))
 
 
-def _others(codeword, fiber, skip: int):
-    """(k, symbol) for the k-th position of fiber, every k but skip."""
-    pairs = [(k, codeword[pos]) for k, pos in enumerate(fiber) if k != skip]
-    for k, c in pairs:
-        if c is None:
-            raise IncompleteRecoverySet(
-                f"recovery symbol at position {fiber[k]} is erased")
-    return pairs
+@cache
+def _horizontal_row(fld: FieldSpec, zeta: int, rp1: int, j: int) -> tuple[int, ...]:
+    """-ζ^(k-j), so that c_j = Σ_(k≠j) row_k·c_k."""
+    return tuple(fld.neg(fld.pow(zeta, k - j)) for k in range(rp1))
+
+
+def _fiber_symbols(codeword, fiber, skip: int) -> list[int]:
+    """The symbols on fiber, the skip-th read as 0 (its row entry drops out)."""
+    cs = [codeword[pos] for pos in fiber]
+    cs[skip] = 0
+    if None in cs:
+        raise IncompleteRecoverySet(
+            f"recovery symbol at position {fiber[cs.index(None)]} is erased")
+    return cs
+
+
+def _dot(fld: FieldSpec, row, cs) -> int:
+    return reduce(fld.add, map(fld.mul, row, cs))
+
+
+def _vertical(es: EvaluationSet, codeword, pos: int, fiber: range) -> int:
+    """The symbol at pos from the rest of its vertical fiber."""
+    i = fiber.index(pos)
+    alpha, beta = _vertical_rows(es.field, es.orbits[es.points[pos].l].roots, i)
+    cs = _fiber_symbols(codeword, fiber, i)
+    if _dot(es.field, beta, cs):
+        raise Corrupted("vertical interpolation residual is nonzero")
+    return _dot(es.field, alpha, cs)
+
+
+def _horizontal(es: EvaluationSet, codeword, pos: int, fiber: range) -> int:
+    """The symbol at pos from the rest of its horizontal fiber."""
+    j = fiber.index(pos)
+    row = _horizontal_row(es.field, es.params.zeta, len(fiber), j)
+    return _dot(es.field, row, _fiber_symbols(codeword, fiber, j))
 
 
 def recover_vertical(es: EvaluationSet, codeword, target) -> int:
     """Recover the symbol at target from the other r roots of its fiber.
 
-    The first check gives c_i = -(Σ_(k≠i) w_k·c_k)/w_i.  Eliminating c_i
-    from the second leaves Σ_(k≠i) w_k·(x_k - x_i)·c_k = 0, which holds iff
-    the r known symbols lie on some x·g(x), deg g <= r-2; otherwise one of
-    them is corrupted and Corrupted is raised.
+    The r known symbols lie on some x·g(x), deg g <= r-2, iff the residual
+    check holds; otherwise one of them is corrupted and Corrupted is raised.
     """
-    fld = es.field
-    l, i, j = target
-    _, vertical = es.fibers(es.point_index(l, i, j))
-    roots = es.orbits[l].roots
-    w = _vertical_weights(fld, roots)
-    acc = residual = 0
-    for k, c in _others(codeword, vertical, i):
-        wc = fld.mul(w[k], c)
-        acc = fld.add(acc, wc)
-        residual = fld.add(residual, fld.mul(wc, fld.sub(roots[k], roots[i])))
-    if residual:
-        raise Corrupted("vertical interpolation residual is nonzero")
-    return fld.neg(fld.div(acc, w[i]))
+    pos = es.point_index(*target)
+    return _vertical(es, codeword, pos, es.fibers(pos)[1])
 
 
 def recover_horizontal(es: EvaluationSet, codeword, target) -> int:
     """Recover the symbol at target from the other r fibers of its root.
 
-    Σ_j ζ^j·c_j = 0 gives c_j = -Σ_(k≠j) ζ^(k-j)·c_k.  The check has no
-    spare: any r values complete to a polynomial of degree <= r-1 in t.
+    The check has no spare: any r values complete to a polynomial of
+    degree <= r-1 in t.
     """
-    fld = es.field
-    l, i, j = target
-    horizontal, _ = es.fibers(es.point_index(l, i, j))
-    zeta = es.params.zeta
-    acc = 0
-    for k, c in _others(codeword, horizontal, j):
-        acc = fld.add(acc, fld.mul(fld.pow(zeta, k - j), c))
-    return fld.neg(acc)
+    pos = es.point_index(*target)
+    return _horizontal(es, codeword, pos, es.fibers(pos)[0])
 
 
 def repair(es: EvaluationSet, codeword) -> RepairResult:
@@ -108,9 +126,11 @@ def repair(es: EvaluationSet, codeword) -> RepairResult:
     if len(work) != es.n:
         raise LengthMismatch(f"codeword length {len(work)} != n={es.n}")
     q = es.field.order
-    if not all(v is None or isinstance(v, int) and 0 <= v < q for v in work):
+    known = [v for v in work if v is not None]
+    if known and not (all(map(isinstance, known, repeat(int)))
+                      and min(known) >= 0 and max(known) < q):
         raise ValueError(f"codeword symbols must be None or ints in [0, {q})")
-    erased = {idx for idx, v in enumerate(work) if v is None}
+    erased = [idx for idx, v in enumerate(work) if v is None]
 
     def trip(idx):
         pt = es.points[idx]
@@ -119,20 +139,20 @@ def repair(es: EvaluationSet, codeword) -> RepairResult:
     paths: dict = {}
     rounds = 0
     while erased:
-        snapshot = tuple(work)
+        # work changes only after the scan, so it is the round-start state
         batch = []
-        for idx in sorted(erased):
+        for idx in erased:
             horizontal, vertical = es.fibers(idx)
-            if [snapshot[k] for k in vertical].count(None) == 1:
-                batch.append((idx, recover_vertical(es, snapshot, trip(idx)), "V"))
-            elif [snapshot[k] for k in horizontal].count(None) == 1:
-                batch.append((idx, recover_horizontal(es, snapshot, trip(idx)), "H"))
+            if [work[k] for k in vertical].count(None) == 1:
+                batch.append((idx, _vertical(es, work, idx, vertical), "V"))
+            elif [work[k] for k in horizontal].count(None) == 1:
+                batch.append((idx, _horizontal(es, work, idx, horizontal), "H"))
         if not batch:
             break
         for idx, value, path in batch:
             work[idx] = value
             paths[trip(idx)] = path
-            erased.discard(idx)
+        erased = [idx for idx in erased if work[idx] is None]
         rounds += 1
 
     return RepairResult(tuple(work), frozenset(map(trip, erased)), paths, rounds)

@@ -3,7 +3,9 @@
 Each trial encodes a random message, knocks out a set of storage nodes,
 and runs the peeling repairer over the surviving symbols.  Randomness
 comes from numpy's PCG64 stream seeded per scenario, so a fixed seed
-gives a byte-identical report.
+gives a byte-identical report.  Each trial draws its message and then its
+failed nodes, in trial order; the codewords are encoded BLOCK trials at a
+time in one product, so memory does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .construction import EvaluationSet
-from .lrc_code import encode, generator_matrix
+from .lrc_code import _encode_block, generator_matrix
 from .recovery import repair
 from .serialize import SCHEMA
+
+BLOCK = 64      # trials per encode product: a fixed memory bound
 
 
 class BadScenario(ValueError):
@@ -88,23 +92,25 @@ def run_simulation(scenario: StorageScenario) -> SimReport:
 
     repaired_counts, unrecovered_counts = [], []
     hist = {"V": 0, "H": 0}
-    for _ in range(scenario.trials):
-        message = [int(v) for v in rng.integers(0, fld.order, size=gm.k)]
-        cw = encode(gm, message)
-        picked = rng.choice(nodes, size=scenario.failures, replace=False)
-        erased = [pos for node in picked for pos in symbols_on[node_ids[node]]]
-        holed = list(cw)
-        for pos in erased:
-            holed[pos] = None
-        res = repair(es, holed)
-        for pos in erased:
-            if res.codeword[pos] not in (None, cw[pos]):
-                raise RepairMismatch(
-                    f"symbol at position {pos} repaired to a wrong value")
-        for path in res.paths.values():
-            hist[path] += 1
-        repaired_counts.append(len(res.paths))
-        unrecovered_counts.append(len(res.unrecovered))
+    for start in range(0, scenario.trials, BLOCK):
+        messages, picks = [], []
+        for _ in range(min(BLOCK, scenario.trials - start)):
+            messages.append(rng.integers(0, fld.order, size=gm.k))
+            picks.append(rng.choice(nodes, size=scenario.failures, replace=False))
+        for cw, picked in zip(_encode_block(gm, messages).tolist(), picks):
+            erased = [pos for node in picked for pos in symbols_on[node_ids[node]]]
+            holed = list(cw)
+            for pos in erased:
+                holed[pos] = None
+            res = repair(es, holed)
+            for pos in erased:
+                if res.codeword[pos] not in (None, cw[pos]):
+                    raise RepairMismatch(
+                        f"symbol at position {pos} repaired to a wrong value")
+            for path in res.paths.values():
+                hist[path] += 1
+            repaired_counts.append(len(res.paths))
+            unrecovered_counts.append(len(res.unrecovered))
 
     successes = sum(1 for u in unrecovered_counts if u == 0)
     return SimReport(

@@ -1,11 +1,15 @@
-"""Digit-wise field addition and direct-evaluation checks of the encoder and kernels."""
+"""Digit-wise field addition, direct-evaluation checks of the encoder and
+kernels, and the one-trial-at-a-time simulator."""
 
 from itertools import combinations, product
 
 import numpy as np
 
 from fibered_lrc.lrc_code import (DistanceResult, _better, _default_chunk,
-                                  _r3_pencils, _r3_scan_prefixes, basis, encode)
+                                  _r3_pencils, _r3_scan_prefixes, basis, encode,
+                                  generator_matrix)
+from fibered_lrc.recovery import repair
+from fibered_lrc.simulate import RepairMismatch, SimReport
 
 
 def digit_add(fld, a, b) -> int:
@@ -278,3 +282,50 @@ def scan_distance(es, gm):
     for msg in [(0, 0, 0, 1, v) for v in range(q)] + [(0, 0, 0, 0, 1)]:
         best = _better(encode(gm, msg).count(0), msg, *best)
     return es.n - best[0], best[1]
+
+
+def reference_simulation(scenario) -> SimReport:
+    """`run_simulation` one trial at a time: draw, encode, erase, repair."""
+    es = scenario.es
+    fld = es.field
+    gm = generator_matrix(es)
+    rng = np.random.Generator(np.random.PCG64(scenario.seed))
+    nodes = scenario.node_count
+
+    symbols_on = {}
+    for pos, node in enumerate(scenario.node_of):
+        symbols_on.setdefault(node, []).append(pos)
+    node_ids = sorted(symbols_on)
+
+    repaired_counts, unrecovered_counts = [], []
+    hist = {"V": 0, "H": 0}
+    for _ in range(scenario.trials):
+        message = [int(v) for v in rng.integers(0, fld.order, size=gm.k)]
+        cw = encode(gm, message)
+        picked = rng.choice(nodes, size=scenario.failures, replace=False)
+        erased = [pos for node in picked for pos in symbols_on[node_ids[node]]]
+        holed = list(cw)
+        for pos in erased:
+            holed[pos] = None
+        res = repair(es, holed)
+        for pos in erased:
+            if res.codeword[pos] not in (None, cw[pos]):
+                raise RepairMismatch(
+                    f"symbol at position {pos} repaired to a wrong value")
+        for path in res.paths.values():
+            hist[path] += 1
+        repaired_counts.append(len(res.paths))
+        unrecovered_counts.append(len(res.unrecovered))
+
+    successes = sum(1 for u in unrecovered_counts if u == 0)
+    return SimReport(
+        failures=scenario.failures,
+        trials=scenario.trials,
+        seed=scenario.seed,
+        nodes=nodes,
+        repaired_per_trial=tuple(repaired_counts),
+        unrecovered_per_trial=tuple(unrecovered_counts),
+        success_rate=successes / scenario.trials,
+        reads_per_repair=es.r,
+        path_histogram=hist,
+    )

@@ -30,6 +30,7 @@ from fibered_lrc.lrc_code import (
     min_distance,
     singleton_availability_upper,
     _default_chunk,
+    _encode_block,
     _expand,
     _fiber_group,
     _fiber_orbit_triples,
@@ -138,6 +139,21 @@ def test_encode_linear(gm49, f49):
             f49.add(a, b) for a, b in zip(encode(gm49, u), encode(gm49, v))
         )
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("pm", [(7, 2), (5, 4)], ids=["7^2", "5^4"])
+def test_encode_block_matches_encode(pm):
+    fld = make_field(*pm)
+    es = build_evaluation_set(surface_params(fld, 3))
+    gm = generator_matrix(es)
+    rng = np.random.default_rng(pm)
+    for size in (1, 64, 65):
+        msgs = rng.integers(0, fld.order, size=(size, gm.k))
+        msgs[size // 2] = 0
+        block = _encode_block(gm, msgs)
+        assert block.shape == (size, es.n)
+        assert [tuple(row) for row in block.tolist()] == \
+            [encode(gm, msg) for msg in msgs.tolist()]
 
 
 # m = 2, 4 and 6, up to q = 2401; r = 5 has k = 19

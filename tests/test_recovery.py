@@ -3,6 +3,7 @@
 import random
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,13 +198,58 @@ def test_repair_rejects_out_of_range_symbols(code49):
     cw = encode(gm, [3, 14, 0, 25, 6])
     holes = _erase(cw, es, [(0, 0, 0), (0, 1, 0)])
     assert repair(es, holes).codeword == cw
-    for bad in (-1, 49, 1.5, "3"):
+    for bad in (-1, 49, 1.5, "3", np.int64(3)):
         word = list(holes)
         word[es.point_index(0, 0, 1)] = bad
         with pytest.raises(ValueError, match="ints in"):
             repair(es, word)
     with pytest.raises(LengthMismatch):
         repair(es, holes[:-1])
+    # bool is an int: True reads as 1, in the check and in the arithmetic
+    fld = es.field
+    scaled = encode(gm, [fld.div(v, cw[5]) for v in [3, 14, 0, 25, 6]])
+    assert scaled[5] == 1
+    word = _erase(scaled, es, [recovery_indices(es, 0, 1, 1)[1][0]])
+    word[5] = True
+    res = repair(es, word)
+    assert res.codeword == scaled and res.codeword[5] is True
+    # nothing known: every position stays erased, after no round
+    res = repair(es, [None] * es.n)
+    assert res.codeword == (None,) * es.n and res.rounds == 0 and not res.paths
+    assert res.unrecovered == {(pt.l, pt.i, pt.j) for pt in es.points}
+    # nothing erased: the codeword comes back as it is
+    res = repair(es, list(cw))
+    assert res.codeword == cw and res.rounds == 0 and not res.unrecovered
+
+
+def test_single_recovery_errors(code49):
+    es, gm = code49
+    cw = encode(gm, [3, 14, 0, 25, 6])
+    for recover in (recover_vertical, recover_horizontal):
+        with pytest.raises(IndexError):
+            recover(es, cw, (0, 4, 0))
+        with pytest.raises(IndexError):
+            recover(es, cw, (1, 0, 0))
+    # the first other erased symbol of the fiber, in fiber order, is named
+    hole = _erase(cw, es, [(0, 2, 2), (0, 3, 2), (0, 1, 2)])
+    with pytest.raises(IncompleteRecoverySet,
+                       match=f"position {es.point_index(0, 1, 2)} is erased"):
+        recover_vertical(es, hole, (0, 3, 2))
+    hole = _erase(cw, es, [(0, 1, 3), (0, 1, 1), (0, 1, 0)])
+    with pytest.raises(IncompleteRecoverySet,
+                       match=f"position {es.point_index(0, 1, 0)} is erased"):
+        recover_horizontal(es, hole, (0, 1, 1))
+    # a wrong symbol fails the vertical residual; the horizontal check has
+    # no spare and repairs into a wrong value
+    hole = _erase(cw, es, [(0, 1, 2)])
+    pos = es.point_index(0, 0, 2)
+    hole[pos] = es.field.add(hole[pos], 1)
+    with pytest.raises(Corrupted, match="residual"):
+        recover_vertical(es, hole, (0, 1, 2))
+    hole = _erase(cw, es, [(0, 1, 2)])
+    pos = es.point_index(0, 1, 0)
+    hole[pos] = es.field.add(hole[pos], 1)
+    assert recover_horizontal(es, hole, (0, 1, 2)) != cw[es.point_index(0, 1, 2)]
 
 
 @cache

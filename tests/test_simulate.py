@@ -1,15 +1,24 @@
 """Simulator determinism, repair-path accounting, and failure sweeps."""
 
 import dataclasses
+import io
 import json
+import tracemalloc
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fibered_lrc.construction import build_evaluation_set, surface_params
+from fibered_lrc.construction import (build_evaluation_set, find_nice_orbits,
+                                      surface_params)
 from fibered_lrc import simulate
+from fibered_lrc.gf import make_field
 from fibered_lrc.recovery import repair
+from fibered_lrc.serialize import save_json
 from fibered_lrc.simulate import (BadScenario, RepairMismatch, run_simulation,
                                   storage_scenario)
+from kernel_oracle import reference_simulation
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +29,17 @@ def es49(f49):
 @pytest.fixture(scope="module")
 def es49b2(f49):
     return build_evaluation_set(surface_params(f49, 3), (0, 1))
+
+
+@pytest.fixture(scope="module")
+def es625(f625):
+    return build_evaluation_set(surface_params(f625, 3))   # all 8 orbits
+
+
+def _report_text(report) -> str:
+    buf = io.StringIO()
+    save_json(report.to_dict(), buf)
+    return buf.getvalue()
 
 
 def test_single_failure_always_repairs(es49):
@@ -100,3 +120,57 @@ def test_wrong_repair_raises(es49, monkeypatch):
     monkeypatch.setattr(simulate, "repair", off_by_one)
     with pytest.raises(RepairMismatch):
         run_simulation(storage_scenario(es49, 1, 5, seed=3))
+
+
+# trial counts around the 64-trial encode block, on one and several orbits
+@pytest.mark.parametrize("group_by_fiber", [False, True], ids=["node", "fiber"])
+@pytest.mark.parametrize("code", ["es49", "es49b2", "es625"])
+def test_blocked_simulation_matches_reference(code, group_by_fiber, request):
+    es = request.getfixturevalue(code)
+    nodes = storage_scenario(es, 0, 1, 0, group_by_fiber).node_count
+    for trials in (1, 63, 64, 65, 129, 200):
+        for failures in sorted({0, 1, 2, 8, nodes} & set(range(nodes + 1))):
+            sc = storage_scenario(es, failures, trials, 1000 * trials + failures,
+                                  group_by_fiber)
+            assert _report_text(run_simulation(sc)) == \
+                _report_text(reference_simulation(sc)), (trials, failures)
+
+
+@cache
+def _sim_code(pm, orbits):
+    return build_evaluation_set(surface_params(make_field(*pm), 3), orbits)
+
+
+@st.composite
+def sim_scenarios(draw):
+    pm = draw(st.sampled_from([(7, 2), (11, 2), (5, 4)]))
+    count = len(find_nice_orbits(surface_params(make_field(*pm), 3)))
+    orbits = tuple(sorted(draw(st.sets(st.integers(0, count - 1), min_size=1))))
+    es = _sim_code(pm, orbits)
+    group = draw(st.booleans())
+    nodes = storage_scenario(es, 0, 1, 0, group).node_count
+    return storage_scenario(es, draw(st.integers(0, nodes)),
+                            draw(st.integers(1, 140)),
+                            draw(st.integers(0, 2**32)), group)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(sim_scenarios())
+def test_blocked_simulation_property(scenario):
+    assert _report_text(run_simulation(scenario)) == \
+        _report_text(reference_simulation(scenario))
+
+
+def test_simulation_memory_bounded_by_block(es625):
+    # encoding every trial at once would hold trials x n ints and arrays
+    def peak(trials):
+        scenario = storage_scenario(es625, 2, trials, seed=7)
+        tracemalloc.start()
+        try:
+            run_simulation(scenario)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_simulation(storage_scenario(es625, 2, 1, seed=7))   # fill the caches
+    assert peak(2000) - peak(64) < 1 << 20

@@ -17,15 +17,16 @@ once, on the line of lesser t̄, and returns the best of the first
 `budget` classes, in whole chunks.
 
 Encoding is F_p-linear: an element is the digit vector of Σ c_i·X^i, so
-the generator matrix expands to a (k·m) x (n·m) matrix over F_p, of rank
-k·m checked mod p, and a block of messages encodes as one integer matrix
-product mod p.  `encode`, the generic search (r > 3) and
+the generator matrix, of rank k checked over F_q, expands to a (k·m) x
+(n·m) matrix over F_p, and a block of messages encodes as one integer
+matrix product mod p.  `encode`, the generic search (r > 3) and
 `simulate.run_simulation` all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -59,6 +60,7 @@ class BoundsViolation(AssertionError):
     """
 
 
+@cache
 def basis(r: int) -> tuple[tuple[int, int], ...]:
     """Exponent pairs (i, j), sorted, of the monomials x^i t^j spanning the
     messages: 1 <= i <= r-2, 0 <= j <= r-1, plus x^{r-1} t^h, h <= r-2."""
@@ -70,11 +72,11 @@ def basis(r: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True, slots=True)
 class GeneratorMatrix:
-    """k x n matrix of basis monomials evaluated at the points.
+    """k x n matrix of basis monomials evaluated at the points, of rank k.
 
     over_fp is its expansion over F_p, a (k·m) x (n·m) array: row κ·m + d
-    holds the base-p digits of X^d · rows[κ], so a message's digit vector
-    times over_fp, mod p, is its codeword's digit vector.
+    holds the base-p digits of rows[κ] times the element p^d = X^d, so a
+    message's digit vector times over_fp, mod p, is its codeword's digits.
     """
 
     es: EvaluationSet
@@ -91,44 +93,34 @@ class GeneratorMatrix:
 
 
 def generator_matrix(es: EvaluationSet) -> GeneratorMatrix:
-    fld = es.field
-    mons = basis(es.r)
-    rows = []
-    for i, j in mons:
-        rows.append(tuple(
-            fld.mul(fld.pow(pt.x, i), fld.pow(pt.t, j)) for pt in es.points
-        ))
-    over_fp = _expand(fld, rows)
-    # a rank-k span over F_q is a rank-k·m span over F_p
-    if _rank_mod_p(over_fp, fld.p) != len(mons) * fld.m:
-        raise RankDeficient(
-            f"generator matrix rank below k={len(mons)} for {fld.label}")
-    return GeneratorMatrix(es, tuple(rows), over_fp)
+    fld, mons = es.field, np.asarray(basis(es.r))
+    k, m = len(mons), fld.m
+    LOG, EXP = (fld.np_tables()[name] for name in ("LOG", "EXP"))
+    # x and t are nonzero at every point (build_evaluation_set checks it),
+    # so x^i·t^j = EXP[(i·log x + j·log t) mod (q - 1)]
+    logs = LOG[[(pt.x, pt.t) for pt in es.points]]
+    rows = EXP[mons @ logs.T % (fld.order - 1)]
+    # rank k over F_q is rank k·m of over_fp over F_p
+    if _rank(fld, rows) != k:
+        raise RankDeficient(f"generator matrix rank below k={k} for {fld.label}")
+    # row κ·m + d holds the digits of rows[κ] times the element p^d = X^d
+    shifted = fld.vmul(rows[:, None], fld.p ** np.arange(m)[:, None])
+    over_fp = digits(shifted, fld.p, m).reshape(k * m, es.n * m)
+    return GeneratorMatrix(es, tuple(map(tuple, rows.tolist())), over_fp)
 
 
-def _expand(fld: FieldSpec, rows) -> np.ndarray:
-    """F_p expansion of a matrix over F_q: row κ·m + d is X^d · rows[κ]."""
-    # multiplication by X on digit vectors: X·X^e = X^(e+1), and X·X^(m-1)
-    # = -(f_0 + ... + f_(m-1)·X^(m-1)) modulo the modulus f
-    times_x = np.eye(fld.m, k=1, dtype=np.int64)
-    times_x[-1] = np.negative(fld.modulus[:-1]) % fld.p
-    blocks = [digits(rows, fld.p, fld.m)]
-    for _ in range(fld.m - 1):
-        blocks.append(blocks[-1] @ times_x % fld.p)
-    return np.stack(blocks, axis=1).reshape(len(rows) * fld.m, -1)
-
-
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank over F_p of an integer matrix, by elimination to row echelon."""
-    mat = mat % p
+def _rank(fld: FieldSpec, mat: np.ndarray) -> int:
+    """Rank over F_q of a matrix of elements, by elimination to row echelon."""
+    NEG, INV = (fld.np_tables()[name] for name in ("NEG", "INV"))
+    mat = np.array(mat, dtype=np.int64)
     rank = 0
     for col in range(mat.shape[1]):
         piv = rank + np.flatnonzero(mat[rank:, col])
         if len(piv):
             mat[[rank, piv[0]]] = mat[[piv[0], rank]]
-            # factors and entries lie below p <= 2^20: products fit in int64
-            factor = mat[rank + 1:, col] * pow(int(mat[rank, col]), -1, p) % p
-            mat[rank + 1:] = (mat[rank + 1:] - factor[:, None] * mat[rank]) % p
+            factor = fld.vmul(mat[rank + 1:, col], INV[mat[rank, col]])
+            mat[rank + 1:] = fld.vsum(
+                mat[rank + 1:], NEG[fld.vmul(factor[:, None], mat[rank])])
             rank += 1
             if rank == len(mat):
                 break

@@ -240,6 +240,14 @@ def test_verify_newton(capsys):
     assert "case 2" in out and "sum e*f = 6" in out
 
 
+def test_verify_newton_large_r_is_quick():
+    # r = 99 has 9701 basis monomials, each looked up twice in the basis
+    proc = run_python("-m", "fibered_lrc.cli", "verify", "newton",
+                      "--field", "101", "--r", "99", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "newton checks: ok" in proc.stdout
+
+
 def test_verify_elliptic_exit_codes(capsys):
     assert main(["verify", "elliptic", "--field", "7^2"]) == 0
     assert "elliptic checks: ok" in capsys.readouterr().out

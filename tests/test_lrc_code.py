@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibered_lrc import make_field
-from fibered_lrc import lrc_code
+from fibered_lrc import cli, lrc_code, make_field
 from fibered_lrc.construction import (build_evaluation_set, find_nice_orbits,
                                       surface_params)
 from fibered_lrc.lrc_code import (
@@ -20,6 +19,7 @@ from fibered_lrc.lrc_code import (
     BoundsViolation,
     LengthMismatch,
     NotSingleOrbit,
+    RankDeficient,
     basis,
     code_profile,
     distance_b1,
@@ -31,14 +31,12 @@ from fibered_lrc.lrc_code import (
     singleton_availability_upper,
     _default_chunk,
     _encode_block,
-    _expand,
     _fiber_group,
     _fiber_orbit_triples,
     _min_distance_generic,
     _r3_pencil_search,
     _r3_pencils,
     _r3_scan_prefixes,
-    _rank_mod_p,
 )
 from kernel_oracle import (_rank, naive_encode, naive_generic_search,
                            pencil_agreement, prefix_agreement, scan_distance,
@@ -97,7 +95,7 @@ def test_generator_matrix_full_rank_everywhere(f121, f169):
         assert gm.k == 5  # construction raised nothing => rank 5
 
 
-# 1048573 is the largest prime below 2^20: entries reach p² ~ 2^40
+# 1048573 is the largest prime below 2^20, the largest field order
 @pytest.mark.parametrize("pm", [(7, 2), (3, 4), (5, 4), (13, 1), (1048573, 1)])
 def test_rank_mod_p_matches_scalar_rank(pm):
     fld = make_field(*pm)
@@ -112,7 +110,31 @@ def test_rank_mod_p_matches_scalar_rank(pm):
                 for c, earlier in zip(coef, rows[:row]):
                     rows[row] = [fld.add(a, fld.mul(c, b))
                                  for a, b in zip(rows[row], earlier)]
-        assert _rank_mod_p(_expand(fld, rows), fld.p) == fld.m * _rank(fld, rows)
+        assert lrc_code._rank(fld, np.array(rows)) == _rank(fld, rows)
+
+
+def test_repeated_monomial_is_rank_deficient(monkeypatch, capsys):
+    full = basis(3)
+    monkeypatch.setattr(lrc_code, "basis", lambda r: full[:-1] + full[:1])
+    es = build_evaluation_set(surface_params(make_field(7, 2), 3))
+    with pytest.raises(RankDeficient, match="rank below k=5"):
+        generator_matrix(es)
+    assert cli.main(["verify", "invariants", "--field", "7^2"]) == 2
+    assert "rank below k=5" in capsys.readouterr().err
+
+
+# m = 1, 2, 4 and 6
+@pytest.mark.parametrize("pm", [(101, 1), (7, 2), (5, 4), (3, 6)],
+                         ids=["101", "7^2", "5^4", "3^6"])
+def test_over_fp_rows_are_digits_of_scaled_rows(pm):
+    fld = make_field(*pm)
+    gm = generator_matrix(build_evaluation_set(surface_params(fld, 3)))
+    assert gm.over_fp.shape == (gm.k * fld.m, gm.n * fld.m)
+    for kappa, row in enumerate(gm.rows):
+        for d in range(fld.m):
+            scaled = [fld.mul(fld.p ** d, v) for v in row]
+            want = [(v // fld.p ** e) % fld.p for v in scaled for e in range(fld.m)]
+            assert gm.over_fp[kappa * fld.m + d].tolist() == want
 
 
 def test_encode_basics(es49, gm49, f49):
@@ -156,12 +178,14 @@ def test_encode_block_matches_encode(pm):
             [encode(gm, msg) for msg in msgs.tolist()]
 
 
-# m = 2, 4 and 6, up to q = 2401; r = 5 has k = 19
+# m = 1, 2, 4 and 6, up to q = 2401; r = 5 has k = 19
 @pytest.mark.parametrize("pm, r, orbits", [
     ((7, 2), 3, (0, 1)), ((3, 4), 3, None), ((11, 2), 3, (0, 2)),
     ((13, 2), 3, (1,)), ((5, 4), 3, (0, 1)), ((3, 6), 3, (0,)),
-    ((7, 4), 3, (0,)), ((7, 2), 5, None),
-], ids=["7^2", "3^4", "11^2", "13^2", "5^4", "3^6", "7^4", "7^2-r5"])
+    ((7, 4), 3, (0,)), ((7, 2), 5, None), ((101, 1), 3, (0, 1)),
+    ((53, 1), 3, None),
+], ids=["7^2", "3^4", "11^2", "13^2", "5^4", "3^6", "7^4", "7^2-r5", "101",
+        "53"])
 def test_encode_matches_naive_evaluation(pm, r, orbits):
     fld = make_field(*pm)
     es = build_evaluation_set(surface_params(fld, r), orbits)

@@ -126,12 +126,11 @@ def run_table(field, r: int = 3, max_subsets: int = 255, threads: int = 1):
     on b=1 rows, where d = 8 exactly is the sharper statement.
     """
     sp = surface_params(field, r)
-    catalog = find_nice_orbits(sp)
-    subsets = []
-    for b in range(1, len(catalog) + 1):
-        subsets.extend(itertools.combinations(range(len(catalog)), b))
+    orbits = range(len(find_nice_orbits(sp)))
+    subsets = itertools.chain.from_iterable(    # lazily: 2^91 - 1 on 3^8
+        itertools.combinations(orbits, b) for b in range(1, len(orbits) + 1))
     rows = []
-    for subset in subsets[:max_subsets]:
+    for subset in itertools.islice(subsets, max_subsets):
         es = build_evaluation_set(sp, subset)
         prof = code_profile(es, min_distance(es, threads=threads))
         delta = None if prof.b == 1 else prof.d_lower

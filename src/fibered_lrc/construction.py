@@ -11,7 +11,7 @@ with s = t^{r+1} and A = P_0.  A nonzero parameter is *nice* when P_t
 splits into r+1 distinct linear factors.
 
 The fibers are the Kummer cover x -> s: as P_t(0) = 1 and P_t(1) = 4, a
-root x lies outside {0, 1} and fixes s = -A(x) / (x^2 - x).  One walk
+root x lies outside {0, 1} and fixes s = -A(x) / (x^2 - x).  One pass
 over the field therefore buckets every x by the fiber it lies on.  The
 parameters over a bucket are the r+1 solutions of t^{r+1} = s, a full
 orbit under multiplication by a primitive (r+1)-th root of unity zeta,
@@ -29,6 +29,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .gf import FieldSpec, OrderNotDivisible
 from .poly import UniPoly, constant, poly
@@ -134,31 +136,33 @@ class NiceOrbit:
 def find_nice_orbits(params: SurfaceParams) -> tuple[NiceOrbit, ...]:
     """All nice orbits with their fiber roots, sorted by representative.
 
-    One walk over the field in canonical order buckets each x outside
-    {0, 1} by its fiber's s = -A(x) / (x^2 - x), so each bucket lists the
-    roots of P_t for t^{r+1} = s in canonical order.  A bucket is a nice
-    orbit when it holds r+1 roots and s = g^{(r+1)k} is a nonzero
-    (r+1)-th power; its members are g^{k + j(q-1)/(r+1)}, least first.
+    One array pass over the field's tables: s = -A(x) / (x^2 - x) at each
+    x outside {0, 1} in canonical order (A by Horner on ``vmul``/``vsum``),
+    then a stable sort by log s buckets each fiber's roots in that order.
+    A bucket is a nice orbit when it holds r+1 roots and s = g^{(r+1)k} is
+    a nonzero (r+1)-th power; members g^{k + j(q-1)/(r+1)}, least first.
     """
     fld, r = params.field, params.r
-    rp1 = r + 1
-    a = specialize_P(params, 0)
-    buckets: dict[int, list[int]] = {}
-    for x in fld.elements():
-        if x not in (0, 1):
-            s = fld.div(fld.neg(a.eval_at(x)), fld.mul(x, fld.sub(x, 1)))
-            buckets.setdefault(s, []).append(x)
-    step = (fld.order - 1) // rp1
-    orbits: list[NiceOrbit] = []
-    for s, roots in buckets.items():
-        if len(roots) == rp1 and s != 0 and fld.log(s) % rp1 == 0:
-            k = fld.log(s) // rp1
-            members = tuple(fld.from_log(k + j * step) for j in range(rp1))
-            orbits.append(NiceOrbit(members[0], members, tuple(roots)))
-    if not orbits:
+    rp1, q = r + 1, fld.order
+    tabs = fld.np_tables()
+    xs = tabs["EXP"][1:q - 1]
+    a = 0
+    for c in reversed(specialize_P(params, 0).coeffs):
+        a = fld.vsum(fld.vmul(a, xs), c)
+    x2_x = fld.vsum(fld.vmul(xs, xs), tabs["NEG"][xs])
+    logs = tabs["LOG"][fld.vmul(tabs["NEG"][a], tabs["INV"][x2_x])]
+    order = np.argsort(logs, kind="stable")
+    fibers, first, size = np.unique(logs[order], return_index=True,
+                                    return_counts=True)
+    # LOG[0] = 2(q - 1); ascending log s is ascending representative
+    nice = (size == rp1) & (fibers < q - 1) & (fibers % rp1 == 0)
+    if not nice.any():
         raise NoNiceElements(f"no nice elements in {fld.label} for r={r}")
-    orbits.sort(key=lambda ob: fld.order_key(ob.representative))
-    return tuple(orbits)
+    roots = xs[order][first[nice, None] + np.arange(rp1)]
+    step = (q - 1) // rp1
+    members = tabs["EXP"][fibers[nice, None] // rp1 + step * np.arange(rp1)]
+    return tuple(NiceOrbit(mem[0], tuple(mem), tuple(rts)) for mem, rts
+                 in zip(members.tolist(), roots.tolist()))
 
 
 @dataclass(frozen=True)

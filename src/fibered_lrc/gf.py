@@ -4,21 +4,19 @@ A field of order p^m is a :class:`FieldSpec`.  Elements are plain integers
 in ``range(p**m)``: the element ``sum(c_i * w**i)`` (``w`` the class of X
 modulo the defining polynomial) is encoded as ``sum(c_i * p**i)``.
 
-Construction is reproducible and runs in two steps.  The prime field F_p
-comes first, in integer arithmetic: its generator is the least primitive
-root, found with ``pow``.  For m > 1, polynomials over that F_p
-(:class:`poly.UniPoly`) then pick the modulus, by default the
+Construction is reproducible.  The modulus is by default the
 lexicographically least monic irreducible polynomial of degree m
-(coefficient vectors compared low-degree-first; Ben-Or's test, the
-distinct-degree loop of :func:`poly.factor_monic` stopped at its first
-factor), and the generator, the least element of full multiplicative
-order under the same ordering.  The log/antilog tables are filled by
-walking the F_p-linear map "multiply by the generator", an m x m matrix
-over F_p applied to the digit vectors of all elements at once.  Each
-field holds one set of lookup tables, Python lists of at most about 4q
-entries: the scalar operations read them, and :meth:`FieldSpec.vsum` and
-:meth:`FieldSpec.vmul` read int64 copies with the same algorithms.
-Orders above 2**20 are rejected.
+(coefficient vectors compared low-degree-first; Ben-Or's test,
+:func:`poly.is_irreducible`).  Multiplication by an element is an
+F_p-linear map, an m x m matrix over F_p on digit vectors (X's is the
+companion matrix of the modulus), and that answers the rest for every
+order: the generator is the least element under the same ordering whose
+matrix M has M^((q - 1)/l) != I for each prime l | q - 1, and the powers
+of gen are filled by doubling, gen^(L + i) = gen^i·M^L with M^L squared
+each round.  Each field holds one set of lookup tables, Python lists of
+at most about 4q entries: the scalar operations read them, and
+:meth:`FieldSpec.vsum` and :meth:`FieldSpec.vmul` read int64 copies
+with the same algorithms.  Orders above 2**20 are rejected.
 
 Two orderings are used deliberately:
 
@@ -102,26 +100,30 @@ class FieldSpec:
     (4p - 3)^⌈m/2⌉ entries, map the low and the high field of such a sum
     to the element of its digits mod p.  Prime fields add and negate mod p
     and hold NEG, SPREAD and the RED tables (up to 4p entries each) only
-    as the arrays of :meth:`np_tables`.
+    as the arrays of :meth:`np_tables`.  The constructor takes gen^i,
+    i < q - 1, and LOG as arrays; the rest of EXP and NEG reuse its ints.
     """
 
     __slots__ = ("p", "m", "order", "modulus", "gen", "_exp", "_log", "_neg",
                  "_spread", "_red_lo", "_red_hi", "_shift", "_mask", "_np")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], gen: int,
-                 exp: list[int], log: list[int]):
+                 exp: np.ndarray, log: np.ndarray):
         self.p = p
         self.m = m
-        self.order = p ** m
+        self.order = q = p ** m
         self.modulus = modulus
         self.gen = gen
-        self._exp = exp
-        self._log = log
+        self._exp = exp.tolist()     # grown in place, one int object per power
+        self._exp += self._exp
+        self._exp += itertools.repeat(0, 2 * q - 1)
+        self._log = log.tolist()
         self._shift = ((4 * p - 3) ** ((m + 1) // 2) - 1).bit_length()
         self._mask = (1 << self._shift) - 1
         if m > 1:
-            half = (self.order - 1) // 2
-            self._neg = [exp[k + half] for k in log]
+            neg = np.zeros(q, dtype=object)       # -gen^i = gen^(i + (q-1)/2)
+            neg[exp] = self._exp[(q - 1) // 2:3 * (q - 1) // 2]
+            self._neg = neg.tolist()
             self._spread, self._red_lo, self._red_hi = (
                 tab.tolist() for tab in self._digit_tables())
         self._np = {}
@@ -268,53 +270,50 @@ def digits(elems, base: int, count: int) -> np.ndarray:
 _FIELD_CACHE: dict[tuple, FieldSpec] = {}
 
 
-def _walk_tables(p: int, m: int, modulus: tuple[int, ...], gen: int,
-                 step) -> FieldSpec:
-    """Fill exp/log by walking v -> step[v] = gen * v from 1."""
+def _mat_pow(mats: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.eye(mats.shape[-1], dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ mats % p
+        mats = mats @ mats % p
+        e >>= 1
+    return out
+
+
+def _tables(p: int, m: int, modulus: tuple[int, ...]):
+    """(gen, EXP[:q - 1], LOG) on `modulus`, from the matrices over F_p
+    that multiply digit vectors (row k: the digits of the product by X^k)."""
     q = p ** m
-    powers, cur = [], 1
-    for _ in range(q - 1):
-        powers.append(cur)
-        cur = step[cur]
-    log = [2 * (q - 1)] * q
-    for k, v in enumerate(powers):
-        log[v] = k
-    if log.count(2 * (q - 1)) > 1:
-        raise RuntimeError("generator order check failed")
-    # EXP, grown in place (no temporary lists of 4q entries): gen^i for
-    # i < 2(q - 1), then zeros
-    powers.extend(powers)
-    powers.extend(itertools.repeat(0, 2 * q - 1))
-    return FieldSpec(p, m, modulus, gen, powers, log)
-
-
-def _prime_field(p: int, modulus: tuple[int, int]) -> FieldSpec:
-    cofactors = [(p - 1) // ell for ell in _prime_factors(p - 1)]
-    gen = next(g for g in range(1, p)
-               if all(pow(g, e, p) != 1 for e in cofactors))
-    return _walk_tables(p, 1, modulus, gen, [v * gen % p for v in range(p)])
-
-
-def _extension_field(fp: FieldSpec, m: int, modulus: tuple[int, ...]) -> FieldSpec:
-    from .poly import poly, pow_mod, x_poly
-
-    p, q = fp.p, fp.p ** m
-    f, one = poly(fp, modulus), poly(fp, [1])
+    x_mat = np.eye(m, k=1, dtype=np.int64)      # X's matrix: the companion
+    x_mat[-1] = [-c % p for c in modulus[:-1]]
+    x_pows = [_mat_pow(x_mat, i, p) for i in range(m)]
     cofactors = [(q - 1) // ell for ell in _prime_factors(q - 1)]
-    # generator: least element (construction ordering) of order q-1
-    for coeffs in itertools.product(range(p), repeat=m):
-        g = poly(fp, coeffs)
-        if not g.is_zero and all(pow_mod(g, e, f) != one for e in cofactors):
+    # generator: least element (construction ordering) of order q - 1, 64
+    # candidates at a time; candidate j is the j-th coefficient vector of
+    # itertools.product(range(p), repeat=m), its digits in base p reversed
+    for lo in range(1, q, 64):
+        coeffs = digits(np.arange(lo, min(lo + 64, q)), p, m)[:, ::-1]
+        mats = np.tensordot(coeffs, x_pows, 1) % p
+        full = np.logical_and.reduce([(_mat_pow(mats, e, p) != x_pows[0])
+                                      .any(axis=(1, 2)) for e in cofactors])
+        if full.any():
             break
-    # row k of the matrix of multiplication by g holds the digits of g X^k
-    rows, row = [], g
-    for _ in range(m):
-        rows.append(row.coeffs + (0,) * (m - len(row.coeffs)))
-        row = row * x_poly(fp) % f
-    place = p ** np.arange(m, dtype=np.int64)
-    step = (digits(np.arange(q), p, m) @ np.array(rows) % p @ place).tolist()
-    gen = sum(c * p**i for i, c in enumerate(g.coeffs))
-    return _walk_tables(p, m, modulus, gen, step)
+    coeffs, mat = coeffs[full.argmax()], mats[full.argmax()]
+    # digits of gen^i, i < q - 1, by doubling: [L, 2L) is [0, L)·gen^L
+    vecs = np.zeros((q - 1, m), dtype=np.int64)
+    vecs[0, 0] = 1
+    for k in range((q - 2).bit_length()):
+        block = vecs[1 << k:2 << k]
+        np.matmul(vecs[:len(block)], mat, out=block)
+        block %= p
+        mat = mat @ mat % p
+    place = p ** np.arange(m)
+    exp = vecs @ place
+    log = np.full(q, 2 * (q - 1))
+    log[exp] = np.arange(q - 1)
+    if np.count_nonzero(log == 2 * (q - 1)) > 1:
+        raise RuntimeError("generator order check failed")
+    return int(coeffs @ place), exp, log
 
 
 def make_field(p: int, m: int, modulus=None) -> FieldSpec:
@@ -357,10 +356,8 @@ def make_field(p: int, m: int, modulus=None) -> FieldSpec:
                            if is_irreducible(poly(fp, t + (1,))))
         elif not is_irreducible(poly(fp, modulus)):
             raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
-    spec = _FIELD_CACHE.get((p, m, modulus))
-    if spec is None:
-        spec = (_prime_field(p, modulus) if m == 1
-                else _extension_field(fp, m, modulus))
+    spec = (_FIELD_CACHE.get((p, m, modulus))
+            or FieldSpec(p, m, modulus, *_tables(p, m, modulus)))
     _FIELD_CACHE[key] = _FIELD_CACHE[(p, m, modulus)] = spec
     return spec
 

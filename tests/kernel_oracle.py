@@ -1,15 +1,93 @@
-"""Digit-wise field addition, direct-evaluation checks of the encoder and
-kernels, and the one-trial-at-a-time simulator."""
+"""The step-by-step field build, digit-wise field addition, the scalar
+orbit catalog, direct-evaluation checks of the encoder and kernels, and the
+one-trial-at-a-time simulator."""
 
+import itertools
 from itertools import combinations, product
 
 import numpy as np
 
+from fibered_lrc.construction import NiceOrbit, NoNiceElements, specialize_P
+from fibered_lrc.gf import _prime_factors, digits
 from fibered_lrc.lrc_code import (DistanceResult, _better, _default_chunk,
                                   _r3_pencils, _r3_scan_prefixes, basis, encode,
                                   generator_matrix)
 from fibered_lrc.recovery import repair
 from fibered_lrc.simulate import RepairMismatch, SimReport
+
+
+def _walk_tables(p: int, m: int, modulus: tuple[int, ...], gen: int,
+                 step):
+    """(gen, EXP, LOG, NEG) as lists, EXP and LOG filled by walking
+    v -> step[v] = gen * v from 1."""
+    q = p ** m
+    powers, cur = [], 1
+    for _ in range(q - 1):
+        powers.append(cur)
+        cur = step[cur]
+    log = [2 * (q - 1)] * q
+    for k, v in enumerate(powers):
+        log[v] = k
+    if log.count(2 * (q - 1)) > 1:
+        raise RuntimeError("generator order check failed")
+    # EXP, grown in place (no temporary lists of 4q entries): gen^i for
+    # i < 2(q - 1), then zeros
+    powers.extend(powers)
+    powers.extend(itertools.repeat(0, 2 * q - 1))
+    return gen, powers, log, [powers[k + (q - 1) // 2] for k in log]
+
+
+def _prime_field(p: int, modulus: tuple[int, int]):
+    cofactors = [(p - 1) // ell for ell in _prime_factors(p - 1)]
+    gen = next(g for g in range(1, p)
+               if all(pow(g, e, p) != 1 for e in cofactors))
+    return _walk_tables(p, 1, modulus, gen, [v * gen % p for v in range(p)])
+
+
+def _extension_field(fp, m: int, modulus: tuple[int, ...]):
+    from fibered_lrc.poly import poly, pow_mod, x_poly
+
+    p, q = fp.p, fp.p ** m
+    f, one = poly(fp, modulus), poly(fp, [1])
+    cofactors = [(q - 1) // ell for ell in _prime_factors(q - 1)]
+    # generator: least element (construction ordering) of order q-1
+    for coeffs in itertools.product(range(p), repeat=m):
+        g = poly(fp, coeffs)
+        if not g.is_zero and all(pow_mod(g, e, f) != one for e in cofactors):
+            break
+    # row k of the matrix of multiplication by g holds the digits of g X^k
+    rows, row = [], g
+    for _ in range(m):
+        rows.append(row.coeffs + (0,) * (m - len(row.coeffs)))
+        row = row * x_poly(fp) % f
+    place = p ** np.arange(m, dtype=np.int64)
+    step = (digits(np.arange(q), p, m) @ np.array(rows) % p @ place).tolist()
+    gen = sum(c * p**i for i, c in enumerate(g.coeffs))
+    return _walk_tables(p, m, modulus, gen, step)
+
+
+def scalar_nice_orbits(params) -> tuple[NiceOrbit, ...]:
+    """The orbit catalog by one scalar walk: A = P_0 evaluated with
+    ``eval_at`` at each x outside {0, 1}, each x bucketed by its s."""
+    fld, r = params.field, params.r
+    rp1 = r + 1
+    a = specialize_P(params, 0)
+    buckets: dict[int, list[int]] = {}
+    for x in fld.elements():
+        if x not in (0, 1):
+            s = fld.div(fld.neg(a.eval_at(x)), fld.mul(x, fld.sub(x, 1)))
+            buckets.setdefault(s, []).append(x)
+    step = (fld.order - 1) // rp1
+    orbits: list[NiceOrbit] = []
+    for s, roots in buckets.items():
+        if len(roots) == rp1 and s != 0 and fld.log(s) % rp1 == 0:
+            k = fld.log(s) // rp1
+            members = tuple(fld.from_log(k + j * step) for j in range(rp1))
+            orbits.append(NiceOrbit(members[0], members, tuple(roots)))
+    if not orbits:
+        raise NoNiceElements(f"no nice elements in {fld.label} for r={r}")
+    orbits.sort(key=lambda ob: fld.order_key(ob.representative))
+    return tuple(orbits)
 
 
 def digit_add(fld, a, b) -> int:

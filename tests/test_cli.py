@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,13 +22,13 @@ from fibered_lrc.lrc_code import encode, generator_matrix
 from fibered_lrc.serialize import codeword_to_dict, save_json
 
 
-def run_python(*argv, timeout=120):
+def run_python(*argv, timeout=120, **kwargs):
     """Run python in a subprocess that imports this checkout's package."""
     env = dict(os.environ)
     src = str(Path(fibered_lrc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env, timeout=timeout)
+                          text=True, env=env, timeout=timeout, **kwargs)
 
 
 def run_optimized(*argv):
@@ -118,6 +119,22 @@ def test_table_matches_golden(tmp_path, golden_dir):
     out = tmp_path / "t.csv"
     assert main(["table", "--field", "7^2", "--out", str(out)]) == 0
     assert out.read_bytes() == (golden_dir / "table_7_2.csv").read_bytes()
+
+
+def cap_address_space():
+    # 1.5 GB, so that a table listing all its subsets fails in seconds
+    # instead of exhausting the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+
+def test_table_takes_subsets_lazily():
+    # 3^8 has 91 orbits, 2^91 - 1 subsets; --max-subsets 2 takes two
+    proc = run_python("-m", "fibered_lrc.cli", "table", "--field", "3^8",
+                      "--max-subsets", "2", timeout=60,
+                      preexec_fn=cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "q,m,b,n,delta,d" and len(lines) == 3, proc.stdout
 
 
 def test_table_and_mindist_give_one_verdict(monkeypatch, capsys):

@@ -19,8 +19,8 @@ from fibered_lrc.construction import (
     specialize_P,
     surface_params,
 )
-from fibered_lrc.poly import (UniPoly, all_roots, poly,
-                              splits_completely_distinct)
+from fibered_lrc.poly import all_roots, poly, splits_completely_distinct
+from kernel_oracle import scalar_nice_orbits
 
 # (p, m_total) -> (expected q, expected m, expected orbit count M).
 # Orbit counts were cross-checked by brute-force root counting of the
@@ -193,22 +193,12 @@ def test_orbit_root_sets_invariant(sp169, f169):
         assert len(base) == 4
 
 
-def test_one_pass_catalog(sp169, f169, monkeypatch):
-    # the catalog evaluates A = P_0 once at each x outside {0, 1}, and
-    # neither it nor the evaluation set runs a splitting test or root scan
-    a = specialize_P(sp169, 0)
-    evaluated = []
-    eval_at = UniPoly.eval_at
-
-    def counted(self, x):
-        if self == a:
-            evaluated.append(x)
-        return eval_at(self, x)
-
+def test_one_pass_catalog(sp169, monkeypatch):
+    # neither the catalog nor the evaluation set runs a splitting test or
+    # root scan, and the array pass agrees with the scalar walk
     def forbidden(*args):
         raise AssertionError("splitting test or root scan called")
 
-    monkeypatch.setattr(UniPoly, "eval_at", counted)
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("fibered_lrc"):
             for name in ("splits_completely_distinct", "all_roots"):
@@ -216,8 +206,26 @@ def test_one_pass_catalog(sp169, f169, monkeypatch):
                     monkeypatch.setattr(mod, name, forbidden)
     construction.find_nice_orbits.cache_clear()
     es = build_evaluation_set(sp169)
-    assert sorted(evaluated) == list(range(2, f169.order))
+    assert es.orbits == scalar_nice_orbits(sp169)
     assert es.b == 5
+
+
+@pytest.mark.parametrize("p, m, r", [
+    (7, 2, 3), (3, 4, 3), (11, 2, 3), (13, 2, 3), (5, 4, 3), (3, 6, 3),
+    (7, 4, 3), (3, 8, 3), (29, 2, 3), (7, 2, 5),
+    (13, 1, 3), (13, 1, 5), (17, 1, 7), (11, 1, 9),      # no nice elements
+    pytest.param(1021, 2, 3, marks=pytest.mark.nightly),
+    pytest.param(1048573, 1, 3, marks=pytest.mark.nightly),
+])
+def test_catalog_matches_scalar_walk(p, m, r):
+    sp = surface_params(make_field(p, m), r)
+    try:
+        expect = scalar_nice_orbits(sp)
+    except NoNiceElements:
+        with pytest.raises(NoNiceElements):
+            find_nice_orbits(sp)
+    else:
+        assert find_nice_orbits(sp) == expect
 
 
 def test_sufficient_order_gives_orbits():

@@ -15,12 +15,14 @@ from fibered_lrc.gf import (
     make_field,
     parse_field_label,
 )
-from kernel_oracle import digit_add, digit_neg
+from kernel_oracle import (_extension_field, _prime_field, digit_add,
+                           digit_neg)
 
 # Construction is deterministic, so these stay frozen.  Each value was first
 # confirmed by an exhaustive oracle: the modulus is the lex-least monic
 # irreducible (low-degree-first coefficients) and the generator is the
-# lex-least element whose step-by-step power walk has full length.
+# lex-least element whose powers, one multiplication at a time, reach every
+# nonzero element before 1 recurs.
 FROZEN = {
     (5, 1): ((0, 1), 2),
     (7, 2): ((1, 0, 1), 15),
@@ -35,7 +37,7 @@ FROZEN = {
 }
 
 
-# F_3^12 takes about a second to build: its walk has 531 440 steps
+# F_3^12 (531 441 elements) takes about 0.4 s to build
 @pytest.mark.parametrize("p,m", [
     pytest.param(*pm, marks=[pytest.mark.nightly] if pm == (3, 12) else [])
     for pm in sorted(FROZEN)])
@@ -45,6 +47,33 @@ def test_frozen_construction(p, m):
     assert f.modulus == modulus
     assert f.gen == gen
     assert f.order == p**m
+
+
+# (p, m, modulus): the last two of each degree 2 and 4 are non-default
+# irreducible moduli, the F_13 one the linear X + 5
+ORACLE_FIELDS = [
+    (5, 1, None), (13, 1, None), (13, 1, (5, 1)), (101, 1, None),
+    (1021, 1, None), (7, 2, None), (3, 4, None), (11, 2, None),
+    (13, 2, None), (5, 4, None), (3, 6, None), (7, 4, None), (3, 8, None),
+    (17, 2, None), (29, 2, None), (7, 2, (3, 1, 1)), (11, 2, (7, 1, 1)),
+    (5, 4, (2, 0, 0, 0, 1)), (3, 4, (2, 0, 0, 1, 1)),
+    pytest.param(1048573, 1, None, marks=pytest.mark.nightly),
+    pytest.param(3, 12, None, marks=pytest.mark.nightly),
+]
+
+
+@pytest.mark.parametrize("p, m, modulus", ORACLE_FIELDS, ids=str)
+def test_tables_match_walked_tables(p, m, modulus):
+    # the matrix build against the step-by-step power walk (generator by
+    # integer pow or by pow_mod on polynomials): same generator, EXP, LOG
+    # and scalar negation
+    fld = make_field(p, m, modulus)
+    gen, exp, log, neg = (_prime_field(p, fld.modulus) if m == 1 else
+                          _extension_field(make_field(p, 1), m, fld.modulus))
+    assert fld.gen == gen
+    assert fld._exp == exp
+    assert fld._log == log
+    assert [fld.neg(a) for a in range(fld.order)] == neg
 
 
 def test_generator_minimality_oracle(f49):

@@ -126,6 +126,9 @@ def run_table(field, r: int = 3, max_subsets: int = 255, threads: int = 1):
     on b=1 rows, where d = 8 exactly is the sharper statement.
     """
     sp = surface_params(field, r)
+    if r > 3:       # >= 1.9e15 classes: only mindist --budget bounds d
+        raise ValueError(f"table needs exact distances, out of reach for r = {r}; "
+                         "use mindist --budget")
     orbits = range(len(find_nice_orbits(sp)))
     subsets = itertools.chain.from_iterable(    # lazily: 2^91 - 1 on 3^8
         itertools.combinations(orbits, b) for b in range(1, len(orbits) + 1))

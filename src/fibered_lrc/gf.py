@@ -13,10 +13,11 @@ companion matrix of the modulus), and that answers the rest for every
 order: the generator is the least element under the same ordering whose
 matrix M has M^((q - 1)/l) != I for each prime l | q - 1, and the powers
 of gen are filled by doubling, gen^(L + i) = gen^i·M^L with M^L squared
-each round.  Each field holds one set of lookup tables, Python lists of
-at most about 4q entries: the scalar operations read them, and
-:meth:`FieldSpec.vsum` and :meth:`FieldSpec.vmul` read int64 copies
-with the same algorithms.  Orders above 2**20 are rejected.
+each round.  Each field builds its lookup tables once, as int64 arrays
+of at most about 4q entries that :meth:`FieldSpec.vsum` and
+:meth:`FieldSpec.vmul` read; the scalar operations read Python lists of
+the same values with the same algorithms.  Orders above 2**20 are
+rejected.
 
 Two orderings are used deliberately:
 
@@ -90,21 +91,22 @@ class FieldSpec:
     code that wants operators uses :class:`poly.UniPoly` (constants
     included).
 
-    The tables are lists.  EXP (4q - 3 entries) holds gen^i below
-    2(q - 1) and zero from there on, and LOG[0] = 2(q - 1), so
-    EXP[LOG[a] + LOG[b]] = a·b with no branch for zero.  NEG[a] is
-    EXP[LOG[a] + (q - 1)/2], as -1 = gen^((q - 1)/2).  SPREAD rewrites an
-    element's base-p digits in base 4p - 3, the low ⌈m/2⌉ digits in the low
-    bit field of an integer and the others in the high one, so a sum of up
-    to four spread elements has no carry; RED_LO and RED_HI, of
-    (4p - 3)^⌈m/2⌉ entries, map the low and the high field of such a sum
-    to the element of its digits mod p.  Prime fields add and negate mod p
-    and hold NEG, SPREAD and the RED tables (up to 4p entries each) only
-    as the arrays of :meth:`np_tables`.  The constructor takes gen^i,
-    i < q - 1, and LOG as arrays; the rest of EXP and NEG reuse its ints.
+    EXP (4q - 3 entries) holds gen^i below 2(q - 1) and zero from there
+    on, and LOG[0] = 2(q - 1), so EXP[LOG[a] + LOG[b]] = a·b with no
+    branch for zero, and -a = EXP[LOG[a] + (q - 1)/2], as
+    -1 = gen^((q - 1)/2).  SPREAD rewrites an element's base-p digits in
+    base 4p - 3, the low ⌈m/2⌉ digits in the low bit field of an integer
+    and the others in the high one, so a sum of up to four spread elements
+    has no carry; RED_LO and RED_HI, of (4p - 3)^⌈m/2⌉ entries, map the
+    low and the high field of such a sum to the element of its digits
+    mod p.  The constructor takes gen^i, i < q - 1, and LOG as arrays and
+    builds every table once, as the arrays of :meth:`np_tables`; the
+    scalar operations read EXP and LOG, and for m > 1 SPREAD and the RED
+    tables, as lists of the same values.  Prime fields add mod p (their
+    RED tables, 4p entries, stay arrays).
     """
 
-    __slots__ = ("p", "m", "order", "modulus", "gen", "_exp", "_log", "_neg",
+    __slots__ = ("p", "m", "order", "modulus", "gen", "_exp", "_log",
                  "_spread", "_red_lo", "_red_hi", "_shift", "_mask", "_np")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], gen: int,
@@ -120,13 +122,15 @@ class FieldSpec:
         self._log = log.tolist()
         self._shift = ((4 * p - 3) ** ((m + 1) // 2) - 1).bit_length()
         self._mask = (1 << self._shift) - 1
+        EXP = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
+        spread, red_lo, red_hi = self._digit_tables()
+        self._np = {"EXP": EXP, "LOG": log,
+                    "NEG": EXP[log + (q - 1) // 2],
+                    "INV": EXP[q - 1 - log],     # INV[0] = EXP[1 - q] = 0
+                    "SPREAD": spread, "RED_LO": red_lo, "RED_HI": red_hi}
         if m > 1:
-            neg = np.zeros(q, dtype=object)       # -gen^i = gen^(i + (q-1)/2)
-            neg[exp] = self._exp[(q - 1) // 2:3 * (q - 1) // 2]
-            self._neg = neg.tolist()
             self._spread, self._red_lo, self._red_hi = (
-                tab.tolist() for tab in self._digit_tables())
-        self._np = {}
+                tab.tolist() for tab in (spread, red_lo, red_hi))
 
     # -- identity ----------------------------------------------------------
 
@@ -153,9 +157,7 @@ class FieldSpec:
         return self._red_lo[s & self._mask] + self._red_hi[s >> self._shift]
 
     def neg(self, a: int) -> int:
-        if self.m == 1:
-            return -a % self.p
-        return self._neg[a]
+        return self._exp[self._log[a] + (self.order - 1) // 2]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -235,29 +237,22 @@ class FieldSpec:
         return spread, red, red * p**h
 
     def np_tables(self) -> dict:
-        """The tables as int64 arrays, made on first call: EXP, LOG, NEG,
-        SPREAD, RED_LO, RED_HI (prime fields too) and INV = EXP[q - 1 - LOG],
-        with INV[0] = 0.  None is q x q."""
-        if not self._np:
-            exp, log = np.array(self._exp), np.array(self._log)
-            spread, red_lo, red_hi = self._digit_tables()
-            self._np = {"EXP": exp, "LOG": log,
-                        "NEG": exp[log + (self.order - 1) // 2],
-                        "INV": exp[self.order - 1 - log],  # INV[0] = EXP[1 - q] = 0
-                        "SPREAD": spread, "RED_LO": red_lo, "RED_HI": red_hi}
+        """The tables as int64 arrays: EXP, LOG, NEG, SPREAD, RED_LO,
+        RED_HI (prime fields too) and INV = EXP[q - 1 - LOG], with
+        INV[0] = 0.  None is q x q."""
         return self._np
 
     def vsum(self, *terms) -> np.ndarray:
         """Elementwise sum of up to four broadcasting element arrays."""
         if len(terms) > 4:
             raise ValueError(f"vsum adds at most four terms, got {len(terms)}")
-        tabs = self.np_tables()
+        tabs = self._np
         acc = sum(tabs["SPREAD"][term] for term in terms)
         return tabs["RED_LO"][acc & self._mask] + tabs["RED_HI"][acc >> self._shift]
 
     def vmul(self, a, b) -> np.ndarray:
         """Elementwise product of two broadcasting element arrays."""
-        tabs = self.np_tables()
+        tabs = self._np
         return tabs["EXP"][tabs["LOG"][a] + tabs["LOG"][b]]
 
 

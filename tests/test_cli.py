@@ -322,12 +322,16 @@ def test_usage_errors(tmp_path, capsys):
                  ["table", "--field", "7^2", "--max-subsets", "-1"],
                  ["table", "--field", "7^2", "--max-subsets", "0"],
                  # the generic search would enumerate 49^18 classes
-                 ["mindist", "--field", "7^2", "--r", "5"]):
+                 ["mindist", "--field", "7^2", "--r", "5"],
+                 # table has no --budget: it points to mindist
+                 ["table", "--field", "7^2", "--r", "5"]):
         with pytest.raises(SystemExit) as info:
             code = main(argv)
             raise SystemExit(code)
         assert info.value.code == 1, argv
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        if argv[0] == "table" and "--r" in argv:
+            assert "mindist --budget" in err, err
 
 
 def test_tampered_profile_exits_2(prof49, tmp_path, capsys):

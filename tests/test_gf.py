@@ -1,11 +1,13 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fibered_lrc import poly
+from fibered_lrc import gf, poly
 from fibered_lrc.gf import (
     DivisionByZero,
+    FieldSpec,
     FieldTooLarge,
     NonSquare,
     NotPrime,
@@ -255,17 +257,47 @@ def test_np_tables(f49):
     check_vector_ops(f49, (a, b, (a + 3 * b) % 49, 48 - b))
 
 
-@pytest.mark.parametrize("p, m", [(13, 1), (3, 5), (5, 4), (7, 4), (3, 8)])
-def test_vector_ops_random(p, m):
-    fld = make_field(p, m)
+# a prime field and, from ORACLE_FIELDS, every non-default modulus join the
+# default ones, which keep their p-m ids
+VECTOR_FIELDS = [(13, 1, None), (3, 5, None), (5, 4, None), (7, 4, None),
+                 (3, 8, None), (101, 1, None),
+                 *(f for f in ORACLE_FIELDS if type(f) is tuple and f[2])]
+
+
+@pytest.mark.parametrize("p, m, modulus", [
+    pytest.param(*f, id="-".join(map(str, f if f[2] else f[:2])))
+    for f in VECTOR_FIELDS])
+def test_vector_ops_random(p, m, modulus):
+    fld = make_field(p, m, modulus)
     q = fld.order
-    rng = random.Random(repr((p, m)))
+    rng = random.Random(repr((p, m, modulus) if modulus else (p, m)))
     # q - 1 has every digit p - 1: four of them reach the largest digit sums
     cols = [[q - 1] * 4 + [rng.randrange(q) for _ in range(1500)]
             for _ in range(4)]
     check_vector_ops(fld, cols)
     with pytest.raises(ValueError, match="at most four"):
         fld.vsum(*[cols[0]] * 5)
+
+
+def test_np_tables_are_built_once():
+    # a field built past the cache: the constructor made the arrays, so
+    # np_tables() hands out the same dict each time, and neither it nor
+    # vmul and vsum leave anything allocated
+    modulus = make_field(3, 5).modulus
+    fld = FieldSpec(3, 5, modulus, *gf._tables(3, 5, modulus))
+    tracemalloc.start()
+    try:
+        tabs = fld.np_tables()
+        same = all(fld.np_tables() is tabs for _ in range(3))
+        fld.vsum(fld.vmul(1, 2), 3)
+        snap = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, gf.__file__)])
+    finally:
+        tracemalloc.stop()
+    assert same
+    assert sum(stat.size for stat in snap.statistics("filename")) == 0
+    assert set(tabs) == {"EXP", "LOG", "NEG", "INV", "SPREAD", "RED_LO",
+                         "RED_HI"}
 
 
 @pytest.mark.parametrize("p, m", [(13, 1), (7, 2), (3, 5), (5, 4), (7, 4),

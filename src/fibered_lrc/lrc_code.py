@@ -8,8 +8,9 @@ counts zeros on the pencils of messages through three points on distinct
 fibers.  t -> ζt (ζ⁴ = 1) maps the code onto itself, and so does the
 Frobenius power (x, t) -> (x^(p^k), t^(p^k)) when it keeps the chosen
 orbits; the best messages form a set closed under the group G these
-generate, and one fiber triple per G-orbit is searched with the images of
-its best messages: at most about C(n, 3)·n/4 work, whatever q is.  A
+generate, and one fiber triple per G-orbit inside one half of a G-closed
+split of the fibers is searched with the images of its best messages:
+about C(n, 3)·n/16 work when the halves balance, whatever q is.  A
 budgeted search instead scans message classes in lex order (first nonzero
 coordinate = 1), each prefix a(t) on its n point-lines in the (u, v)
 plane, where two lines cross at a linear form in (a0, a1, a2), counted
@@ -350,19 +351,40 @@ def _fiber_orbit_triples(perms) -> np.ndarray:
     return tri[rank.min(axis=0) == tri @ [nf * nf, nf, 1]]
 
 
+def _fiber_halves(perms) -> np.ndarray:
+    """Half A of the fibers, as a mask: the union of G-orbits (perms[:, f]
+    is f's) whose size, by a subset sum over at most F + 1 sums, is nearest
+    F/2.  C(|A|, 3) + C(F - |A|, 3) is convex in |A|, so no union of orbits
+    has fewer triples inside its halves."""
+    nf, orbit = perms.shape[1], perms.min(axis=0)
+    came = {0: ()}  # each reachable |A| -> its orbits, by least fiber
+    for o, size in zip(*np.unique(orbit, return_counts=True)):
+        for s in list(came):
+            came.setdefault(s + size, came[s] + (o,))
+    return np.isin(orbit, came[min(came, key=lambda s: abs(2 * s - nf))])
+
+
+def _half_triples(perms) -> np.ndarray:
+    """The _fiber_orbit_triples of perms with all three fibers in one half."""
+    tri, half = _fiber_orbit_triples(perms), _fiber_halves(perms)
+    return tri[(half[tri] == half[tri[:, :1]]).all(axis=1)]
+
+
 def _r3_pencil_search(es):
     """Exact best (zeros, message) over all (q^5 - 1)/(q - 1) classes.
 
-    A best message meeting three fibers lies on the pencil through three of
-    its zeros; on two fibers it has at most 8 zeros, 8 when it kills both
-    whole: a(t) ∝ (t - t1)(t - t2), u = v = 0.  The surface, its section
-    and the basis have coefficients in F_p, so each image (p^e, z) of
-    _fiber_group maps f to f^(p^e)(x, z·t) with as many zeros, and the best
-    set is closed under G.  Some G-image of every fiber triple is kept, so
-    every best message is an image of one found on a kept triple: the
-    least image is the unreduced search's witness, and d cannot move.  The
-    shift alone moves every 3-set of fibers (cycles of 2 or 4), so at most
-    C(F, 3)/4 triples are searched, fewer when σ^k joins.
+    On the fiber at t̄, f/x̄ = a(t̄) + x̄·w(t̄), w = u + v·t.  With w ≡ 0, f
+    kills at most two whole fibers and has no other zero; the pair loop
+    holds each that kills two, with 8 zeros, so a best message has 8 or
+    more.  With w ≢ 0, f kills at most one fiber and has at most one zero
+    on each other, so 8 zeros meet 5 or more fibers, 3 of them in one half
+    of any split in two, and the pencil through one zero on each holds f.
+    Each image (p^e, z) of _fiber_group maps f to f^(p^e)(x, z·t) with as
+    many zeros (the surface, its section and the basis are over F_p), so
+    the best set is closed under G.  The halves are unions of G-orbits, so
+    some G-image of each triple in a half is kept, and every best message
+    is an image of one found on a kept triple: the least image is the
+    unreduced search's witness, and d cannot move.
     """
     fld, rp1 = es.field, es.r + 1
     fibers = np.asarray([es.fibers(es.point_index(l, 0, j))[1]
@@ -374,7 +396,7 @@ def _r3_pencil_search(es):
         msg = (1, fld.neg(fld.mul(fld.add(t1, t2), inv)), inv, 0, 0)
         best = _better(2 * rp1, msg, *best)
     images, perms = _fiber_group(es, tf)
-    ftri = _fiber_orbit_triples(perms)
+    ftri = _half_triples(perms)
     per = (1 << 15) // (es.n * rp1 ** 3) or 1  # 2^15 pairs fit in cache
     for s in range(0, len(ftri), per):
         best = _better(*_r3_pencils(es, fibers[ftri[s:s + per]], images), *best)

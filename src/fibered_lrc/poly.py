@@ -83,7 +83,7 @@ class UniPoly:
 
     def __divmod__(self, other: "UniPoly"):
         self._check(other)
-        f = self.field
+        f, deg = self.field, other.degree
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
         rem = list(self.coeffs)
@@ -93,11 +93,14 @@ class UniPoly:
         quot = [0] * (dq + 1)
         inv_lead = f.inv(other.lead)
         for k in range(dq, -1, -1):
-            c = f.mul(rem[k + other.degree], inv_lead)
+            c = f.mul(rem[k + deg], inv_lead)
             quot[k] = c
             if c:
                 for i, b in enumerate(other.coeffs):
                     rem[k + i] = f.sub(rem[k + i], f.mul(c, b))
+        # step k clears rem[k + deg] for good in a sound field: fail, not spin
+        if any(rem[deg:]):
+            raise ArithmeticError(f"{f.label} arithmetic left a leading term")
         return poly(f, quot), poly(f, rem)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
@@ -213,7 +216,7 @@ def _equal_degree_split(g: UniPoly, d: int, rng: random.Random) -> list[UniPoly]
         return [g]
     field = g.field
     exp = (field.order**d - 1) // 2
-    while True:
+    for _ in range(200):  # a draw splits g with probability about 1/2
         a = poly(field, [rng.randrange(field.order) for _ in range(g.degree)])
         if a.degree < 1:
             continue
@@ -221,6 +224,7 @@ def _equal_degree_split(g: UniPoly, d: int, rng: random.Random) -> list[UniPoly]
         if 0 < w.degree < g.degree:
             return (_equal_degree_split(w, d, rng)
                     + _equal_degree_split(g // w, d, rng))
+    raise ArithmeticError(f"200 draws left deg {g.degree} unsplit")
 
 
 def _distinct_degree_split(g: UniPoly):
@@ -270,7 +274,7 @@ def factor_monic(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
         for d, part in _distinct_degree_split(squarefree_part):
             for piece in _equal_degree_split(part, d, rng):
                 e = 0
-                while True:
+                while g.degree >= piece.degree:
                     quo, rem = divmod(g, piece)
                     if not rem.is_zero:
                         break

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -32,7 +33,9 @@ from fibered_lrc.lrc_code import (
     _default_chunk,
     _encode_block,
     _fiber_group,
+    _fiber_halves,
     _fiber_orbit_triples,
+    _half_triples,
     _min_distance_generic,
     _r3_pencil_search,
     _r3_pencils,
@@ -573,6 +576,76 @@ def test_fiber_orbit_triples_one_per_orbit():
         assert sum(map(len, images)) == len(set().union(*images)) \
             == len(list(combinations(range(len(tf)), 3))), orbits
         assert len(kept) == kept_count, orbits
+
+
+def _fiber_perms(es):
+    """The fiber permutations of G (_fiber_group)."""
+    tf = [es.t_value(l, j) for l in range(es.b) for j in range(4)]
+    return _fiber_group(es, tf)[1]
+
+
+def _nearest_half(perms):
+    """min |2·|A| - F| over the unions A of orbits, by a bitset of sums."""
+    reach = 1
+    for size in Counter(perms.min(axis=0).tolist()).values():
+        reach |= reach << size
+    nf = perms.shape[1]
+    return min(abs(2 * s - nf) for s in range(nf + 1) if reach >> s & 1)
+
+
+@pytest.mark.parametrize("pm, orbits, kept", [
+    ((11, 2), (0, 1, 2), 11), ((13, 2), (0, 2, 3, 4), 17),
+    ((13, 2), (0, 1, 2, 3), 28), ((13, 2), (0, 4), 7),
+    ((3, 6), (2, 4, 5), 13), ((3, 6), (0, 1, 2, 3, 4), 45),
+    ((5, 4), tuple(range(8)), 90)])
+def test_fiber_halves_are_unions_of_orbits(pm, orbits, kept):
+    es = build_evaluation_set(surface_params(make_field(*pm), 3), orbits)
+    perms = _fiber_perms(es)
+    half = _fiber_halves(perms)
+    # each half is closed under every g in the group, and no union of
+    # orbits is nearer F/2
+    assert all((half[g] == half).all() for g in perms), orbits
+    assert abs(2 * int(half.sum()) - len(half)) == _nearest_half(perms)
+    # every kept triple lies in one half, and each triple inside a half
+    # has its lex-least image among the kept
+    tri = _half_triples(perms)
+    assert len(tri) == kept, orbits
+    inside = half[tri]
+    assert (inside.all(axis=1) | ~inside.any(axis=1)).all()
+    keep = set(map(tuple, tri.tolist()))
+    for t in map(list, combinations(range(len(half)), 3)):
+        if half[t].all() or not half[t].any():
+            assert min(tuple(sorted(g[t])) for g in perms) in keep
+
+
+# F_3^8: σ keeps all 91 orbits, and G makes 15 orbits of the 364 fibers;
+# no σ^k keeps orbits 0..89, so G is the shift alone, with 90 orbits of 4
+# and 2^90 unions.  A subset sum takes at most F + 1 sums.
+@pytest.mark.parametrize("orbits, count", [(range(91), 15), (range(90), 90)])
+def test_fiber_halves_fast_with_many_orbits(orbits, count):
+    es = build_evaluation_set(surface_params(make_field(3, 8), 3), orbits)
+    perms = _fiber_perms(es)
+    assert len(np.unique(perms.min(axis=0))) == count
+    start = time.perf_counter()
+    half = _fiber_halves(perms)
+    assert time.perf_counter() - start < 1.0
+    assert all((half[g] == half).all() for g in perms)
+    assert abs(2 * int(half.sum()) - len(half)) == _nearest_half(perms)
+
+
+# the best messages meet 5 or 6 fibers, each but one in a single zero: two
+# halves hold 3 of them, three groups of orbits may split them 2 + 2 + 1
+@pytest.mark.parametrize("pm, orbits", [
+    ((13, 2), (0, 2, 3, 4)), ((13, 2), (0, 1, 2, 3, 4)),
+    ((3, 6), (0, 1, 2, 3, 4)), ((3, 6), (0, 1, 2, 3, 5))])
+def test_pencil_search_where_three_groups_fail(pm, orbits):
+    es = build_evaluation_set(surface_params(make_field(*pm), 3), orbits)
+    zeros, witness = _search_matches_oracle(es)
+    pts = [es.points[c] for c, v in enumerate(naive_encode(es, witness))
+           if v == 0]
+    fibers = sorted(Counter((pt.l, pt.j) for pt in pts).values())
+    assert len(pts) == zeros and fibers[:-1] == [1] * (len(fibers) - 1) \
+        and len(fibers) in (5, 6), orbits
 
 
 def test_min_distance_on_2401():

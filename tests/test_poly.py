@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fibered_lrc
 from fibered_lrc.gf import DivisionByZero, FieldMismatch, make_field
 from fibered_lrc.poly import (
     all_roots,
@@ -55,6 +60,29 @@ def test_mul_degree(f49):
 def test_divmod_by_zero(f49):
     with pytest.raises(DivisionByZero):
         divmod(x_poly(f49), poly(f49, []))
+
+
+# each snippet spun forever before the loops of poly were bounded; in a
+# subprocess with a timeout, a regression fails instead of hanging
+@pytest.mark.parametrize("snippet", [
+    # scalar neg one step off: division never clears a leading term
+    "gf.FieldSpec.neg = lambda self, a: "
+    "self._exp[self._log[a] + (self.order - 1) // 2 + 1]\n"
+    "gf.make_field(3, 4)",
+    # X^2 - 2 is irreducible over F_13, so no draw splits it into lines
+    "f = gf.make_field(13, 1)\n"
+    "poly._equal_degree_split(poly.poly(f, [11, 0, 1]), 1, random.Random(0))",
+], ids=["neg-off-by-one", "unsplittable"])
+def test_broken_arithmetic_fails_fast(snippet):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(fibered_lrc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import random\nfrom fibered_lrc import gf, "
+         "poly\n" + snippet], capture_output=True, text=True, env=env,
+        timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("ArithmeticError"), \
+        proc.stderr
 
 
 def test_field_mismatch(f49, f81):

@@ -141,7 +141,7 @@ def encode(gm: GeneratorMatrix, message) -> tuple[int, ...]:
     msg = tuple(message)
     if len(msg) != gm.k:
         raise LengthMismatch(f"message length {len(msg)} != k={gm.k}")
-    if not all(isinstance(v, int) and 0 <= v < fld.order for v in msg):
+    if not all(type(v) is int and 0 <= v < fld.order for v in msg):
         raise ValueError(f"message symbols must be ints in [0, {fld.order}): {msg}")
     return tuple(_encode_block(gm, [msg]).ravel().tolist())
 

@@ -10,15 +10,17 @@ w_i = 1/(x_i·∏_(k≠i)(x_i - x_k)).  On a horizontal fiber deg_t f <= r-1
 and t = ζ^j·t̄, so Σ_j ζ^j·c_j = 0.  Either set determines the symbol by
 its checks, solved once into check rows cached per field, fiber roots and
 index: a recovery is the dot product of a row with the fiber's symbols,
-and the vertical residual is one more.  A codeword marks an erased symbol
-by None, and the multi-erasure repairer peels with whichever set is
-available.
+and the vertical residual is one more.  `repair` peels one codeword (None
+marks an erasure) round by round with whichever set is available;
+`_peel_block` runs the same rounds on a block of words held as arrays, and
+the simulator peels its trials with it.
 """
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import repeat
 from typing import Optional
+
+import numpy as np
 
 from .construction import EvaluationSet
 from .gf import FieldSpec
@@ -127,7 +129,7 @@ def repair(es: EvaluationSet, codeword) -> RepairResult:
         raise LengthMismatch(f"codeword length {len(work)} != n={es.n}")
     q = es.field.order
     known = [v for v in work if v is not None]
-    if known and not (all(map(isinstance, known, repeat(int)))
+    if known and not (all(type(v) is int for v in known)
                       and min(known) >= 0 and max(known) < q):
         raise ValueError(f"codeword symbols must be None or ints in [0, {q})")
     erased = [idx for idx, v in enumerate(work) if v is None]
@@ -156,3 +158,57 @@ def repair(es: EvaluationSet, codeword) -> RepairResult:
         rounds += 1
 
     return RepairResult(tuple(work), frozenset(map(trip, erased)), paths, rounds)
+
+
+@cache
+def _block_rows(fld: FieldSpec, roots: tuple[tuple[int, ...], ...], zeta: int,
+                rp1: int) -> tuple[np.ndarray, ...]:
+    """The α, β and horizontal rows of every (orbit, index), as (b, r+1,
+    r+1), (b, r+1, r+1) and (r+1, r+1) arrays with the diagonal set to 0."""
+    alpha, beta = np.array([[_vertical_rows(fld, rs, i) for i in range(rp1)]
+                            for rs in roots]).transpose(2, 0, 1, 3)
+    hrow = np.array([_horizontal_row(fld, zeta, rp1, j) for j in range(rp1)])
+    for rows in (alpha, beta, hrow):     # cached: shared by every caller
+        rows[..., range(rp1), range(rp1)] = 0
+        rows.flags.writeable = False
+    return alpha, beta, hrow
+
+
+def _vdot(fld: FieldSpec, rows: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (m, r+1) element arrays."""
+    terms = list(fld.vmul(rows, cs).T)
+    acc = terms[0]
+    for k in range(1, len(terms), 3):
+        acc = fld.vsum(acc, *terms[k:k + 3])
+    return acc
+
+
+def _peel_block(es: EvaluationSet, work: np.ndarray, erased: np.ndarray) -> np.ndarray:
+    """`repair` on B words: a C-contiguous (B, n) int64 array of elements (erased ones
+    are read only times 0) and a (B, n) erasure mask.  Fills the repairs
+    into work and returns the (B, n) path code: 0 none, 1 V, 2 H.
+
+    Rounds, the V-before-H choice and Corrupted are those of `repair`; on
+    the (B, b, r+1, r+1) view a vertical fiber runs along axis 2 and a
+    horizontal one along axis 3.
+    """
+    fld, rp1 = es.field, es.r + 1
+    alpha, beta, hrow = _block_rows(fld, es.roots, es.params.zeta, rp1)
+    shape = (len(work), es.b, rp1, rp1)
+    work, erased = work.reshape(shape), erased.reshape(shape).copy()
+    path = np.zeros(shape, dtype=np.int8)
+    while True:
+        v_ok = erased & (erased.sum(axis=2, keepdims=True) == 1)
+        h_ok = erased & ~v_ok & (erased.sum(axis=3, keepdims=True) == 1)
+        if not (v_ok.any() or h_ok.any()):
+            return path.reshape(len(work), -1)
+        t, l, i, j = np.nonzero(v_ok)
+        fiber = work[t, l, :, j]
+        if _vdot(fld, beta[l, i], fiber).any():
+            raise Corrupted("vertical interpolation residual is nonzero")
+        v_vals = _vdot(fld, alpha[l, i], fiber)
+        th, lh, ih, jh = np.nonzero(h_ok)
+        h_vals = _vdot(fld, hrow[jh], work[th, lh, ih, :])
+        work[t, l, i, j], work[th, lh, ih, jh] = v_vals, h_vals
+        path[v_ok], path[h_ok] = 1, 2
+        erased &= ~(v_ok | h_ok)

@@ -1,11 +1,12 @@
 """Deterministic storage-failure repair simulator.
 
 Each trial encodes a random message, knocks out a set of storage nodes,
-and runs the peeling repairer over the surviving symbols.  Randomness
-comes from numpy's PCG64 stream seeded per scenario, so a fixed seed
-gives a byte-identical report.  Each trial draws its message and then its
-failed nodes, in trial order; the codewords are encoded BLOCK trials at a
-time in one product, so memory does not grow with the trial count.
+and peels the surviving symbols with both recovery sets.  Randomness comes
+from numpy's PCG64 stream seeded per scenario, so a fixed seed gives a
+byte-identical report.  Each trial draws its message and then its failed
+nodes, in trial order.  BLOCK trials are encoded by one product and peeled
+by one `recovery._peel_block` call, so memory does not grow with the
+trial count; each repaired symbol is checked against the encoded one.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .construction import EvaluationSet
 from .lrc_code import _encode_block, generator_matrix
-from .recovery import repair
+from .recovery import _peel_block
 from .serialize import SCHEMA
 
 BLOCK = 64      # trials per encode product: a fixed memory bound
@@ -93,24 +94,27 @@ def run_simulation(scenario: StorageScenario) -> SimReport:
     repaired_counts, unrecovered_counts = [], []
     hist = {"V": 0, "H": 0}
     for start in range(0, scenario.trials, BLOCK):
-        messages, picks = [], []
+        messages, erased_lists = [], []
         for _ in range(min(BLOCK, scenario.trials - start)):
             messages.append(rng.integers(0, fld.order, size=gm.k))
-            picks.append(rng.choice(nodes, size=scenario.failures, replace=False))
-        for cw, picked in zip(_encode_block(gm, messages).tolist(), picks):
-            erased = [pos for node in picked for pos in symbols_on[node_ids[node]]]
-            holed = list(cw)
-            for pos in erased:
-                holed[pos] = None
-            res = repair(es, holed)
-            for pos in erased:
-                if res.codeword[pos] not in (None, cw[pos]):
-                    raise RepairMismatch(
-                        f"symbol at position {pos} repaired to a wrong value")
-            for path in res.paths.values():
-                hist[path] += 1
-            repaired_counts.append(len(res.paths))
-            unrecovered_counts.append(len(res.unrecovered))
+            picked = rng.choice(nodes, size=scenario.failures, replace=False)
+            erased_lists.append([pos for node in picked
+                                 for pos in symbols_on[node_ids[node]]])
+        cws = _encode_block(gm, messages)
+        erased = np.zeros(cws.shape, dtype=bool)
+        for row, positions in zip(erased, erased_lists):
+            row[positions] = True
+        work = np.where(erased, 0, cws)
+        path = _peel_block(es, work, erased)
+        wrong = (path > 0) & (work != cws)
+        if wrong.any():
+            trial = int(wrong.any(axis=1).argmax())
+            pos = next(at for at in erased_lists[trial] if wrong[trial, at])
+            raise RepairMismatch(f"symbol at position {pos} repaired to a wrong value")
+        hist["V"] += int(np.count_nonzero(path == 1))
+        hist["H"] += int(np.count_nonzero(path == 2))
+        repaired_counts += np.count_nonzero(path, axis=1).tolist()
+        unrecovered_counts += np.count_nonzero(erased & (path == 0), axis=1).tolist()
 
     successes = sum(1 for u in unrecovered_counts if u == 0)
     return SimReport(

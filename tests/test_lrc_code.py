@@ -147,8 +147,9 @@ def test_encode_basics(es49, gm49, f49):
     assert xs == tuple(pt.x for pt in es49.points)
     with pytest.raises(LengthMismatch):
         encode(gm49, [1, 2, 3])
-    # 49 is past the log table; -1 would wrap to its last entry
-    for bad in (49, -1):
+    # 49 is past the log table; -1 would wrap to its last entry; a bool
+    # is an int to isinstance, and would pass as 0 or 1
+    for bad in (49, -1, True, False):
         with pytest.raises(ValueError, match="ints in"):
             encode(gm49, [bad, 0, 0, 0, 0])
 

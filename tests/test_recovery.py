@@ -14,6 +14,7 @@ from fibered_lrc.lrc_code import LengthMismatch, encode, generator_matrix
 from fibered_lrc.recovery import (
     Corrupted,
     IncompleteRecoverySet,
+    _peel_block,
     recover_horizontal,
     recover_vertical,
     repair,
@@ -198,21 +199,13 @@ def test_repair_rejects_out_of_range_symbols(code49):
     cw = encode(gm, [3, 14, 0, 25, 6])
     holes = _erase(cw, es, [(0, 0, 0), (0, 1, 0)])
     assert repair(es, holes).codeword == cw
-    for bad in (-1, 49, 1.5, "3", np.int64(3)):
+    for bad in (-1, 49, 1.5, "3", np.int64(3), True, False):
         word = list(holes)
         word[es.point_index(0, 0, 1)] = bad
         with pytest.raises(ValueError, match="ints in"):
             repair(es, word)
     with pytest.raises(LengthMismatch):
         repair(es, holes[:-1])
-    # bool is an int: True reads as 1, in the check and in the arithmetic
-    fld = es.field
-    scaled = encode(gm, [fld.div(v, cw[5]) for v in [3, 14, 0, 25, 6]])
-    assert scaled[5] == 1
-    word = _erase(scaled, es, [recovery_indices(es, 0, 1, 1)[1][0]])
-    word[5] = True
-    res = repair(es, word)
-    assert res.codeword == scaled and res.codeword[5] is True
     # nothing known: every position stays erased, after no round
     res = repair(es, [None] * es.n)
     assert res.codeword == (None,) * es.n and res.rounds == 0 and not res.paths
@@ -253,8 +246,8 @@ def test_single_recovery_errors(code49):
 
 
 @cache
-def _code(pm, orbits):
-    es = build_evaluation_set(surface_params(make_field(*pm), 3), orbits)
+def _code(pm, orbits, r=3):
+    es = build_evaluation_set(surface_params(make_field(*pm), r), orbits)
     return es, generator_matrix(es)
 
 
@@ -290,3 +283,79 @@ def test_repair_round_trip_property(case):
     hole[pos] = es.field.add(hole[pos], delta)
     with pytest.raises(Corrupted):
         recover_vertical(es, hole, target)
+
+
+def _peel_both(es, words):
+    """_peel_block on a block of words (None erased) and `repair` on each:
+    both outcomes, each the message of Corrupted when it raised that."""
+    erased = np.array([[v is None for v in w] for w in words])
+    # an erased entry holds a nonzero element, which must not be read
+    junk = np.arange(es.n) % (es.field.order - 1) + 1
+    work = np.where(erased, junk, np.array([[v or 0 for v in w] for w in words]))
+    try:
+        path = _peel_block(es, work, erased)
+        left = erased & (path == 0)
+        block = (np.where(left, 0, work).tolist(), path.tolist(), left.tolist())
+    except Corrupted as exc:
+        block = str(exc)
+    try:
+        results = [repair(es, w) for w in words]
+    except Corrupted as exc:
+        return block, str(exc)
+    code = {"V": 1, "H": 2}
+    values, paths, left = [], [], []
+    for w, res in zip(words, results):
+        values.append([0 if v is None else v for v in res.codeword])
+        by_pos = {es.point_index(*trip): code[p] for trip, p in res.paths.items()}
+        paths.append([by_pos.get(pos, 0) for pos in range(es.n)])
+        left.append([res.codeword[pos] is None for pos in range(es.n)])
+    return block, (values, paths, left)
+
+
+@st.composite
+def peel_blocks(draw):
+    """A code (F_49 on orbit 0 or 0, 1, or F_625 on all 8 orbits; F_49 at
+    r = 5, where a fiber's dot product adds more than four terms) and 1 to 6
+    words with random erasure sets, some with one known symbol perturbed."""
+    es, gm = _code(*draw(st.sampled_from([((7, 2), (0,)), ((7, 2), (0, 1)),
+                                          ((5, 4), None), ((7, 2), (0,), 5)])))
+    q, words = es.field.order, []
+    for _ in range(draw(st.integers(1, 6))):
+        word = list(encode(gm, draw(st.lists(st.integers(0, q - 1),
+                                             min_size=gm.k, max_size=gm.k))))
+        order = draw(st.permutations(range(es.n)))
+        erased = order[:draw(st.integers(0, es.n))]
+        known = order[len(erased):]
+        if known and draw(st.booleans()):
+            pos = draw(st.sampled_from(known))
+            word[pos] = es.field.add(word[pos], draw(st.integers(1, q - 1)))
+        for pos in erased:
+            word[pos] = None
+        words.append(word)
+    return es, words
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(peel_blocks())
+def test_peel_block_matches_repair(case):
+    # same values, V/H paths and unrecovered set, or Corrupted from both
+    block, scalar = _peel_both(*case)
+    assert block == scalar
+
+
+def test_peel_block_mixed_rounds(code49):
+    es, gm = code49
+    cw = encode(gm, [4, 8, 15, 16, 23])
+    stair = [(0, 0, 0), (0, 0, 3), (0, 1, 2), (0, 2, 0), (0, 2, 2), (0, 3, 1), (0, 3, 3)]
+    square = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
+    patterns = [[], [(0, 2, 1)], stair, square + [(0, 3, 3)], square]
+    words = [_erase(cw, es, pattern) for pattern in patterns]
+    assert [repair(es, w).rounds for w in words] == [0, 1, 4, 1, 0]
+    block, scalar = _peel_both(es, words)
+    assert block == scalar
+    values, paths, left = block
+    assert values[:3] == [list(cw)] * 3
+    # the 2 x 2 rectangle is a stopping set: each of its symbols has
+    # another erasure on both of its fibers
+    assert [sum(row) for row in left] == [0, 0, 0, 4, 4]
+    assert [sum(map(bool, row)) for row in paths] == [0, 1, 7, 1, 0]

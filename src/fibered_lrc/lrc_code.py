@@ -14,7 +14,8 @@ about C(n, 3)·n/16 work when the halves balance, whatever q is.  A
 budgeted search instead scans message classes in lex order (first nonzero
 coordinate = 1), each prefix a(t) on its n point-lines in the (u, v)
 plane, where two lines cross at a linear form in (a0, a1, a2), counted
-once, on the line of lesser t̄, and returns the best of the first
+once, on the line of lesser t̄, through the pairs of crossings that meet
+on one line, so no array holds n·q counters; it returns the best of the first
 `budget` classes, in whole chunks.
 
 Encoding is F_p-linear: an element is the digit vector of Σ c_i·X^i, so
@@ -218,20 +219,29 @@ def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
     c = (x̄, t̄) vanishes on the line u + t̄·v = k_c = -a(t̄)/x̄.  Lines of one
     fiber are parallel and coincide when a(t̄) = 0; lines c, c' with
     t̄ < t̄' cross once, at v = (k_c - k_c')·(t̄ - t̄')⁻¹, a linear form
-    a0·E0 + a1·E1 + a2·E2 in the prefix, the E_e built once.  Blocks of at
-    most `chunk` prefixes stop at multiples of q, so a0·E0 + a1·E1 is one
-    row per block.  A point (u, v) has as zeros the weights (r+1 if
-    a(t̄) = 0, else 1) of the fibers whose lines pass through it.  Each
-    crossing is counted once, on line c, by one bincount over g·n·q bins
-    per block of g prefixes: on the least-t̄ line through a point, count +
-    weight is all its zeros, on the others at most that.  So the best per
-    prefix and the set of best points are those of counting each crossing
-    on both lines.  The least best point is the witness, sought only when
-    a block beats the best so far: a later prefix loses every tie.  The
-    budget, checked before each chunk, admits ⌈budget_left / (chunk·q²)⌉
-    chunks.  Returns (best, candidates, completed).
+    a0·E0 + a1·E1 + a2·E2 in the prefix, the E_e built once.  A point (u, v)
+    has as zeros the weights (r+1 if a(t̄) = 0, else 1) of the fibers whose
+    lines pass through it.  Each crossing is counted once, on line c: on the
+    least-t̄ line through a point, count + weight is all its zeros, on the
+    others at most that.  So the best per prefix and the set of best points
+    are those of counting each crossing on both lines.
+
+    Counts come from pairs of crossings, one row (a0, a1) at a time, where
+    crossing i sits at v_i = R_i + a2·E2_i.  Crossings i < j of one line
+    meet at the one a2 = (R_i - R_j)/(E2_j - E2_i) if E2 differs, at every
+    a2 if (R, E2) agree, else never.  So a point's count is, for its least
+    crossing i, 1 + A_i (the later crossings agreeing with i) + the pairs
+    (i, j) meeting there: one np.unique over keys (a2, i) per block of about
+    2¹⁴ pairs, each crossing with all its pairs.  At every other a2 a line
+    counts its largest 1 + A_i, and it weighs r+1 at its one
+    a2 = -(a0 + a1·t̄)/t̄² (t̄ ≠ 0).  The witness is the least best point of
+    the first best prefix (a later prefix loses every tie).  It holds a
+    crossing: only the largest-t̄ fiber's lines hold none, and if that fiber
+    is killed its line meets each other line at a count ≥ r+1.  The budget,
+    checked before each chunk, admits ⌈budget_left / (chunk·q²)⌉ chunks.
+    Returns (best, candidates, completed).
     """
-    fld, q, n = es.field, es.field.order, es.n
+    fld, q, n, r = es.field, es.field.order, es.n, es.r
     NEG, INV = (fld.np_tables()[name] for name in ("NEG", "INV"))
     tc = np.asarray([pt.t for pt in es.points])
     nix = NEG[INV[np.asarray([pt.x for pt in es.points])]]
@@ -240,29 +250,46 @@ def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
     ke = np.stack([nix, fld.vmul(tc, nix), fld.vmul(tt, nix)])  # k = Σ a·ke
     e0, e1, e2 = fld.vmul(fld.vsum(ke[:, ci], NEG[ke][:, cj]),
                           INV[fld.vsum(tc[ci], NEG[tc[cj]])])
-    ends = ci * q + (np.arange(chunk) * (n * q))[:, None]
+    P = len(ci)
+    later = np.searchsorted(ci, ci, side="right") - 1 - np.arange(P)
+    pairs = np.concatenate([[0], np.cumsum(later)])  # pairs before crossing i
+    cuts = [*np.flatnonzero(np.diff(pairs[:-1] >> 14, prepend=-1)), P]
     stop = hi if budget_left is None else min(
         hi, lo + max(0, -(-budget_left // (chunk * q * q))) * chunk)
-    best = (-1, None)
-    s = lo
+    best, s = (-1, None), lo
     while s < stop:
         a1, first = divmod(s, q)
-        a2 = np.arange(first, min(first + chunk, q, first + stop - s))
-        g, s = len(a2), s + len(a2)
-        at = fld.vsum(a0val, fld.vmul(a1, tc), fld.vmul(a2[:, None], tt))
-        row = fld.vsum(fld.vmul(a0val, e0), fld.vmul(a1, e1))
-        flat = fld.vsum(row, fld.vmul(a2[:, None], e2)) + ends[:g]
-        counts = None  # frees the last block's bins before these are made
-        counts = np.bincount(flat.ravel(), minlength=g * n * q).reshape(g, n, q)
-        w = np.where(at == 0, es.r + 1, 1)
-        zmax = (counts.max(axis=2) + w).max(axis=1)
+        g = min(q - first, stop - s)
+        s += g
+        rr = fld.vsum(fld.vmul(a0val, e0), fld.vmul(a1, e1))
+        kill = fld.vmul(NEG[fld.vsum(a0val, fld.vmul(a1, tc))], INV[tt]) - first
+        zmax, line = np.zeros(g, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        for b0, b1 in zip(cuts, cuts[1:]):
+            pi = np.repeat(np.arange(b0, b1), later[b0:b1])
+            pj = pi + 1 + np.arange(pairs[b0], pairs[b1]) - pairs[pi]
+            dr, de = fld.vsum(rr[pi], NEG[rr[pj]]), fld.vsum(e2[pj], NEG[e2[pi]])
+            own = 1 + np.bincount(pi[(dr == 0) & (de == 0)] - b0, minlength=b1 - b0)
+            np.maximum.at(line, ci[b0:b1], own)
+            a2 = fld.vmul(dr, INV[de]) - first
+            keep = (de != 0) & (a2 >= 0) & (a2 < g)
+            key, hits = np.unique(a2[keep] * P + pi[keep], return_counts=True)
+            a2, i = divmod(key, P)
+            np.maximum.at(zmax, a2, own[i - b0] + hits
+                          + np.where(kill[ci[i]] == a2, r + 1, 1))
+        zmax = np.maximum(zmax, line.max() + 1)
+        on = (kill >= 0) & (kill < g)
+        np.maximum.at(zmax, kill[on], line[on] + r + 1)
         gb = int(zmax.argmax())
         if zmax[gb] <= best[0]:
             continue
-        cs, vs = np.nonzero(counts[gb] + w[gb, :, None] == zmax[gb])
-        us = fld.vsum(fld.vmul(at[gb, cs], nix[cs]), NEG[fld.vmul(tc[cs], vs)])
+        key, hits = np.unique(ci * q + fld.vsum(rr, fld.vmul(first + gb, e2)),
+                              return_counts=True)
+        w = np.where(kill == gb, r + 1, 1)
+        cs, vs = divmod(key[hits + w[key // q] == zmax[gb]], q)
+        at = fld.vsum(a0val, fld.vmul(a1, tc[cs]), fld.vmul(first + gb, tt[cs]))
+        us = fld.vsum(fld.vmul(at, nix[cs]), NEG[fld.vmul(tc[cs], vs)])
         u, v = divmod(int((us * q + vs).min()), q)
-        best = int(zmax[gb]), (a0val, a1, int(a2[gb]), u, v)
+        best = int(zmax[gb]), (a0val, a1, first + gb, u, v)
     return best, (stop - lo) * q * q, stop == hi
 
 

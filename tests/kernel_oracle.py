@@ -235,6 +235,63 @@ def scan_reference(es, gm, a0, lo, hi, chunk, budget):
     return best, done * q * q, lo + done == hi
 
 
+def dense_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
+    """The dense counter: what ``_r3_scan_prefixes`` returns, by bins.
+
+    Scan x-block prefixes a0 = a0val, (a1, a2) = divmod(range(lo, hi), q).
+
+    One prefix a(t) covers the q² tails (u, v).  The symbol at point
+    c = (x̄, t̄) vanishes on the line u + t̄·v = k_c = -a(t̄)/x̄.  Lines of one
+    fiber are parallel and coincide when a(t̄) = 0; lines c, c' with
+    t̄ < t̄' cross once, at v = (k_c - k_c')·(t̄ - t̄')⁻¹, a linear form
+    a0·E0 + a1·E1 + a2·E2 in the prefix, the E_e built once.  Blocks of at
+    most `chunk` prefixes stop at multiples of q, so a0·E0 + a1·E1 is one
+    row per block.  A point (u, v) has as zeros the weights (r+1 if
+    a(t̄) = 0, else 1) of the fibers whose lines pass through it.  Each
+    crossing is counted once, on line c, by one bincount over g·n·q bins
+    per block of g prefixes: on the least-t̄ line through a point, count +
+    weight is all its zeros, on the others at most that.  So the best per
+    prefix and the set of best points are those of counting each crossing
+    on both lines.  The least best point is the witness, sought only when
+    a block beats the best so far: a later prefix loses every tie.  The
+    budget, checked before each chunk, admits ⌈budget_left / (chunk·q²)⌉
+    chunks.  Returns (best, candidates, completed).
+    """
+    fld, q, n = es.field, es.field.order, es.n
+    NEG, INV = (fld.np_tables()[name] for name in ("NEG", "INV"))
+    tc = np.asarray([pt.t for pt in es.points])
+    nix = NEG[INV[np.asarray([pt.x for pt in es.points])]]
+    tt = fld.vmul(tc, tc)
+    ci, cj = np.nonzero(tc[:, None] < tc[None, :])
+    ke = np.stack([nix, fld.vmul(tc, nix), fld.vmul(tt, nix)])  # k = Σ a·ke
+    e0, e1, e2 = fld.vmul(fld.vsum(ke[:, ci], NEG[ke][:, cj]),
+                          INV[fld.vsum(tc[ci], NEG[tc[cj]])])
+    ends = ci * q + (np.arange(chunk) * (n * q))[:, None]
+    stop = hi if budget_left is None else min(
+        hi, lo + max(0, -(-budget_left // (chunk * q * q))) * chunk)
+    best = (-1, None)
+    s = lo
+    while s < stop:
+        a1, first = divmod(s, q)
+        a2 = np.arange(first, min(first + chunk, q, first + stop - s))
+        g, s = len(a2), s + len(a2)
+        at = fld.vsum(a0val, fld.vmul(a1, tc), fld.vmul(a2[:, None], tt))
+        row = fld.vsum(fld.vmul(a0val, e0), fld.vmul(a1, e1))
+        flat = fld.vsum(row, fld.vmul(a2[:, None], e2)) + ends[:g]
+        counts = None  # frees the last block's bins before these are made
+        counts = np.bincount(flat.ravel(), minlength=g * n * q).reshape(g, n, q)
+        w = np.where(at == 0, es.r + 1, 1)
+        zmax = (counts.max(axis=2) + w).max(axis=1)
+        gb = int(zmax.argmax())
+        if zmax[gb] <= best[0]:
+            continue
+        cs, vs = np.nonzero(counts[gb] + w[gb, :, None] == zmax[gb])
+        us = fld.vsum(fld.vmul(at[gb, cs], nix[cs]), NEG[fld.vmul(tc[cs], vs)])
+        u, v = divmod(int((us * q + vs).min()), q)
+        best = int(zmax[gb]), (a0val, a1, int(a2[gb]), u, v)
+    return best, (stop - lo) * q * q, stop == hi
+
+
 def _rank(fld, rows) -> int:
     """Rank over F_q of a list of rows, by scalar Gauss-Jordan elimination."""
     mat = [list(row) for row in rows]

@@ -3,6 +3,7 @@
 import multiprocessing
 import random
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -41,9 +42,10 @@ from fibered_lrc.lrc_code import (
     _r3_pencils,
     _r3_scan_prefixes,
 )
-from kernel_oracle import (_rank, naive_encode, naive_generic_search,
-                           pencil_agreement, prefix_agreement, scan_distance,
-                           scan_reference, unreduced_pencil_search)
+from kernel_oracle import (_rank, dense_scan_prefixes, naive_encode,
+                           naive_generic_search, pencil_agreement,
+                           prefix_agreement, scan_distance, scan_reference,
+                           unreduced_pencil_search)
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +358,77 @@ def test_budgeted_scan_across_q_on_625(f625):
     best, *rest = scan_reference(es, generator_matrix(es), *scan)
     assert best == (8, (1, 1, 0, 98, 98))
     assert _r3_scan_prefixes(es, *scan) == (best, *rest)
+
+
+def _dense_agreement(es, scans):
+    for scan in scans:
+        assert _r3_scan_prefixes(es, *scan) == dense_scan_prefixes(es, *scan), (
+            es.orbit_indices, scan)
+
+
+def _budgets(chunk, q, chunks):
+    whole = chunks * chunk * q * q
+    return None, whole - 1, whole, whole + 1
+
+
+@pytest.mark.parametrize("pm", [(7, 2), (3, 4)])
+def test_budgeted_scan_matches_dense_counter_on_every_subset(pm, field_cache):
+    # the three scan ranges of every orbit subset, at the default chunk,
+    # unbudgeted and at 3 whole chunks or one class either side
+    sp = surface_params(field_cache(*pm), 3)
+    q, count = sp.field.order, len(find_nice_orbits(sp))
+    for b in range(1, count + 1):
+        for orbits in combinations(range(count), b):
+            es = build_evaluation_set(sp, orbits)
+            chunk = _default_chunk(q, es.n)
+            _dense_agreement(es, [
+                (a0, lo, hi, chunk, budget)
+                for a0, lo, hi in ((1, 0, q * q), (0, q, 2 * q), (0, 1, 2))
+                for budget in _budgets(chunk, q, 3)])
+
+
+# windows of 3 default chunks + 3 prefixes across 2q; F_625 0..6 has 218736
+# pairs of crossings, so its scan takes 14 blocks of pairs
+@pytest.mark.parametrize("pm, orbits", [((11, 2), (0, 1, 2)),
+                                        ((13, 2), (0, 2, 3, 4)),
+                                        ((5, 4), tuple(range(7)))])
+def test_budgeted_scan_matches_dense_counter_across_q(pm, orbits, field_cache):
+    es = build_evaluation_set(surface_params(field_cache(*pm), 3), orbits)
+    q = es.field.order
+    chunk = _default_chunk(q, es.n)
+    lo = 2 * q - chunk - 1
+    _dense_agreement(es, [(a0, lo, lo + 3 * chunk + 3, chunk, budget)
+                          for a0 in (1, 0) for budget in _budgets(chunk, q, 2)])
+
+
+def test_budgeted_scan_block_boundary_on_625(f625):
+    # the 5-zero point of prefix (1, 3, 240) of F_625 0..6 is on the group
+    # of the last crossing of a block of pairs: a block cut inside that
+    # crossing's pairs would count 4
+    es = build_evaluation_set(surface_params(f625, 3), tuple(range(7)))
+    scan = (1, 3 * 625 + 240, 3 * 625 + 241, 1, None)
+    assert _r3_scan_prefixes(es, *scan) == dense_scan_prefixes(es, *scan) == (
+        (5, (1, 3, 240, 172, 179)), 625**2, True)
+
+
+# recorded from the dense counter, whose calls peak at 46 MB and 414 MB
+# traced: its bins grow as g·n·q, and the pairs of crossings do not
+@pytest.mark.parametrize("m, call, expected", [
+    (10, lambda es, q: _r3_scan_prefixes(es, 1, 0, q * q, 1, 4 * q * q),
+     ((4, (1, 0, 0, 6985, 0)), 13947137604, False)),
+    (12, lambda es, q: min_distance(es, budget=4 * q * q),
+     lrc_code.DistanceResult(40, (1, 0, 1, 0, 0), False, 1129718145924)),
+], ids=["3^10-scan", "3^12-min_distance"])
+def test_budgeted_scan_at_large_q_stays_small(m, call, expected):
+    es = build_evaluation_set(surface_params(make_field(3, m), 3), [0, 1, 2])
+    tracemalloc.start()
+    try:
+        got = call(es, es.field.order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 8 << 20, peak
 
 
 @pytest.mark.parametrize("orbits, d", [((0, 1, 2), 40), (tuple(range(7)), 104)])

@@ -278,21 +278,21 @@ def _cmd_verify_invariants(args) -> int:
     fld, r = es.field, es.r
     gm = generator_matrix(es)
     prof = code_profile(es)
+    xs, ys, ts = es.xyt.tolist()
     checks = [
         ("k = r(r-1)-1 generator rank", gm.k == r * (r - 1) - 1),
         ("n = b(r+1)^2", es.n == es.b * (r + 1) ** 2),
         ("points on multisection",
-         all(specialize_P(es.params, p.t).eval_at(p.x) == 0
-             for p in es.points)),
+         all(specialize_P(es.params, t).eval_at(x) == 0
+             for x, t in zip(xs, ts))),
         ("points on section y = x^{(r+1)/2} + 1",
-         all(p.y == fld.add(fld.pow(p.x, (r + 1) // 2), 1)
-             for p in es.points)),
+         all(y == fld.add(fld.pow(x, (r + 1) // 2), 1)
+             for x, y in zip(xs, ys))),
         ("bounds ordered", prof.d_lower <= prof.d_upper),
     ]
     disjoint = True
-    for p in es.points:
-        hor, ver = recovery_indices(es, p.l, p.i, p.j)
-        trip = (p.l, p.i, p.j)
+    for trip in map(es.triple, range(es.n)):
+        hor, ver = recovery_indices(es, *trip)
         disjoint &= (len(hor) == r and len(ver) == r
                      and not set(hor) & set(ver)
                      and trip not in hor and trip not in ver)

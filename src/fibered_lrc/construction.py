@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -166,23 +166,17 @@ def find_nice_orbits(params: SurfaceParams) -> tuple[NiceOrbit, ...]:
 
 
 @dataclass(frozen=True)
-class SurfacePoint:
-    l: int
-    i: int
-    j: int
-    x: int
-    y: int
-    t: int
-
-
-@dataclass(frozen=True)
 class EvaluationSet:
-    """b chosen orbits and their b*(r+1)^2 evaluation points."""
+    """b chosen orbits and their b*(r+1)^2 evaluation points.
+
+    xyt is a read-only (3, n) array of the points' x, y and t, by position;
+    the orbits determine it, so equality and hashing skip it.
+    """
 
     params: SurfaceParams
     orbit_indices: tuple[int, ...]
     orbits: tuple[NiceOrbit, ...]
-    points: tuple[SurfacePoint, ...]     # flattened (l, i, j) row-major
+    xyt: np.ndarray = dc_field(compare=False, repr=False)
 
     @property
     def field(self) -> FieldSpec:
@@ -211,6 +205,13 @@ class EvaluationSet:
             raise IndexError(f"point ({l},{i},{j}) out of range")
         return (l * rp1 + i) * rp1 + j
 
+    def triple(self, pos: int) -> tuple[int, int, int]:
+        """(l, i, j) of a position: the inverse of point_index."""
+        if not 0 <= pos < self.n:
+            raise IndexError(f"position {pos} out of range [0, {self.n})")
+        rp1 = self.params.r + 1
+        return pos // rp1 // rp1, pos // rp1 % rp1, pos % rp1
+
     def fibers(self, pos: int) -> tuple[range, range]:
         """(horizontal, vertical): the positions of the two fibers through pos.
 
@@ -227,14 +228,6 @@ class EvaluationSet:
 
     def t_value(self, l: int, j: int) -> int:
         return self.orbits[l].members[j]
-
-
-def _rhs_cubic(fld: FieldSpec, x: int, s: int) -> int:
-    """x^3 - x^2 (s + 1) + x s, the surface's right side at t^{r+1} = s."""
-    x2 = fld.mul(x, x)
-    term = fld.mul(x2, x)
-    term = fld.sub(term, fld.mul(x2, fld.add(s, 1)))
-    return fld.add(term, fld.mul(x, s))
 
 
 def build_evaluation_set(params: SurfaceParams, orbit_indices=None) -> EvaluationSet:
@@ -259,30 +252,32 @@ def build_evaluation_set(params: SurfaceParams, orbit_indices=None) -> Evaluatio
             raise IndexError(
                 f"orbit index {idx} out of range (found {len(catalog)} orbits)")
 
-    fld, rp1 = params.field, params.r + 1
+    fld, rp1, q = params.field, params.r + 1, params.field.order
+    NEG, LOG, EXP = (fld.np_tables()[name] for name in ("NEG", "LOG", "EXP"))
     orbits = tuple(catalog[idx] for idx in orbit_indices)
-    points = []
-    for l, orbit in enumerate(orbits):
-        s = fld.pow(orbit.representative, rp1)
-        for i, x in enumerate(orbit.roots):
-            y = fld.add(fld.pow(x, rp1 // 2), 1)
-            y2 = fld.mul(y, y)
-            if y2 != _rhs_cubic(fld, x, s):
-                raise InternalNicenessViolation(
-                    f"point (x={x}, t^{rp1}={s}) is off the surface")
-            # the Kummer quantity y^2 - x^3 + x^2 = s x (1-x) must be
-            # nonzero (so x is not 0 or 1 and t is not 0), otherwise a
-            # recovery set degenerates
-            x2 = fld.mul(x, x)
-            if fld.sub(y2, fld.sub(fld.mul(x2, x), x2)) == 0:
-                raise InternalNicenessViolation(
-                    f"Kummer quantity vanishes at (x={x}, t^{rp1}={s})")
-            points.extend(SurfacePoint(l, i, j, x, y, t)
-                          for j, t in enumerate(orbit.members))
+    x = np.array([ob.roots for ob in orbits])                   # (b, r+1)
+    s = np.array([[fld.pow(ob.representative, rp1)] for ob in orbits])
+    y = fld.vsum(np.where(x == 0, 0, EXP[LOG[x] * (rp1 // 2) % (q - 1)]), 1)
+    # on the surface, the Kummer quantity y^2 - x^3 + x^2 is s x (1-x); it
+    # must be nonzero, otherwise a recovery set degenerates (x = 0 and
+    # x = 1 are off the surface, which leaves t = 0)
+    x2 = fld.vmul(x, x)
+    kummer = fld.vsum(fld.vmul(y, y), NEG[fld.vmul(x2, x)], x2)
+    off = kummer != fld.vmul(s, fld.vsum(x, NEG[x2]))
+    bad = off | (kummer == 0)
+    if bad.any():
+        l, i = np.argwhere(bad)[0]
+        at = f"(x={x[l, i]}, t^{rp1}={s[l, 0]})"
+        raise InternalNicenessViolation(
+            f"point {at} is off the surface" if off[l, i]
+            else f"Kummer quantity vanishes at {at}")
+    t = np.repeat([ob.members for ob in orbits], rp1, axis=0)  # (b(r+1), r+1)
+    xyt = np.stack([np.repeat(x, rp1), np.repeat(y, rp1), t.ravel()])
+    xyt.flags.writeable = False
     # points are pairwise distinct: (x, t) pairs determine them
-    if len({(p.x, p.t) for p in points}) != len(points):
+    if len(set((xyt[0] * q + xyt[2]).tolist())) != xyt.shape[1]:
         raise InternalNicenessViolation("evaluation points collide")
-    return EvaluationSet(params, orbit_indices, orbits, tuple(points))
+    return EvaluationSet(params, orbit_indices, orbits, xyt)
 
 
 def recovery_indices(es: EvaluationSet, l: int, i: int, j: int):
@@ -291,10 +286,9 @@ def recovery_indices(es: EvaluationSet, l: int, i: int, j: int):
     horizontal: same orbit and root, other fibers (fixed x, varying t);
     vertical: same fiber, other roots (fixed t, varying x).
     """
-    pos = es.point_index(l, i, j)
-    return tuple(tuple((es.points[k].l, es.points[k].i, es.points[k].j)
-                       for k in fiber if k != pos)
-                 for fiber in es.fibers(pos))
+    es.point_index(l, i, j)     # range check
+    return (tuple((l, i, k) for k in range(es.r + 1) if k != j),
+            tuple((l, k, j) for k in range(es.r + 1) if k != i))
 
 
 def m_sufficient(q: int, r: int) -> int:

@@ -129,18 +129,19 @@ def vertical_fiber(field: FieldSpec, tbar: int) -> WeierstrassCurve:
 def verify_vertical_sum(es: EvaluationSet, l: int, j: int) -> bool:
     """Do the four evaluation points of vertical fiber (l, ., j) sum to O?"""
     fld = es.field
-    pts = [es.points[k] for k in es.fibers(es.point_index(l, 0, j))[1]]
-    curve = vertical_fiber(fld, pts[0].t)
+    ver = es.fibers(es.point_index(l, 0, j))[1]
+    xs, ys, ts = es.xyt[:, ver.start:ver.stop:ver.step].tolist()
+    curve = vertical_fiber(fld, ts[0])
     total = O
-    for pt in pts:
-        total = ec_add(curve, total, CurvePoint(pt.x, pt.y))
+    for x, y in zip(xs, ys):
+        total = ec_add(curve, total, CurvePoint(x, y))
     return total == O
 
 
 def horizontal_quartic(es: EvaluationSet, l: int, i: int):
     """(A, B) of the genus-1 model y^2 = A t^4 + B over root (l, i)."""
     fld = es.field
-    xbar = es.points[es.point_index(l, i, 0)].x
+    xbar = es.xyt.item(0, es.point_index(l, i, 0))
     c = fld.sub(xbar, fld.mul(xbar, xbar))
     return c, fld.neg(fld.mul(c, xbar))
 
@@ -158,15 +159,16 @@ def horizontal_sum_two_torsion(es: EvaluationSet, l: int, i: int) -> bool:
     a4 = fld.neg(fld.mul(four, fld.mul(A, B)))
     curve = WeierstrassCurve(fld, 0, a4)
     total = O
-    for k in es.fibers(es.point_index(l, i, 0))[0]:
-        pt = es.points[k]
-        if fld.mul(pt.y, pt.y) != fld.add(fld.mul(A, fld.pow(pt.t, 4)), B):
+    hor = es.fibers(es.point_index(l, i, 0))[0]
+    _, ys, ts = es.xyt[:, hor.start:hor.stop].tolist()
+    for y, t in zip(ys, ts):
+        if fld.mul(y, y) != fld.add(fld.mul(A, fld.pow(t, 4)), B):
             raise PointNotOnCurve(
-                f"(t, y) = ({pt.t}, {pt.y}) is off the quartic model")
-        w = fld.add(pt.y, fld.mul(alpha, fld.mul(pt.t, pt.t)))
+                f"(t, y) = ({t}, {y}) is off the quartic model")
+        w = fld.add(y, fld.mul(alpha, fld.mul(t, t)))
         img = CurvePoint(
             fld.mul(two, fld.mul(alpha, w)),
-            fld.mul(four, fld.mul(fld.mul(alpha, alpha), fld.mul(pt.t, w))))
+            fld.mul(four, fld.mul(fld.mul(alpha, alpha), fld.mul(t, w))))
         total = ec_add(curve, total, img)  # raises PointNotOnCurve off it
     return ec_is_two_torsion(curve, total)
 

@@ -194,10 +194,6 @@ class FieldSpec:
     def from_log(self, k: int) -> int:
         return self._exp[k % (self.order - 1)]
 
-    def order_key(self, a: int) -> int:
-        """Canonical element ordering: zero first, then discrete-log index."""
-        return -1 if a == 0 else self._log[a]
-
     def elements(self):
         """All elements in canonical order (zero, then powers of gen)."""
         yield 0

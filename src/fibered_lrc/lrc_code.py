@@ -100,8 +100,7 @@ def generator_matrix(es: EvaluationSet) -> GeneratorMatrix:
     LOG, EXP = (fld.np_tables()[name] for name in ("LOG", "EXP"))
     # x and t are nonzero at every point (build_evaluation_set checks it),
     # so x^i·t^j = EXP[(i·log x + j·log t) mod (q - 1)]
-    logs = LOG[[(pt.x, pt.t) for pt in es.points]]
-    rows = EXP[mons @ logs.T % (fld.order - 1)]
+    rows = EXP[mons @ LOG[es.xyt[[0, 2]]] % (fld.order - 1)]
     # rank k over F_q is rank k·m of over_fp over F_p
     if _rank(fld, rows) != k:
         raise RankDeficient(f"generator matrix rank below k={k} for {fld.label}")
@@ -243,8 +242,7 @@ def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
     """
     fld, q, n, r = es.field, es.field.order, es.n, es.r
     NEG, INV = (fld.np_tables()[name] for name in ("NEG", "INV"))
-    tc = np.asarray([pt.t for pt in es.points])
-    nix = NEG[INV[np.asarray([pt.x for pt in es.points])]]
+    tc, nix = es.xyt[2], NEG[INV[es.xyt[0]]]
     tt = fld.vmul(tc, tc)
     ci, cj = np.nonzero(tc[:, None] < tc[None, :])
     ke = np.stack([nix, fld.vmul(tc, nix), fld.vmul(tt, nix)])  # k = Σ a·ke
@@ -313,7 +311,7 @@ def _r3_pencils(es, picks, images=((1, 1),)):
     NEG, INV, LOG, EXP = (fld.np_tables()[name]
                           for name in ("NEG", "INV", "LOG", "EXP"))
     mul, add = fld.vmul, fld.vsum
-    x, t = np.asarray([(pt.x, pt.t) for pt in es.points]).T
+    x, _, t = es.xyt
     y = np.stack([x, mul(x, t)])
     tk = t[picks[:, :, 0]]
     tl, th = tk[:, [1, 0, 0]], tk[:, [2, 2, 1]]      # the other two t̄
@@ -416,7 +414,7 @@ def _r3_pencil_search(es):
     fld, rp1 = es.field, es.r + 1
     fibers = np.asarray([es.fibers(es.point_index(l, 0, j))[1]
                          for l in range(es.b) for j in range(rp1)])
-    tf = [es.points[f[0]].t for f in fibers]
+    tf = es.xyt[2, fibers[:, 0]].tolist()
     best = (-1, None)
     for t1, t2 in combinations(tf, 2):
         inv = fld.inv(fld.mul(t1, t2))

@@ -1,5 +1,5 @@
-"""The step-by-step field build, digit-wise field addition, the scalar
-orbit catalog, direct-evaluation checks of the encoder and kernels, and the
+"""The step-by-step field build, digit-wise field addition, the canonical
+element order, the scalar orbit catalog, direct-evaluation checks of the encoder and kernels, and the
 one-trial-at-a-time simulator."""
 
 import itertools
@@ -86,8 +86,13 @@ def scalar_nice_orbits(params) -> tuple[NiceOrbit, ...]:
             orbits.append(NiceOrbit(members[0], members, tuple(roots)))
     if not orbits:
         raise NoNiceElements(f"no nice elements in {fld.label} for r={r}")
-    orbits.sort(key=lambda ob: fld.order_key(ob.representative))
+    orbits.sort(key=lambda ob: order_key(fld, ob.representative))
     return tuple(orbits)
+
+
+def order_key(fld, a: int) -> int:
+    """Canonical element ordering: zero first, then discrete-log index."""
+    return -1 if a == 0 else fld.log(a)
 
 
 def digit_add(fld, a, b) -> int:
@@ -118,10 +123,11 @@ def naive_encode(es, message) -> tuple[int, ...]:
     fld = es.field
     terms = [(c, i, j) for c, (i, j) in zip(message, basis(es.r)) if c]
     word = []
-    for pt in es.points:
+    xs, _, ts = es.xyt.tolist()
+    for x, t in zip(xs, ts):
         acc = 0
         for c, i, j in terms:
-            xt = fld.mul(fld.pow(pt.x, i), fld.pow(pt.t, j))
+            xt = fld.mul(fld.pow(x, i), fld.pow(t, j))
             acc = fld.add(acc, fld.mul(c, xt))
         word.append(acc)
     return tuple(word)
@@ -259,8 +265,7 @@ def dense_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
     """
     fld, q, n = es.field, es.field.order, es.n
     NEG, INV = (fld.np_tables()[name] for name in ("NEG", "INV"))
-    tc = np.asarray([pt.t for pt in es.points])
-    nix = NEG[INV[np.asarray([pt.x for pt in es.points])]]
+    tc, nix = es.xyt[2], NEG[INV[es.xyt[0]]]
     tt = fld.vmul(tc, tc)
     ci, cj = np.nonzero(tc[:, None] < tc[None, :])
     ke = np.stack([nix, fld.vmul(tc, nix), fld.vmul(tt, nix)])  # k = Σ a·ke
@@ -385,7 +390,7 @@ def unreduced_pencil_search(es):
     through ``_r3_pencils`` with no images, so no ζ-orbit is skipped.
     """
     fld = es.field
-    t = np.asarray([pt.t for pt in es.points])
+    t = es.xyt[2]
     fibers = np.argsort(t, kind="stable").reshape(-1, es.r + 1)
     tf = t[fibers[:, 0]].tolist()
     best = (-1, None)

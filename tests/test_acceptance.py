@@ -191,15 +191,15 @@ def test_recovery_thousand_messages(key):
     es = build_evaluation_set(surface_params(fld, 3), (0,))
     gm = generator_matrix(es)
     # both recovery sets are size r and disjoint, at every symbol
-    for p in es.points:
-        hor, ver = recovery_indices(es, p.l, p.i, p.j)
+    for pos in range(es.n):
+        hor, ver = recovery_indices(es, *es.triple(pos))
         assert len(hor) == len(ver) == 3 and not set(hor) & set(ver)
     rng = random.Random(0xACCE97 + fld.order)
     for trial in range(1000):
         msg = [rng.randrange(fld.order) for _ in range(5)]
         cw = encode(gm, msg)
-        for pos, point in enumerate(es.points):
-            target = (point.l, point.i, point.j)
+        for pos in range(es.n):
+            target = es.triple(pos)
             assert recover_vertical(es, cw, target) == cw[pos]
             assert recover_horizontal(es, cw, target) == cw[pos]
         # two erasures inside one vertical fiber always come back

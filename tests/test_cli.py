@@ -236,6 +236,67 @@ def test_recover_bad_erase_triple_exits_1(prof49, cw49, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--erase", "0,1", "erasure '0,1' is not of the form l,i,j"),
+    ("--erase", "a,b,c", "invalid literal for int() with base 10: 'a'"),
+    ("--orbits", "x", "invalid literal for int() with base 10: 'x'"),
+    ("--threads", "x", "invalid literal for int() with base 10: 'x'"),
+])
+def test_malformed_option_exits_1(option, value, message, prof49, cw49, capsys):
+    argv = ["recover", "--profile", str(prof49), "--codeword", str(cw49[0])]
+    if option == "--orbits":
+        argv = ["construct", "--field", "7^2"]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, f"{option}={value}"])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"argument {option}: {message}\n"), err
+    assert "Traceback" not in err
+
+
+def test_mindist_many_threads_same_output(capsys):
+    # --threads has no effect, so a huge count starts nothing
+    outputs = []
+    for threads in ("1", "10000"):
+        assert main(["mindist", "--field", "7^2", "--orbits", "0",
+                     "--threads", threads]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1].out == outputs[0].out and outputs[1].err == ""
+
+
+def test_recover_codeword_mismatch_exits_2(prof49, cw49, f49, f121, tmp_path,
+                                           capsys):
+    es121 = build_evaluation_set(surface_params(f121, 3), (0,))
+    cases = (
+        (f121, encode(generator_matrix(es121), [1, 2, 3, 4, 5]),
+         "codeword field differs from profile field"),
+        (f49, cw49[1][:15], "codeword has 15 symbols, code n=16"),
+    )
+    for fld, symbols, message in cases:
+        path = tmp_path / "cw.json"
+        with open(path, "w") as fh:
+            save_json(codeword_to_dict(fld, symbols), fh)
+        assert main(["recover", "--profile", str(prof49), "--codeword",
+                     str(path), "--erase", "0,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invariant violation: {message}\n"
+
+
+def test_recover_stopped_peel_skips_the_horizontal_check(prof49, cw49, capsys):
+    # (0,2,0) repairs along its horizontal fiber in round one; its vertical
+    # fiber still holds two erasures, so the cross-check has nothing to
+    # compare, and the 2 x 2 block stays erased
+    erase = "0,0,0;0,0,1;0,1,0;0,1,1;0,2,0"
+    assert main(["recover", "--profile", str(prof49), "--codeword",
+                 str(cw49[0]), "--erase", erase]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[:5] == [
+        "(0,2,0) H", "(0,0,0) UNRECOVERED", "(0,0,1) UNRECOVERED",
+        "(0,1,0) UNRECOVERED", "(0,1,1) UNRECOVERED"]
+    assert captured.err == ""
+
+
 def test_simulate_deterministic(prof49, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

@@ -1,14 +1,17 @@
 """Tests for the fibered-surface parameter/orbit/evaluation-set layer."""
 
+import dataclasses
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from fibered_lrc import construction, make_field
 from fibered_lrc.construction import (
     BadLocality,
     EmptySelection,
+    InternalNicenessViolation,
     NiceOrbit,
     NoAdmissibleBase,
     NoNiceElements,
@@ -20,7 +23,7 @@ from fibered_lrc.construction import (
     surface_params,
 )
 from fibered_lrc.poly import all_roots, poly, splits_completely_distinct
-from kernel_oracle import scalar_nice_orbits
+from kernel_oracle import order_key, scalar_nice_orbits
 
 # (p, m_total) -> (expected q, expected m, expected orbit count M).
 # Orbit counts were cross-checked by brute-force root counting of the
@@ -175,13 +178,14 @@ def test_orbit_counts_frozen():
         for ob in orbits:
             assert len(ob.members) == 4
             assert ob.members[0] == ob.representative
-            assert ob.representative == min(ob.members, key=fld.order_key)
+            assert ob.representative == min(
+                ob.members, key=lambda a: order_key(fld, a))
             for j, t in enumerate(ob.members):
                 assert t == fld.mul(fld.pow(sp.zeta, j), ob.representative)
             seen.update(ob.members)
         assert len(seen) == 4 * M
         # sorted by canonical order of least member
-        keys = [fld.order_key(ob.representative) for ob in orbits]
+        keys = [order_key(fld, ob.representative) for ob in orbits]
         assert keys == sorted(keys)
 
 
@@ -248,23 +252,24 @@ def test_evaluation_set_invariants(sp169, f169):
     assert es.b == 5
     fld = f169
     seen = set()
-    for pt in es.points:
+    assert es.xyt.shape == (3, es.n)
+    for x, y, t in zip(*es.xyt.tolist()):
         # both surface equations, affine chart
-        assert pt.y == fld.add(fld.mul(pt.x, pt.x), 1)
+        assert y == fld.add(fld.mul(x, x), 1)
         rhs = fld.add(
             fld.sub(
-                fld.pow(pt.x, 3),
-                fld.mul(fld.mul(pt.x, pt.x), fld.add(fld.pow(pt.t, 4), 1)),
+                fld.pow(x, 3),
+                fld.mul(fld.mul(x, x), fld.add(fld.pow(t, 4), 1)),
             ),
-            fld.mul(pt.x, fld.pow(pt.t, 4)),
+            fld.mul(x, fld.pow(t, 4)),
         )
-        assert fld.mul(pt.y, pt.y) == rhs
-        assert pt.x not in (0, 1)
-        assert pt.t != 0
+        assert fld.mul(y, y) == rhs
+        assert x not in (0, 1)
+        assert t != 0
         # horizontal fiber is full: u * x(x-1) != 0 with u = t^4
-        kum = fld.mul(fld.pow(pt.t, 4), fld.mul(pt.x, fld.sub(pt.x, 1)))
+        kum = fld.mul(fld.pow(t, 4), fld.mul(x, fld.sub(x, 1)))
         assert kum != 0
-        seen.add((pt.x, pt.t))
+        seen.add((x, t))
     assert len(seen) == es.n  # pairwise distinct as plane points
 
 
@@ -281,12 +286,80 @@ def test_vertical_fibers_structure(sp169):
 def test_point_index_round_trip(sp169):
     es = build_evaluation_set(sp169, [2, 0])
     for pos in range(es.n):
-        pt = es.points[pos]
-        assert es.point_index(pt.l, pt.i, pt.j) == pos
+        assert es.point_index(*es.triple(pos)) == pos
+    for pos in (-1, es.n):
+        with pytest.raises(IndexError):
+            es.triple(pos)
     with pytest.raises(IndexError):
         es.point_index(2, 0, 0)
     with pytest.raises(IndexError):
         es.point_index(0, 4, 0)
+
+
+@pytest.mark.parametrize("p, m, r, orbits", [
+    (13, 2, 3, None), (5, 4, 3, (6, 0, 3)), (7, 2, 5, None), (7, 4, 7, None)])
+def test_xyt_holds_the_points(p, m, r, orbits):
+    # P_{l,i,j} = (x_i, x_i^{(r+1)/2} + 1, zeta^j t_l) at position (l, i, j)
+    es = build_evaluation_set(surface_params(make_field(p, m), r), orbits)
+    fld = es.field
+    assert es.xyt.shape == (3, es.n) and es.xyt.dtype == np.int64
+    for pos, point in enumerate(zip(*es.xyt.tolist())):
+        l, i, j = es.triple(pos)
+        x = es.roots[l][i]
+        assert point == (x, fld.add(fld.pow(x, (r + 1) // 2), 1),
+                         es.t_value(l, j))
+    with pytest.raises(ValueError, match="read-only"):
+        es.xyt[0, 0] = 1
+    # equal sets compare and hash by their orbits, not by the array
+    again = build_evaluation_set(es.params, es.orbit_indices)
+    assert again == es and hash(again) == hash(es) and again.xyt is not es.xyt
+
+
+def _doctored(ob, **fields):
+    return (dataclasses.replace(ob, **fields),)
+
+
+def test_doctored_catalog_raises(f49, monkeypatch):
+    # the messages are those of the point-by-point build; the first failing
+    # (orbit, root) is named, its surface equation checked first
+    sp = surface_params(f49, 3)
+    ob0, ob1 = find_nice_orbits(sp)
+    assert ob0.roots == (4, 11, 46, 3) and ob0.members == (32, 25, 24, 31)
+    cases = [
+        # a wrong root
+        (_doctored(ob0, roots=(4, 2, 46, 3)),
+         "point (x=2, t^4=5) is off the surface"),
+        # two wrong roots: the first one in (l, i) order
+        (_doctored(ob0, roots=(4, 2, 46, 10)),
+         "point (x=2, t^4=5) is off the surface"),
+        (_doctored(ob0, roots=(0, 11, 46, 3)),
+         "point (x=0, t^4=5) is off the surface"),
+        (_doctored(ob0, roots=(1, 11, 46, 3)),
+         "point (x=1, t^4=5) is off the surface"),
+        # on the surface at t = 0, where s x (1-x) vanishes
+        (_doctored(ob0, roots=(2, 11, 46, 3), representative=0,
+                   members=(0, 0, 0, 0)),
+         "Kummer quantity vanishes at (x=2, t^4=0)"),
+        # Kummer at root 0 comes before an off-surface root 1
+        (_doctored(ob0, roots=(2, 5, 46, 3), representative=0,
+                   members=(0, 0, 0, 0)),
+         "Kummer quantity vanishes at (x=2, t^4=0)"),
+        # a repeated member
+        (_doctored(ob0, members=(32, 25, 25, 31)), "evaluation points collide"),
+    ]
+    for catalog, message in cases:
+        monkeypatch.setattr(construction, "find_nice_orbits",
+                            lambda params, catalog=catalog: catalog)
+        with pytest.raises(InternalNicenessViolation) as info:
+            build_evaluation_set(sp, (0,))
+        assert str(info.value) == message
+    # the second orbit is named by its own t^4
+    bad = (ob0, *_doctored(ob1, roots=(ob1.roots[0], 2, *ob1.roots[2:])))
+    monkeypatch.setattr(construction, "find_nice_orbits", lambda params: bad)
+    with pytest.raises(InternalNicenessViolation,
+                       match=r"^point \(x=2, t\^4=%d\) is off the surface$"
+                       % f49.pow(ob1.representative, 4)):
+        build_evaluation_set(sp)
 
 
 def test_selection_errors(sp169):
@@ -313,16 +386,14 @@ def test_recovery_indices(sp169):
                 assert {v[1] for v in ver} | {i} == {0, 1, 2, 3}
                 assert len({(l, i, j), *hor, *ver}) == 7
     for pos in range(es.n):
-        pt = es.points[pos]
+        l, i, j = es.triple(pos)
         horizontal, vertical = es.fibers(pos)
         assert len(horizontal) == len(vertical) == 4
         assert set(horizontal) & set(vertical) == {pos}
-        assert all((es.points[k].l, es.points[k].i) == (pt.l, pt.i)
-                   for k in horizontal)
-        assert all((es.points[k].l, es.points[k].j) == (pt.l, pt.j)
-                   for k in vertical)
+        assert all(es.triple(k)[:2] == (l, i) for k in horizontal)
+        assert all(es.triple(k)[::2] == (l, j) for k in vertical)
         for fiber, rest in zip((horizontal, vertical),
-                               recovery_indices(es, pt.l, pt.i, pt.j)):
+                               recovery_indices(es, l, i, j)):
             assert [k for k in fiber if k != pos] == [
                 es.point_index(*trip) for trip in rest]
     for pos in (-1, es.n):

@@ -169,13 +169,14 @@ def test_vertical_sum_negated_point_breaks(f49):
     es = build_evaluation_set(surface_params(f49, 3))
     for l in range(2):
         for j in range(4):
-            pts = [es.points[es.point_index(l, i, j)] for i in range(4)]
-            curve = vertical_fiber(f49, pts[0].t)
-            total = ec_neg(curve, CurvePoint(pts[0].x, pts[0].y))
-            for pt in pts[1:]:
-                total = ec_add(curve, total, CurvePoint(pt.x, pt.y))
+            pts = [es.xyt[:, es.point_index(l, i, j)].tolist()
+                   for i in range(4)]
+            curve = vertical_fiber(f49, pts[0][2])
+            total = ec_neg(curve, CurvePoint(*pts[0][:2]))
+            for x, y, _ in pts[1:]:
+                total = ec_add(curve, total, CurvePoint(x, y))
             # sum with one point negated is 2P0, nonzero since y0 != 0
-            assert pts[0].y != 0 and total != O
+            assert pts[0][1] != 0 and total != O
 
 
 # (p, m): count of horizontal fibers whose twist is a nonsquare

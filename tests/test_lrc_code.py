@@ -81,8 +81,7 @@ def test_basis_bad_locality():
 
 def test_generator_matrix_shape_and_columns(es49, gm49, f49):
     assert gm49.k == 5 and gm49.n == 16
-    for col, pt in enumerate(es49.points):
-        x, t = pt.x, pt.t
+    for col, (x, _, t) in enumerate(zip(*es49.xyt.tolist())):
         expect = (
             x,
             f49.mul(x, t),
@@ -146,7 +145,7 @@ def test_encode_basics(es49, gm49, f49):
     zero = encode(gm49, [0] * 5)
     assert set(zero) == {0}
     xs = encode(gm49, [1, 0, 0, 0, 0])
-    assert xs == tuple(pt.x for pt in es49.points)
+    assert xs == tuple(es49.xyt[0].tolist())
     with pytest.raises(LengthMismatch):
         encode(gm49, [1, 2, 3])
     # 49 is past the log table; -1 would wrap to its last entry; a bool
@@ -529,7 +528,7 @@ def test_pencil_images_invariant_under_fiber_group():
         es = build_evaluation_set(surface_params(make_field(*pm), 3), orbits)
         fibers = np.asarray([es.fibers(es.point_index(l, 0, j))[1]
                              for l in range(es.b) for j in range(4)])
-        images, perms = _fiber_group(es, [es.points[f[0]].t for f in fibers])
+        images, perms = _fiber_group(es, es.xyt[2, fibers[:, 0]].tolist())
         for tri in _fiber_orbit_triples(perms):
             want = _r3_pencils(es, fibers[[tri]], images)
             for g in perms:
@@ -598,9 +597,9 @@ def test_pencil_search_on_3_6_below_lower_bound():
     witness = (0, 1, 327, 46, 79)
     assert _search_matches_oracle(es) == (10, witness)
     assert es.n == 48 and distance_lower_bound(es.n, 3) == 39
-    zeros = [es.points[c] for c, v in enumerate(naive_encode(es, witness))
+    zeros = [es.triple(c) for c, v in enumerate(naive_encode(es, witness))
              if v == 0]
-    fibers = sorted(Counter((pt.l, pt.j) for pt in zeros).values())
+    fibers = sorted(Counter((l, j) for l, _, j in zeros).values())
     assert len(zeros) == 10 and fibers == [1] * 6 + [4]
 
 
@@ -715,9 +714,9 @@ def test_fiber_halves_fast_with_many_orbits(orbits, count):
 def test_pencil_search_where_three_groups_fail(pm, orbits):
     es = build_evaluation_set(surface_params(make_field(*pm), 3), orbits)
     zeros, witness = _search_matches_oracle(es)
-    pts = [es.points[c] for c, v in enumerate(naive_encode(es, witness))
+    pts = [es.triple(c) for c, v in enumerate(naive_encode(es, witness))
            if v == 0]
-    fibers = sorted(Counter((pt.l, pt.j) for pt in pts).values())
+    fibers = sorted(Counter((l, j) for l, _, j in pts).values())
     assert len(pts) == zeros and fibers[:-1] == [1] * (len(fibers) - 1) \
         and len(fibers) in (5, 6), orbits
 
@@ -782,6 +781,18 @@ def test_f_min_message(f49, f121, f169):
         assert sum(map(bool, encode(gm, vec))) == 8
     with pytest.raises(NotSingleOrbit):
         f_min_message(build_evaluation_set(surface_params(f169, 3), [0, 1]))
+
+
+@pytest.mark.parametrize("p, m, r, orbit", [
+    (7, 2, 5, 0), (11, 2, 5, 0), (5, 4, 5, 0), (5, 4, 5, 1), (5, 4, 5, 2),
+    (7, 4, 7, 0), (7, 4, 7, 1)])
+def test_f_min_message_above_r3(p, m, r, orbit):
+    # the r - 3 root factors x - x̄_i are empty at r = 3; here they kill
+    # r - 3 of the r + 1 points on each of the two surviving fibers
+    es = build_evaluation_set(surface_params(make_field(p, m), r), (orbit,))
+    vec = f_min_message(es)
+    weight = sum(map(bool, encode(generator_matrix(es), vec)))
+    assert weight == distance_b1(r) == 8
 
 
 def test_code_profile(es49, es49_full):

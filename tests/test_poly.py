@@ -11,6 +11,7 @@ from fibered_lrc.gf import DivisionByZero, FieldMismatch, make_field
 from fibered_lrc.poly import (
     all_roots,
     constant,
+    factor_monic,
     is_irreducible,
     poly,
     poly_gcd,
@@ -18,6 +19,7 @@ from fibered_lrc.poly import (
     splits_completely_distinct,
     x_poly,
 )
+from kernel_oracle import order_key
 
 
 def rand_poly(field, rng, max_deg):
@@ -176,6 +178,41 @@ def test_all_roots_order_and_content(f49):
     roots = all_roots(f)
     assert len(roots) == 4
     assert all(f49.pow(r, 4) == 1 for r in roots)
-    keys = [f49.order_key(r) for r in roots]
+    keys = [order_key(f49, r) for r in roots]
     assert keys == sorted(keys)
     assert splits_completely_distinct(f)
+
+
+def _power(g, e):
+    out = constant(g.field, 1)
+    for _ in range(e):
+        out = out * g
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (5, 1)])
+def test_factor_monic_multiplicity_divisible_by_p(p, m):
+    # a factor whose multiplicity p divides leaves g' = 0, so the p-th root
+    # branch takes it apart
+    fld = make_field(p, m)
+    x = x_poly(fld)
+
+    def lin(a):
+        return x - constant(fld, a)
+
+    build, expected = {
+        # (X - 1)^3 (X + 1) over F_3
+        (3, 1): (lambda: _power(lin(1), 3) * lin(2), [((1, 1), 1), ((2, 1), 3)]),
+        # X^3 - 5 over F_9 is (X - 5^3)^3, as 5^9 = 5
+        (3, 2): (lambda: _power(x, 3) - constant(fld, 5), [((4, 1), 3)]),
+        # (X - 2)^5 (X^2 + 2) over F_5
+        (5, 1): (lambda: _power(lin(2), 5) * poly(fld, [2, 0, 1]),
+                 [((3, 1), 5), ((2, 0, 1), 1)]),
+    }[p, m]
+    f = build()
+    out = factor_monic(f)
+    assert [(g.coeffs, e) for g, e in out] == expected
+    product = constant(fld, 1)
+    for g, e in out:
+        product = product * _power(g, e)
+    assert product == f

@@ -58,8 +58,7 @@ def _oracle_unrecoverable(es, triples):
 def test_zero_codeword(code49):
     es, gm = code49
     cw = list(encode(gm, [0] * 5))
-    for pt in es.points:
-        trip = (pt.l, pt.i, pt.j)
+    for trip in map(es.triple, range(es.n)):
         hole = _erase(cw, es, [trip])
         assert recover_vertical(es, hole, trip) == 0
         assert recover_horizontal(es, hole, trip) == 0
@@ -71,8 +70,8 @@ def test_single_hole_round_trip(code49, code49_full):
         for _ in range(trials):
             msg = [rng.randrange(es.field.order) for _ in range(5)]
             cw = encode(gm, msg)
-            for idx, pt in enumerate(es.points):
-                trip = (pt.l, pt.i, pt.j)
+            for idx in range(es.n):
+                trip = es.triple(idx)
                 hole = _erase(cw, es, [trip])
                 assert recover_vertical(es, hole, trip) == cw[idx]
                 assert recover_horizontal(es, hole, trip) == cw[idx]
@@ -103,8 +102,7 @@ def test_recover_vertical_detects_corruption(code49):
     es, gm = code49
     cw = encode(gm, [5, 1, 0, 9, 2])
     fld = es.field
-    for pt in es.points:
-        target = (pt.l, pt.i, pt.j)
+    for target in map(es.triple, range(es.n)):
         for trip in recovery_indices(es, *target)[1]:
             hole = _erase(cw, es, [target])
             pos = es.point_index(*trip)
@@ -116,8 +114,7 @@ def test_recover_vertical_detects_corruption(code49):
 def test_repair_single_erasure(code49):
     es, gm = code49
     cw = encode(gm, [3, 0, 48, 7, 1])
-    for pt in es.points:
-        trip = (pt.l, pt.i, pt.j)
+    for trip in map(es.triple, range(es.n)):
         res = repair(es, _erase(cw, es, [trip]))
         assert res.codeword == cw
         assert not res.unrecovered
@@ -151,7 +148,7 @@ def test_repair_crossed_fibers(code49):
 def test_repair_matches_reachability_oracle(code49_full):
     es, gm = code49_full
     rng = random.Random(3407)
-    all_triples = [(pt.l, pt.i, pt.j) for pt in es.points]
+    all_triples = [es.triple(pos) for pos in range(es.n)]
     for _ in range(60):
         msg = [rng.randrange(49) for _ in range(5)]
         cw = encode(gm, msg)
@@ -162,8 +159,7 @@ def test_repair_matches_reachability_oracle(code49_full):
         assert res.unrecovered <= set(pattern)
         assert res.rounds <= es.n
         for idx, v in enumerate(res.codeword):
-            pt = es.points[idx]
-            if (pt.l, pt.i, pt.j) in res.unrecovered:
+            if es.triple(idx) in res.unrecovered:
                 assert v is None
             else:
                 assert v == cw[idx]
@@ -209,7 +205,7 @@ def test_repair_rejects_out_of_range_symbols(code49):
     # nothing known: every position stays erased, after no round
     res = repair(es, [None] * es.n)
     assert res.codeword == (None,) * es.n and res.rounds == 0 and not res.paths
-    assert res.unrecovered == {(pt.l, pt.i, pt.j) for pt in es.points}
+    assert res.unrecovered == {es.triple(pos) for pos in range(es.n)}
     # nothing erased: the codeword comes back as it is
     res = repair(es, list(cw))
     assert res.codeword == cw and res.rounds == 0 and not res.unrecovered
@@ -259,12 +255,11 @@ def round_trip_cases(draw):
     msg = draw(st.lists(st.integers(0, es.field.order - 1),
                         min_size=gm.k, max_size=gm.k))
     positions = draw(st.sets(st.integers(0, es.n - 1), max_size=es.n // 2))
-    erased = [(es.points[pos].l, es.points[pos].i, es.points[pos].j)
-              for pos in positions]
-    pt = es.points[draw(st.integers(0, es.n - 1))]
-    partner = draw(st.sampled_from(recovery_indices(es, pt.l, pt.i, pt.j)[1]))
+    erased = [es.triple(pos) for pos in positions]
+    target = es.triple(draw(st.integers(0, es.n - 1)))
+    partner = draw(st.sampled_from(recovery_indices(es, *target)[1]))
     delta = draw(st.integers(1, es.field.order - 1))
-    return es, gm, msg, erased, (pt.l, pt.i, pt.j), partner, delta
+    return es, gm, msg, erased, target, partner, delta
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)

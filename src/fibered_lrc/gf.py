@@ -239,11 +239,13 @@ class FieldSpec:
         return self._np
 
     def vsum(self, *terms) -> np.ndarray:
-        """Elementwise sum of up to four broadcasting element arrays."""
-        if len(terms) > 4:
-            raise ValueError(f"vsum adds at most four terms, got {len(terms)}")
+        """Elementwise sum of one to four broadcasting element arrays."""
+        if not 0 < len(terms) <= 4:
+            raise ValueError(f"vsum adds 1 to at most four terms, got {len(terms)}")
         tabs = self._np
-        acc = sum(tabs["SPREAD"][term] for term in terms)
+        acc = tabs["SPREAD"][terms[0]]
+        for term in terms[1:]:  # not +=: a later term may broadcast wider
+            acc = acc + tabs["SPREAD"][term]
         return tabs["RED_LO"][acc & self._mask] + tabs["RED_HI"][acc >> self._shift]
 
     def vmul(self, a, b) -> np.ndarray:

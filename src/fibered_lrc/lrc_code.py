@@ -20,9 +20,9 @@ on one line, so no array holds n·q counters; it returns the best of the first
 
 Encoding is F_p-linear: an element is the digit vector of Σ c_i·X^i, so
 the generator matrix, of rank k checked over F_q, expands to a (k·m) x
-(n·m) matrix over F_p, and a block of messages encodes as one integer
-matrix product mod p.  `encode`, the generic search (r > 3) and
-`simulate.run_simulation` all go through it.
+(n·m) matrix over F_p, and a block of messages encodes as one exact
+float64 (BLAS) matrix product mod p.  `encode`, the generic search (r > 3)
+and `simulate.run_simulation` all go through it.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ class GeneratorMatrix:
     over_fp is its expansion over F_p, a (k·m) x (n·m) array: row κ·m + d
     holds the base-p digits of rows[κ] times the element p^d = X^d, so a
     message's digit vector times over_fp, mod p, is its codeword's digits.
+    It is float64, which holds F_p digits exactly, so the product runs in BLAS.
     """
 
     es: EvaluationSet
@@ -106,7 +107,7 @@ def generator_matrix(es: EvaluationSet) -> GeneratorMatrix:
         raise RankDeficient(f"generator matrix rank below k={k} for {fld.label}")
     # row κ·m + d holds the digits of rows[κ] times the element p^d = X^d
     shifted = fld.vmul(rows[:, None], fld.p ** np.arange(m)[:, None])
-    over_fp = digits(shifted, fld.p, m).reshape(k * m, es.n * m)
+    over_fp = digits(shifted, fld.p, m).reshape(k * m, es.n * m).astype(np.float64)
     return GeneratorMatrix(es, tuple(map(tuple, rows.tolist())), over_fp)
 
 
@@ -128,12 +129,21 @@ def _rank(fld: FieldSpec, mat: np.ndarray) -> int:
     return rank
 
 
+_FLOAT_EXACT = 2**53 - 1  # float64 holds every integer up to this one
+
+
 def _encode_block(gm: GeneratorMatrix, msgs) -> np.ndarray:
-    """Codewords of a (B, k) array of messages, as a (B, n) array."""
+    """Codewords of a (B, k) array of messages, as a (B, n) int64 array."""
     fld = gm.es.field
-    coords = digits(msgs, fld.p, fld.m).reshape(len(msgs), gm.k * fld.m)
-    out = (coords @ gm.over_fp % fld.p).reshape(len(msgs), gm.n, fld.m)
-    return out @ fld.p ** np.arange(fld.m)
+    p, step = fld.p, _FLOAT_EXACT // (fld.p - 1) ** 2
+    # sums of `step` digit products are exact; one chunk if k·m <= 8192, p <= 2^20
+    coords = digits(msgs, p, fld.m).reshape(len(msgs), gm.k * fld.m).astype(np.float64)
+    parts = ((coords[:, lo:lo + step] @ gm.over_fp[lo:lo + step]).astype(np.int64)
+             for lo in range(0, coords.shape[1], step))
+    out = next(parts) % p
+    for part in parts:
+        out = (out + part) % p
+    return out.reshape(len(msgs), gm.n, fld.m) @ p ** np.arange(fld.m)
 
 
 def encode(gm: GeneratorMatrix, message) -> tuple[int, ...]:

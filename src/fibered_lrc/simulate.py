@@ -4,9 +4,10 @@ Each trial encodes a random message, knocks out a set of storage nodes,
 and peels the surviving symbols with both recovery sets.  Randomness comes
 from numpy's PCG64 stream seeded per scenario, so a fixed seed gives a
 byte-identical report.  Each trial draws its message and then its failed
-nodes, in trial order.  BLOCK trials are encoded by one product and peeled
-by one `recovery._peel_block` call, so memory does not grow with the
-trial count; each repaired symbol is checked against the encoded one.
+nodes, in trial order.  BLOCK trials are encoded by one float64 (BLAS)
+product, exact below 2^53, and peeled by one `recovery._peel_block` call,
+so memory does not grow with the trial count; each repaired symbol is
+checked against the encoded one.
 """
 
 from __future__ import annotations

@@ -278,6 +278,14 @@ def test_vector_ops_random(p, m, modulus):
     check_vector_ops(fld, cols)
     with pytest.raises(ValueError, match="at most four"):
         fld.vsum(*[cols[0]] * 5)
+    with pytest.raises(ValueError, match="1 to at most four terms, got 0"):
+        fld.vsum()
+    # one term reduces to itself; a scalar or a row broadcasts to later terms
+    assert fld.vsum(cols[0]).tolist() == cols[0]
+    assert fld.vsum(1, cols[1]).tolist() == [fld.add(1, v) for v in cols[1]]
+    row, grid = cols[2][:4], np.reshape(cols[3][:12], (3, 4))
+    assert fld.vsum(row, grid).tolist() == \
+        [[fld.add(a, b) for a, b in zip(row, line)] for line in grid.tolist()]
 
 
 def test_np_tables_are_built_once():

@@ -178,19 +178,41 @@ def test_encode_block_matches_encode(pm):
         msgs = rng.integers(0, fld.order, size=(size, gm.k))
         msgs[size // 2] = 0
         block = _encode_block(gm, msgs)
-        assert block.shape == (size, es.n)
+        assert block.shape == (size, es.n) and block.dtype == np.int64
         assert [tuple(row) for row in block.tolist()] == \
             [encode(gm, msg) for msg in msgs.tolist()]
 
 
-# m = 1, 2, 4 and 6, up to q = 2401; r = 5 has k = 19
+# F_49 and F_625, two orbits each; the float64 product sums 10 and 20 terms
+@pytest.mark.parametrize("pm", [(7, 2), (5, 4)], ids=["7^2", "5^4"])
+@pytest.mark.parametrize("terms", [1, 3])
+def test_encode_block_in_chunks(pm, terms, monkeypatch):
+    """With the exact-sum limit cut to 1 or 3 digit products, the product
+    runs in several chunks, each reduced mod p, and encodes the same."""
+    fld = make_field(*pm)
+    es = build_evaluation_set(surface_params(fld, 3), (0, 1))
+    gm = generator_matrix(es)
+    rng = np.random.default_rng([*pm, terms])
+    blocks = [rng.integers(0, fld.order, size=(size, gm.k)) for size in (1, 64, 65)]
+    whole = [_encode_block(gm, msgs) for msgs in blocks]
+    monkeypatch.setattr(lrc_code, "_FLOAT_EXACT", terms * (fld.p - 1) ** 2)
+    for msgs, want in zip(blocks, whole):
+        got = _encode_block(gm, msgs)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert [tuple(row) for row in got.tolist()] == \
+            [naive_encode(es, msg) for msg in msgs.tolist()]
+
+
+# m = 1, 2, 4 and 6, up to q = 65537; r = 5 has k = 19; on F_65537 the
+# float64 sums reach about 5·2^32, past int32 and still exact
 @pytest.mark.parametrize("pm, r, orbits", [
     ((7, 2), 3, (0, 1)), ((3, 4), 3, None), ((11, 2), 3, (0, 2)),
     ((13, 2), 3, (1,)), ((5, 4), 3, (0, 1)), ((3, 6), 3, (0,)),
     ((7, 4), 3, (0,)), ((7, 2), 5, None), ((101, 1), 3, (0, 1)),
-    ((53, 1), 3, None),
+    ((53, 1), 3, None), ((65537, 1), 3, (0, 1)),
 ], ids=["7^2", "3^4", "11^2", "13^2", "5^4", "3^6", "7^4", "7^2-r5", "101",
-        "53"])
+        "53", "65537"])
 def test_encode_matches_naive_evaluation(pm, r, orbits):
     fld = make_field(*pm)
     es = build_evaluation_set(surface_params(fld, r), orbits)
@@ -198,8 +220,11 @@ def test_encode_matches_naive_evaluation(pm, r, orbits):
     rng = random.Random(repr((pm, r, orbits)))
     msgs = [[rng.randrange(fld.order) for _ in range(gm.k)] for _ in range(40)]
     msgs += [[int(i == e) for i in range(gm.k)] for e in range(gm.k)]
+    msgs.append([fld.order - 1] * gm.k)
     for msg in msgs:
-        assert encode(gm, msg) == naive_encode(es, msg), msg
+        word = encode(gm, msg)
+        assert word == naive_encode(es, msg), msg
+        assert all(type(v) is int for v in word), msg
 
 
 @pytest.mark.parametrize("pm, r", [((7, 2), 5), ((7, 4), 3)],

@@ -8,8 +8,10 @@ fibers are genus-1 quartics y^2 = c(t^4 - xbar) with c = xbar - xbar^2;
 when c is a square the fiber maps to Y^2 = X^3 - 4AB X (a2 = 0), where
 the four points must sum into the 2-torsion.  Both families have a root
 of the cubic at x = 0 and no xy or y term, so the general Weierstrass
-form is never needed.  The discriminant of the vertical family vanishes
-to orders {8, 8, 2, 2, 2, 2} over the t-line.
+form is never needed.  Such a curve is smooth iff a4 != 0 and
+a2^2 != 4 a4, read off 16 a4^2 (a2^2 - 4 a4) with p odd, so a curve is
+tested in field scalars.  The discriminant of the vertical family
+vanishes to orders {8, 8, 2, 2, 2, 2} over the t-line.
 """
 
 from dataclasses import dataclass
@@ -58,7 +60,8 @@ class WeierstrassCurve:
     a4: int
 
     def __post_init__(self):
-        if self.discriminant == 0:
+        f = self.field  # the discriminant is 0 iff a4 = 0 or a2^2 = 4 a4
+        if self.a4 == 0 or f.mul(self.a2, self.a2) == f.mul(4 % f.p, self.a4):
             raise SingularFiber(
                 f"Weierstrass model over {self.field.label} is singular")
 
@@ -97,7 +100,7 @@ def ec_add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     _require_on_curve(curve, p)
     _require_on_curve(curve, q)
     f = curve.field
-    if q == ec_neg(curve, p):
+    if q.x == p.x and q.y == f.neg(p.y):  # q = -p
         return O
     if p == q:
         # slope (3x^2 + 2 a2 x + a4) / 2y

@@ -4,7 +4,8 @@ Coefficients are raw element encodings, ascending degree, no trailing
 zeros; the zero polynomial has an empty coefficient tuple and degree -1.
 Everything here is scalar-path code: the exhaustive search kernels never
 route through this module.  One distinct-degree loop serves Ben-Or's
-irreducibility test and the Cantor-Zassenhaus factoring.
+irreducibility test and the Cantor-Zassenhaus factoring, which takes X^v,
+degree-1 parts and split quadratics without random draws.
 """
 
 from __future__ import annotations
@@ -211,10 +212,19 @@ def all_roots(f: UniPoly) -> tuple[int, ...]:
 
 
 def _equal_degree_split(g: UniPoly, d: int, rng: random.Random) -> list[UniPoly]:
-    # g squarefree monic, every irreducible factor of degree exactly d
+    """Irreducible factors, each of degree d, of the squarefree monic g: a
+    quadratic (d = 1) by the quadratic formula, a larger g by random draws."""
     if g.degree == d:
         return [g]
     field = g.field
+    if g.degree == 2:  # X^2 + bX + c = (X + (b + s)/2)(X + (b - s)/2)
+        c, b = g.coeffs[0], g.coeffs[1]
+        disc = field.sub(field.mul(b, b), field.mul(4 % field.p, c))
+        if disc == 0 or not field.is_square(disc):
+            raise ArithmeticError(f"{g} has no two distinct roots to split")
+        s, half = field.sqrt(disc), field.inv(2 % field.p)
+        return [UniPoly(field, (field.mul(field.add(b, r), half), 1))
+                for r in (s, field.neg(s))]
     exp = (field.order**d - 1) // 2
     for _ in range(200):  # a draw splits g with probability about 1/2
         a = poly(field, [rng.randrange(field.order) for _ in range(g.degree)])
@@ -249,7 +259,9 @@ def factor_monic(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
 
     Cantor-Zassenhaus with a fixed-seed splitter, so the run is
     reproducible.  Odd characteristic only (all fields here are odd).
-    The unit leading coefficient of f is discarded.
+    The unit leading coefficient of f is discarded.  X^v (v the index of
+    the first nonzero coefficient) and each degree-1 part are recorded at
+    once; quadratics split without draws (`_equal_degree_split`).
     """
     field = f.field
     if field.p == 2:
@@ -257,11 +269,18 @@ def factor_monic(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
     if f.degree < 1:
         raise ValueError("nothing to factor")
     rng = random.Random(0x5EED)
+    g = f.monic()
+    v = next(i for i, c in enumerate(g.coeffs) if c)
     found: dict[tuple[int, ...], list] = {}
-    stack = [(f.monic(), 1)]
+    if v:
+        found[(0, 1)] = [x_poly(field), v]
+    stack = [(UniPoly(field, g.coeffs[v:]), 1)]
     while stack:
         g, mult = stack.pop()
         if g.degree < 1:
+            continue
+        if g.degree == 1:
+            found.setdefault(g.coeffs, [g, 0])[1] += mult
             continue
         der = g.derivative()
         if der.is_zero:
@@ -279,6 +298,8 @@ def factor_monic(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
                     if not rem.is_zero:
                         break
                     g, e = quo, e + 1
+                if e == 0:  # a sound split piece divides g: fail, not spin
+                    raise ArithmeticError(f"split piece {piece} divides nothing")
                 item = found.setdefault(piece.coeffs, [piece, 0])
                 item[1] += mult * e
         stack.append((g, mult))  # factors with p | multiplicity remain here

@@ -12,6 +12,7 @@ from fibered_lrc.elliptic_verify import (
     PointNotOnCurve,
     SingularFiber,
     WeierstrassCurve,
+    _discriminant,
     discriminant_profile,
     ec_add,
     ec_is_two_torsion,
@@ -117,6 +118,25 @@ def test_discriminant_matches_general_form(f49, f169):
             else:
                 assert WeierstrassCurve(fld, a2, a4).discriminant == delta
         assert singular >= 10
+
+
+def test_smoothness_matches_discriminant_everywhere(f49, f81):
+    # the scalar test a4 != 0, a2^2 != 4 a4 against 16 a4^2 (a2^2 - 4 a4),
+    # on every (a2, a4) of an odd and a characteristic-3 field
+    for fld in (f49, f81):
+        singular = 0
+        for a2 in range(fld.order):
+            for a4 in range(fld.order):
+                delta = _discriminant(constant(fld, a2),
+                                      constant(fld, a4)).coeff(0)
+                if delta == 0:
+                    singular += 1
+                    with pytest.raises(SingularFiber):
+                        WeierstrassCurve(fld, a2, a4)
+                else:
+                    assert WeierstrassCurve(fld, a2, a4).discriminant == delta
+        # a4 = 0 on q pairs, and a2^2 = 4 a4 != 0 on q - 1 more
+        assert singular == 2 * fld.order - 1
 
 
 def test_group_law_axioms(f49):

@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -5,10 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibered_lrc
 from fibered_lrc.gf import DivisionByZero, FieldMismatch, make_field
 from fibered_lrc.poly import (
+    _equal_degree_split,
     all_roots,
     constant,
     factor_monic,
@@ -216,3 +220,67 @@ def test_factor_monic_multiplicity_divisible_by_p(p, m):
     for g, e in out:
         product = product * _power(g, e)
     assert product == f
+
+
+_field = functools.cache(make_field)
+
+
+@st.composite
+def factored_polys(draw):
+    """(f, expected factor_monic(f)) for f = c X^v prod (X - r_i)^e_i
+    prod h_j^k_j: distinct nonzero r_i, distinct monic irreducible
+    quadratics h_j, v in 0..9 and multiplicities in 1..p+1, so p | e too."""
+    fld = _field(*draw(st.sampled_from([(7, 1), (7, 2), (3, 4), (5, 4)])))
+    q, mult = fld.order, st.integers(1, fld.p + 1)
+    factors = {}
+    v = draw(st.integers(0, 9))
+    if v:
+        factors[x_poly(fld).coeffs] = v
+    for r in draw(st.lists(st.integers(1, q - 1), max_size=3, unique=True)):
+        factors[(fld.neg(r), 1)] = draw(mult)
+    for start in draw(st.lists(st.integers(0, q * q - 1), max_size=2)):
+        # the first irreducible X^2 + bX + c at or after (b, c) = start
+        h = next(h for h in (poly(fld, [i % q, i // q % q, 1])
+                             for i in range(start, start + q * q))
+                 if is_irreducible(h))
+        factors.setdefault(h.coeffs, draw(mult))
+    f = constant(fld, draw(st.integers(1, q - 1)))
+    for coeffs, e in factors.items():
+        f = f * _power(poly(fld, coeffs), e)
+    expected = sorted(factors.items(), key=lambda it: (len(it[0]), it[0]))
+    return f, expected
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(factored_polys())
+def test_factor_monic_matches_construction(case):
+    f, expected = case
+    if f.degree < 1:
+        return  # c alone: nothing to factor
+    assert [(g.coeffs, e) for g, e in factor_monic(f)] == expected
+
+
+@pytest.mark.parametrize("coeffs,expected", [
+    ([3, 5], [((2, 1), 1)]),                          # 5X + 3 = 5(X + 2)
+    ([0] * 9 + [4], [((0, 1), 9)]),                   # 4 X^9
+    ([4, 2, 1], [((3, 1), 1), ((6, 1), 1)]),          # (X + 3)(X + 6)
+], ids=["degree-1", "X^9", "split-quadratic"])
+def test_factor_monic_base_cases(coeffs, expected):
+    f = poly(_field(7, 1), coeffs)
+    assert [(g.coeffs, e) for g, e in factor_monic(f)] == expected
+
+
+def test_quadratic_splits_by_formula(f49):
+    # products of two distinct monic lines over F_49 come back as their
+    # two lines, without a random draw
+    class NoDraws(random.Random):
+        def randrange(self, *args):
+            raise AssertionError("a quadratic took a random draw")
+
+    x = x_poly(f49)
+    for a in range(0, 49, 5):
+        for b in range(a + 1, 49, 7):
+            lines = [x - constant(f49, a), x - constant(f49, b)]
+            pieces = _equal_degree_split(lines[0] * lines[1], 1, NoDraws())
+            assert sorted(g.coeffs for g in pieces) == sorted(
+                g.coeffs for g in lines)

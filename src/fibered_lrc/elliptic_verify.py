@@ -65,11 +65,6 @@ class WeierstrassCurve:
             raise SingularFiber(
                 f"Weierstrass model over {self.field.label} is singular")
 
-    @property
-    def discriminant(self) -> int:
-        f = self.field
-        return _discriminant(constant(f, self.a2), constant(f, self.a4)).coeff(0)
-
     def contains(self, pt: CurvePoint) -> bool:
         if pt.is_infinity:
             return True
@@ -81,13 +76,6 @@ class WeierstrassCurve:
 def _require_on_curve(curve: WeierstrassCurve, pt: CurvePoint) -> None:
     if not curve.contains(pt):
         raise PointNotOnCurve(f"({pt.x}, {pt.y}) not on the curve")
-
-
-def ec_neg(curve: WeierstrassCurve, pt: CurvePoint) -> CurvePoint:
-    if pt.is_infinity:
-        return O
-    _require_on_curve(curve, pt)
-    return CurvePoint(pt.x, curve.field.neg(pt.y))
 
 
 def ec_add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
@@ -178,23 +166,21 @@ def horizontal_sum_two_torsion(es: EvaluationSet, l: int, i: int) -> bool:
 
 def discriminant_profile(params: SurfaceParams):
     """Vanishing orders of the vertical family's discriminant over the
-    t-line, including the point at infinity of the degree-24 form."""
+    t-line, including the point at infinity of the degree-24 form.  r = 3
+    puts the 4th roots of unity in the field, so Δ = 16·t^8·(t^4 - 1)^2
+    splits into lines; any other factor is broken arithmetic."""
     if params.r != 3:
         raise BadLocality("discriminant profile is specific to locality 3")
     fld = params.field
     t4 = poly(fld, [0, 0, 0, 0, 1])
     delta = _discriminant(-(t4 + constant(fld, 1)), t4)
     profile = [("t=infinity", 24 - delta.degree)]
-    weighted = 24 - delta.degree
     for g, mult in factor_monic(delta):
-        if g.degree == 1:
-            root = fld.neg(g.coeffs[0])
-            label = "t=0" if root == 0 else f"t={root}"
-        else:
-            label = f"irreducible[{','.join(map(str, g.coeffs))}]"
-        profile.append((label, mult))
-        weighted += mult * g.degree
+        if g.degree != 1:
+            raise ArithmeticError(f"discriminant factor {g.coeffs} is not linear")
+        profile.append((f"t={fld.neg(g.coeffs[0])}", mult))
     profile.sort(key=lambda it: (-it[1], it[0]))
+    weighted = sum(mult for _, mult in profile)
     if weighted != 24:
         raise ArithmeticError(f"vanishing orders weigh {weighted}, not 24")
     return profile

@@ -1,8 +1,9 @@
 """The step-by-step field build, digit-wise field addition, the canonical
-element order, the scalar orbit catalog, direct-evaluation checks of the encoder and kernels, and the
-one-trial-at-a-time simulator."""
+element order, the scalar orbit catalog, direct-evaluation checks of the encoder and kernels, the
+fiber check rows one formula at a time, and the one-trial-at-a-time simulator."""
 
 import itertools
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -116,6 +117,25 @@ def digit_neg(fld, a) -> int:
         a //= p
         mult *= p
     return out
+
+
+def vertical_check_rows(fld, roots, i: int):
+    """(β, α) for root i of a vertical fiber: with w_k = 1/(x_k·∏_(l≠k)(x_k -
+    x_l)), the spare check β_k = w_k·(x_k - x_i) and the value row
+    α_k = -w_k/w_i, each with its own entry 0."""
+    w = [fld.inv(reduce(fld.mul, (fld.sub(xk, x) for x in roots if x != xk), xk))
+         for xk in roots]
+    beta = [fld.mul(wk, fld.sub(xk, roots[i])) for wk, xk in zip(w, roots)]
+    alpha = [fld.neg(fld.div(wk, w[i])) for wk in w]
+    alpha[i] = 0
+    return tuple(beta), tuple(alpha)
+
+
+def horizontal_check_row(fld, zeta: int, rp1: int, j: int) -> tuple[int, ...]:
+    """-ζ^(k-j) for index j of a horizontal fiber, its own entry 0."""
+    row = [fld.neg(fld.pow(zeta, k - j)) for k in range(rp1)]
+    row[j] = 0
+    return tuple(row)
 
 
 def naive_encode(es, message) -> tuple[int, ...]:

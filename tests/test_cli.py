@@ -215,6 +215,14 @@ def test_recover_round_trip(prof49, cw49, tmp_path, capsys):
     assert None not in doc["symbols"] and doc["n"] == 16
 
 
+def test_recover_erase_trailing_separator(prof49, cw49, tmp_path, capsys):
+    # an empty chunk after the last ';' names no erasure
+    assert main(["recover", "--profile", str(prof49), "--codeword",
+                 str(cw49[0]), "--erase", "0,1,2;",
+                 "--out", str(tmp_path / "fixed.json")]) == 0
+    assert capsys.readouterr().out == "(0,1,2) V\n"
+
+
 def test_recover_unrecoverable(prof49, cw49, tmp_path, capsys):
     cw_path, _ = cw49
     erase = ";".join(f"0,{i},{j}" for i in range(4) for j in range(4))
@@ -334,6 +342,10 @@ def test_verify_elliptic_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "SINGULAR" in out and "NONSQUARE TWIST" in out
     assert main(["verify", "elliptic", "--field", "13", "--r", "5"]) == 1
+    capsys.readouterr()
+    assert main(["verify", "elliptic", "--field", "7^2", "--r", "5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: elliptic checks apply to locality r = 3 only\n")
 
 
 def test_verify_elliptic_matches_golden(golden_dir, capsys):
@@ -596,6 +608,17 @@ def test_broken_documents_exit_with_message(good_docs, data):
             code = main(argv)
         assert code in (1, 2) and err.getvalue().strip(), argv
         assert "Traceback" not in err.getvalue()
+
+
+def test_module_entry_point_matches_main(capsys):
+    # `python -m fibered_lrc.cli` runs main under the __main__ check and
+    # turns its return value into the exit status
+    argv = ["construct", "--field", "7^2", "--orbits", "0"]
+    assert main(argv) == 0
+    res = run_python("-m", "fibered_lrc.cli", *argv)
+    assert (res.returncode, res.stdout) == (0, capsys.readouterr().out), res.stderr
+    res = run_python("-m", "fibered_lrc.cli", "construct", "--field", "4")
+    assert res.returncode == 1 and "Traceback" not in res.stderr, res.stderr
 
 
 def test_console_script(golden_dir):

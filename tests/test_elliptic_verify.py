@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from fibered_lrc import elliptic_verify
+from fibered_lrc.cli import main
 from fibered_lrc.construction import build_evaluation_set, surface_params
 from fibered_lrc.elliptic_verify import (
     O,
@@ -16,14 +18,13 @@ from fibered_lrc.elliptic_verify import (
     discriminant_profile,
     ec_add,
     ec_is_two_torsion,
-    ec_neg,
     horizontal_quartic,
     horizontal_sum_two_torsion,
     verify_vertical_sum,
     vertical_fiber,
 )
 from fibered_lrc.lrc_code import BadLocality
-from fibered_lrc.poly import constant, poly
+from fibered_lrc.poly import constant, factor_monic, poly, x_poly
 
 
 def general_discriminant(a1, a2, a3, a4, a6, const):
@@ -67,7 +68,8 @@ def test_vertical_fiber_factors(f49):
         curve = vertical_fiber(f49, tbar)
         rhs = poly(f49, [0, curve.a4, curve.a2, 1])
         assert rhs == x * (x - one) * (x - poly(f49, [u]))
-        assert curve.discriminant != 0
+        assert _discriminant(constant(f49, curve.a2),
+                             constant(f49, curve.a4)).coeff(0) != 0
         # full rational 2-torsion at the cubic's roots
         for root in (0, 1, u):
             assert curve.contains(CurvePoint(root, 0))
@@ -116,7 +118,9 @@ def test_discriminant_matches_general_form(f49, f169):
                 with pytest.raises(SingularFiber):
                     WeierstrassCurve(fld, a2, a4)
             else:
-                assert WeierstrassCurve(fld, a2, a4).discriminant == delta
+                WeierstrassCurve(fld, a2, a4)
+                assert _discriminant(constant(fld, a2),
+                                     constant(fld, a4)).coeff(0) == delta
         assert singular >= 10
 
 
@@ -134,7 +138,7 @@ def test_smoothness_matches_discriminant_everywhere(f49, f81):
                     with pytest.raises(SingularFiber):
                         WeierstrassCurve(fld, a2, a4)
                 else:
-                    assert WeierstrassCurve(fld, a2, a4).discriminant == delta
+                    WeierstrassCurve(fld, a2, a4)  # smooth: no SingularFiber
         # a4 = 0 on q pairs, and a2^2 = 4 a4 != 0 on q - 1 more
         assert singular == 2 * fld.order - 1
 
@@ -150,7 +154,8 @@ def test_group_law_axioms(f49):
         for _ in range(40):
             p, q, s = (rng.choice(pts) for _ in range(3))
             assert ec_add(curve, p, O) == p
-            assert ec_add(curve, p, ec_neg(curve, p)) == O
+            neg = p if p.is_infinity else CurvePoint(p.x, curve.field.neg(p.y))
+            assert ec_add(curve, p, neg) == O
             assert ec_add(curve, p, q) == ec_add(curve, q, p)
             lhs = ec_add(curve, ec_add(curve, p, q), s)
             rhs = ec_add(curve, p, ec_add(curve, q, s))
@@ -192,7 +197,7 @@ def test_vertical_sum_negated_point_breaks(f49):
             pts = [es.xyt[:, es.point_index(l, i, j)].tolist()
                    for i in range(4)]
             curve = vertical_fiber(f49, pts[0][2])
-            total = ec_neg(curve, CurvePoint(*pts[0][:2]))
+            total = CurvePoint(pts[0][0], f49.neg(pts[0][1]))
             for x, y, _ in pts[1:]:
                 total = ec_add(curve, total, CurvePoint(x, y))
             # sum with one point negated is 2P0, nonzero since y0 != 0
@@ -227,3 +232,32 @@ def test_discriminant_profile(f49, f169):
             f"t={v}" for v in fourth_roots}
     with pytest.raises(BadLocality):
         discriminant_profile(surface_params(f49, 5))
+
+
+@pytest.mark.parametrize("p, m", [(7, 2), (3, 4), (11, 2), (13, 2), (5, 4),
+                                  (3, 6), (17, 1), (29, 1)])
+def test_discriminant_splits_into_lines(field_cache, p, m):
+    # r = 3 needs 4 | q - 1, so t^4 - 1 splits: every factor of
+    # 16 t^8 (t^4 - 1)^2 is a line, and each profile entry is labelled t=root
+    fld = field_cache(p, m)
+    one, t = constant(fld, 1), x_poly(fld)
+    t4 = t * t * t * t
+    delta = _discriminant(-(t4 + one), t4)
+    assert delta == (t4 * t4 * (t4 - one) * (t4 - one)).scale(16 % p)
+    assert all(g.degree == 1 for g, _ in factor_monic(delta))
+    prof = discriminant_profile(surface_params(fld, 3))
+    assert sorted((o for _, o in prof), reverse=True) == [8, 8, 2, 2, 2, 2]
+    assert {lbl for lbl, _ in prof} == {"t=infinity"} | {
+        f"t={fld.neg(g.coeffs[0])}" for g, _ in factor_monic(delta)}
+
+
+def test_nonlinear_discriminant_factor_raises(f49, monkeypatch, capsys):
+    # broken arithmetic that leaves a quadratic factor fails loudly
+    def with_quadratic(f):
+        return factor_monic(f)[:-2] + ((poly(f.field, [3, 0, 1]), 2),)
+
+    monkeypatch.setattr(elliptic_verify, "factor_monic", with_quadratic)
+    with pytest.raises(ArithmeticError, match="not linear"):
+        discriminant_profile(surface_params(f49, 3))
+    assert main(["verify", "elliptic", "--field", "7^2"]) == 2
+    assert "is not linear" in capsys.readouterr().err

@@ -141,6 +141,12 @@ def test_pow(f49):
         f49.pow(0, -1)
 
 
+def test_zero_has_no_inverse_or_log(f49):
+    for call in (lambda: f49.inv(0), lambda: f49.div(3, 0), lambda: f49.log(0)):
+        with pytest.raises(DivisionByZero, match="zero"):
+            call()
+
+
 def test_canonical_ordering(f49):
     elems = list(f49.elements())
     assert elems[0] == 0
@@ -191,6 +197,8 @@ def test_construction_errors():
         make_field(7, 2, modulus=(0, 0, 1))  # x^2
     with pytest.raises(ReducibleModulus):
         make_field(7, 2, modulus=(1, 0, 2))  # not monic
+    with pytest.raises(ValueError, match="extension degree"):
+        make_field(5, 0)
 
 
 def test_huge_fields_rejected_before_primality_and_power():

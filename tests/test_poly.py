@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import fibered_lrc
 from fibered_lrc.gf import DivisionByZero, FieldMismatch, make_field
 from fibered_lrc.poly import (
+    UniPoly,
     _equal_degree_split,
     all_roots,
     constant,
@@ -36,6 +37,14 @@ def test_normalization(f49):
     assert f.degree == 1
     z = poly(f49, [0, 0])
     assert z.is_zero and z.degree == -1
+    with pytest.raises(ValueError, match="trailing zeros"):
+        UniPoly(f49, (1, 0))
+    with pytest.raises(ValueError, match="out of range"):
+        poly(f49, [49])
+    with pytest.raises(ValueError, match="no leading coefficient"):
+        UniPoly(f49, ()).lead
+    with pytest.raises(ValueError, match="zero polynomial"):
+        UniPoly(f49, ()).monic()
 
 
 def test_ring_axioms_random(f49):
@@ -135,6 +144,8 @@ def test_pow_mod(f13):
         for _ in range(e):
             slow = (slow * x_poly(f13)) % f
         assert pow_mod(x_poly(f13), e, f) == slow
+    with pytest.raises(ValueError, match="negative exponent"):
+        pow_mod(x_poly(f13), -1, f)
 
 
 def test_frobenius_fixes_prime_subfield(f169):
@@ -268,6 +279,12 @@ def test_factor_monic_matches_construction(case):
 def test_factor_monic_base_cases(coeffs, expected):
     f = poly(_field(7, 1), coeffs)
     assert [(g.coeffs, e) for g, e in factor_monic(f)] == expected
+
+
+def test_factor_monic_rejects_constants(f49):
+    for coeffs in ([], [3]):
+        with pytest.raises(ValueError, match="nothing to factor"):
+            factor_monic(poly(f49, coeffs))
 
 
 def test_quadratic_splits_by_formula(f49):

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 from fibered_lrc.construction import build_evaluation_set, recovery_indices, surface_params
 from fibered_lrc.gf import make_field
 from fibered_lrc.lrc_code import LengthMismatch, encode, generator_matrix
+from fibered_lrc.poly import poly
 from fibered_lrc.recovery import (
     Corrupted,
     IncompleteRecoverySet,
+    _dot,
+    _fiber_rows,
     _peel_block,
     recover_horizontal,
     recover_vertical,
     repair,
 )
+from kernel_oracle import horizontal_check_row, vertical_check_rows
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +249,31 @@ def test_single_recovery_errors(code49):
 def _code(pm, orbits, r=3):
     es = build_evaluation_set(surface_params(make_field(*pm), r), orbits)
     return es, generator_matrix(es)
+
+
+@pytest.mark.parametrize("pm, orbits, r", [((7, 2), (0,), 3), ((5, 4), None, 3),
+                                          ((7, 2), (0,), 5)])
+def test_fiber_rows_match_scalar_formulas(pm, orbits, r):
+    # the table against the formulas one row at a time, and each row against
+    # its identity: x·g(x) (deg g <= r-2) on the roots, h(ζ^j·t̄)
+    # (deg h <= r-1) along a horizontal fiber
+    es, _ = _code(pm, orbits, r)
+    fld, zeta, rp1 = es.field, es.params.zeta, r + 1
+    rng = random.Random(19)
+    for roots in es.roots:
+        vertical, horizontal = _fiber_rows(fld, roots, zeta)
+        assert vertical == tuple(vertical_check_rows(fld, roots, i)
+                                 for i in range(rp1))
+        assert horizontal == tuple(horizontal_check_row(fld, zeta, rp1, j)
+                                   for j in range(rp1))
+        g = poly(fld, [rng.randrange(fld.order) for _ in range(r - 1)])
+        h = poly(fld, [rng.randrange(fld.order) for _ in range(r)])
+        tbar = rng.randrange(1, fld.order)
+        cv = [fld.mul(x, g.eval_at(x)) for x in roots]
+        ch = [h.eval_at(fld.mul(fld.pow(zeta, j), tbar)) for j in range(rp1)]
+        for k, (beta, alpha) in enumerate(vertical):
+            assert _dot(fld, beta, cv) == 0 and _dot(fld, alpha, cv) == cv[k]
+            assert _dot(fld, horizontal[k], ch) == ch[k]
 
 
 @st.composite

@@ -4,9 +4,11 @@ Each trial encodes a random message, knocks out a set of storage nodes,
 and peels the surviving symbols with both recovery sets.  Randomness comes
 from numpy's PCG64 stream seeded per scenario, so a fixed seed gives a
 byte-identical report.  Each trial draws its message and then its failed
-nodes, in trial order.  BLOCK trials are encoded by one float64 (BLAS)
-product, exact below 2^53, and peeled by one `recovery._peel_block` call,
-so memory does not grow with the trial count; each repaired symbol is
+nodes, in trial order, into one block of BLOCK trials, and a (nodes,
+symbols per node) table marks the block's erasures in one assignment.  A
+block is encoded by one float64 (BLAS) product, exact below 2^53, and
+peeled by one `recovery._peel_block` call, so working memory is one
+block's (the report keeps two counts per trial); each repaired symbol is
 checked against the encoded one.
 """
 
@@ -90,27 +92,29 @@ def run_simulation(scenario: StorageScenario) -> SimReport:
     symbols_on = {}
     for pos, node in enumerate(scenario.node_of):
         symbols_on.setdefault(node, []).append(pos)
-    node_ids = sorted(symbols_on)
+    # row u: the u-th node's positions (ids sorted); a repeated first pads it harmlessly
+    width = max(map(len, symbols_on.values()))
+    table = np.array([at + at[:1] * (width - len(at)) for _, at in sorted(symbols_on.items())])
 
     repaired_counts, unrecovered_counts = [], []
     hist = {"V": 0, "H": 0}
+    msgs = np.empty((min(BLOCK, scenario.trials), gm.k), dtype=np.int64)
+    picks = np.empty((len(msgs), scenario.failures), dtype=np.int64)
     for start in range(0, scenario.trials, BLOCK):
-        messages, erased_lists = [], []
-        for _ in range(min(BLOCK, scenario.trials - start)):
-            messages.append(rng.integers(0, fld.order, size=gm.k))
-            picked = rng.choice(nodes, size=scenario.failures, replace=False)
-            erased_lists.append([pos for node in picked
-                                 for pos in symbols_on[node_ids[node]]])
-        cws = _encode_block(gm, messages)
+        count = min(BLOCK, scenario.trials - start)
+        for trial in range(count):
+            msgs[trial] = rng.integers(0, fld.order, size=gm.k)
+            picks[trial] = rng.choice(nodes, size=scenario.failures, replace=False)
+        cws = _encode_block(gm, msgs[:count])
+        lost = table[picks[:count]].reshape(count, -1)   # by trial, in pick order
         erased = np.zeros(cws.shape, dtype=bool)
-        for row, positions in zip(erased, erased_lists):
-            row[positions] = True
+        erased[np.arange(count)[:, None], lost] = True
         work = np.where(erased, 0, cws)
         path = _peel_block(es, work, erased)
         wrong = (path > 0) & (work != cws)
         if wrong.any():
             trial = int(wrong.any(axis=1).argmax())
-            pos = next(at for at in erased_lists[trial] if wrong[trial, at])
+            pos = next(at for at in lost[trial] if wrong[trial, at])
             raise RepairMismatch(f"symbol at position {pos} repaired to a wrong value")
         hist["V"] += int(np.count_nonzero(path == 1))
         hist["H"] += int(np.count_nonzero(path == 2))

@@ -383,3 +383,46 @@ def test_peel_block_mixed_rounds(code49):
     # another erasure on both of its fibers
     assert [sum(row) for row in left] == [0, 0, 0, 4, 4]
     assert [sum(map(bool, row)) for row in paths] == [0, 1, 7, 1, 0]
+
+
+def _is_forest(edges, vertices: int) -> bool:
+    """No cycle among the (u, v) edges on range(vertices): union-find."""
+    parent = list(range(vertices))
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        return u
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def test_peel_block_exhaustive_forest_oracle(code49):
+    # all 2^16 erasure sets of one F_49 orbit in one call.  Symbol (i, j)
+    # is the edge from root i to fiber j of K_{4,4}, and a round repairs
+    # the erased edges alone on their column (V) or row (H): the leaves.
+    # So a word comes back whole exactly when its erased edges form a forest.
+    es, gm = code49
+    cw = np.array(encode(gm, [4, 8, 15, 16, 23]))
+    masks = np.arange(1 << es.n)
+    erased = (masks[:, None] >> np.arange(es.n) & 1).astype(bool)
+    junk = np.arange(es.n) % (es.field.order - 1) + 1   # read only times 0
+    work = np.where(erased, junk, cw)
+    path = _peel_block(es, work, erased)
+    assert (work[path > 0] == np.broadcast_to(cw, work.shape)[path > 0]).all()
+    whole = ~(erased & (path == 0)).any(axis=1)
+    assert (work[whole] == cw).all()
+    rp1 = es.r + 1      # roots 0..r, fibers r+1..2r+1
+    edges = [(i, rp1 + j) for _, i, j in map(es.triple, range(es.n))]
+    assert whole.tolist() == [
+        _is_forest((edge for edge, gone in zip(edges, row) if gone), 2 * rp1)
+        for row in erased.tolist()]
+    # forests of K_{4,4} by edge count; the 4^3 · 4^3 spanning trees have 7
+    sizes = erased.sum(axis=1)
+    assert np.bincount(sizes[whole], minlength=es.n + 1).tolist() == \
+        [1, 16, 120, 560, 1784, 3936, 5632, 4096] + [0] * 9

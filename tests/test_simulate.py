@@ -5,6 +5,7 @@ import json
 import tracemalloc
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +14,10 @@ from fibered_lrc.construction import (build_evaluation_set, find_nice_orbits,
                                       surface_params)
 from fibered_lrc import simulate
 from fibered_lrc.gf import make_field
+from fibered_lrc.lrc_code import generator_matrix
 from fibered_lrc.serialize import save_json
-from fibered_lrc.simulate import (BadScenario, RepairMismatch, run_simulation,
-                                  storage_scenario)
+from fibered_lrc.simulate import (BadScenario, RepairMismatch, StorageScenario,
+                                  run_simulation, storage_scenario)
 from kernel_oracle import reference_simulation
 
 
@@ -116,8 +118,26 @@ def test_wrong_repair_raises(es49, monkeypatch):
         return path
 
     monkeypatch.setattr(simulate, "_peel_block", off_by_one)
-    with pytest.raises(RepairMismatch, match="repaired to a wrong value"):
-        run_simulation(storage_scenario(es49, 1, 5, seed=3))
+    # every repair is wrong; the error names trial 0's first pick, which
+    # is not its lowest erased position, from the same PCG64(3) stream
+    rng = np.random.Generator(np.random.PCG64(3))
+    rng.integers(0, es49.field.order, size=generator_matrix(es49).k)
+    picks = rng.choice(es49.n, size=3, replace=False)   # one symbol per node
+    assert picks[0] != picks.min()
+    with pytest.raises(RepairMismatch,
+                       match=f"^symbol at position {picks[0]} repaired to a wrong value$"):
+        run_simulation(storage_scenario(es49, 3, 5, seed=3))
+
+
+def test_uneven_nodes_match_reference(es49b2):
+    # built directly: four nodes of 3 symbols, then single-symbol nodes
+    # named by their position.  The position table pads the short rows,
+    # and the report still matches the trial-by-trial reference.
+    node_of = tuple(pos // 3 if pos < 12 else pos for pos in range(es49b2.n))
+    for failures, trials in ((2, 70), (5, 64), (24, 3)):
+        sc = StorageScenario(es49b2, failures, trials, 7 + failures, node_of)
+        assert _report_text(run_simulation(sc)) == \
+            _report_text(reference_simulation(sc)), failures
 
 
 # trial counts around the 64-trial encode block, on one and several orbits

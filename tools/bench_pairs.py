@@ -10,8 +10,10 @@ every end-to-end metric of `BENCHMARK.json` the script prints each side's
 median and quartiles, the change's median over the revision's, and the
 pairs the tree won (ties count for neither side).  A metric reads "gain"
 when the tree won at least nine tenths of the pairs and the medians differ
-by more than the revision's interquartile range.  Any run with `failed` not
-0 is printed too.
+by more than the revision's interquartile range.  The wall-clock `pass_s`
+and `op_p50_ms` lines that `bench/run.py` prints before its result follow,
+with each side's median and quartiles only: host drift moves them, so
+they get no verdict.  Any run with `failed` not 0 is printed too.
 """
 
 import argparse
@@ -23,18 +25,23 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WALL = ("pass_s", "op_p50_ms")      # printed as `name value unit` lines
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one `bench/run.py` run, with each metric's value."""
+    """The result line of one `bench/run.py` run, with each metric's value
+    and, under "wall", the WALL figures printed before it."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, text=True, capture_output=True)
     if proc.returncode:
         sys.exit(f"bench/run.py failed in {tree}:\n{proc.stderr}")
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    out = json.loads(lines[-1])
     out["metrics"] = {k: m["value"] for k, m in out["metrics"].items()}
+    out["wall"] = {words[0]: float(words[1]) for words in map(str.split, lines)
+                   if len(words) == 3 and words[0] in WALL}
     return out
 
 
@@ -88,6 +95,11 @@ def main(argv=None) -> None:
         print(f"  {name:12} rev {r2:.4g} [{r1:.4g}, {r3:.4g}]  "
               f"tree {t2:.4g} [{t1:.4g}, {t3:.4g}]  {ratio}  "
               f"won {wins}/{args.pairs}{'  gain' if gain else ''}")
+    for name in WALL:
+        (r1, r2, r3), (t1, t2, t3) = (quartiles([r["wall"][name] for r in runs[side]])
+                                      for side in ("rev", "tree"))
+        print(f"  {name:12} rev {r2:.4g} [{r1:.4g}, {r3:.4g}]  "
+              f"tree {t2:.4g} [{t1:.4g}, {t3:.4g}]  (wall clock, no verdict)")
 
 
 if __name__ == "__main__":

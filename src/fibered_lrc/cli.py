@@ -16,8 +16,9 @@ from .elliptic_verify import (NonSquareTwist, SingularFiber,
                               discriminant_profile, horizontal_sum_two_torsion,
                               verify_vertical_sum)
 from .gf import parse_field_label
-from .lrc_code import (basis, code_profile, distance_b1, distance_lower_bound,
-                       encode, f_min_message, generator_matrix, min_distance)
+from .lrc_code import (basis_vertices, code_profile, distance_b1,
+                       distance_lower_bound, encode, f_min_message,
+                       generator_matrix, min_distance)
 from .newton_arc import monomial_valuations, pole_degree, splitting_at_infinity
 from .recovery import (Corrupted, IncompleteRecoverySet,
                        recover_vertical, repair)
@@ -223,9 +224,10 @@ def _cmd_verify_newton(args) -> int:
         lines.append(f"{pl.name:5}  {pl.e}  {pl.f}  {pl.v_t:3}  {pl.v_x:3}")
     total = sum(pl.e * pl.f for pl in vt.places)
     lines.append(f"sum e*f = {total} (degree {r + 1})")
-    mono = basis(r)
-    maxdeg = max(pole_degree(i, j, r) for i, j in mono)
-    minv1 = min(monomial_valuations(vt, i, j)["P1"] for i, j in mono)
+    # both are linear in (i, j), so the basis corners hold their extremes
+    corners = basis_vertices(r)
+    maxdeg = max(pole_degree(i, j, r) for i, j in corners)
+    minv1 = min(monomial_valuations(vt, i, j)["P1"] for i, j in corners)
     lines += [f"max pole degree = {maxdeg} = 2r^2-2r-1; min v_P1 = {minv1}",
               f"distance bound: d >= n - {maxdeg - minv1} "
               "for any b >= 2 selection"]

@@ -10,12 +10,12 @@ the four points must sum into the 2-torsion.  Both families have a root
 of the cubic at x = 0 and no xy or y term, so the general Weierstrass
 form is never needed.  Such a curve is smooth iff a4 != 0 and
 a2^2 != 4 a4, read off 16 a4^2 (a2^2 - 4 a4) with p odd, so a curve is
-tested in field scalars.  The discriminant of the vertical family
-vanishes to orders {8, 8, 2, 2, 2, 2} over the t-line.
+tested in field scalars.  A point is a plain (x, y) pair, and the
+identity O is None.  The discriminant of the vertical family vanishes to
+orders {8, 8, 2, 2, 2, 2} over the t-line.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .construction import BadLocality, EvaluationSet, SurfaceParams
 from .gf import FieldSpec
@@ -34,17 +34,7 @@ class NonSquareTwist(Exception):
     """The horizontal fiber's twist c = xbar - xbar^2 is not a square."""
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    x: Optional[int] = None
-    y: Optional[int] = None
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-
-O = CurvePoint()
+O = None  # the identity; every other point is an (x, y) pair
 
 
 @dataclass(frozen=True)
@@ -65,49 +55,45 @@ class WeierstrassCurve:
             raise SingularFiber(
                 f"Weierstrass model over {self.field.label} is singular")
 
-    def contains(self, pt: CurvePoint) -> bool:
-        if pt.is_infinity:
+    def contains(self, pt) -> bool:
+        if pt is O:
             return True
-        f, x, y = self.field, pt.x, pt.y
+        f, (x, y) = self.field, pt
         rhs = f.mul(x, f.add(f.mul(x, f.add(x, self.a2)), self.a4))
         return f.mul(y, y) == rhs
 
 
-def _require_on_curve(curve: WeierstrassCurve, pt: CurvePoint) -> None:
+def _require_on_curve(curve: WeierstrassCurve, pt) -> None:
     if not curve.contains(pt):
-        raise PointNotOnCurve(f"({pt.x}, {pt.y}) not on the curve")
+        raise PointNotOnCurve(f"{pt} not on the curve")
 
 
-def ec_add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    if p.is_infinity:
-        _require_on_curve(curve, q)
-        return q
-    if q.is_infinity:
-        _require_on_curve(curve, p)
-        return p
+def ec_add(curve: WeierstrassCurve, p, q):
+    """p + q for points (x, y) or O; both are checked on the curve."""
     _require_on_curve(curve, p)
     _require_on_curve(curve, q)
-    f = curve.field
-    if q.x == p.x and q.y == f.neg(p.y):  # q = -p
+    if p is O:
+        return q
+    if q is O:
+        return p
+    f, (px, py), (qx, qy) = curve.field, p, q
+    if qx == px and qy == f.neg(py):  # q = -p
         return O
     if p == q:
         # slope (3x^2 + 2 a2 x + a4) / 2y
-        num = f.add(f.mul(p.x, f.add(f.mul(3 % f.p, p.x),
-                                     f.mul(2 % f.p, curve.a2))), curve.a4)
-        den = f.mul(2 % f.p, p.y)
+        num = f.add(f.mul(px, f.add(f.mul(3 % f.p, px),
+                                    f.mul(2 % f.p, curve.a2))), curve.a4)
+        den = f.mul(2 % f.p, py)
     else:
-        num, den = f.sub(q.y, p.y), f.sub(q.x, p.x)
+        num, den = f.sub(qy, py), f.sub(qx, px)
     lam = f.div(num, den)
-    x3 = f.sub(f.mul(lam, lam), f.add(curve.a2, f.add(p.x, q.x)))
-    y3 = f.sub(f.mul(lam, f.sub(p.x, x3)), p.y)
-    return CurvePoint(x3, y3)
+    x3 = f.sub(f.mul(lam, lam), f.add(curve.a2, f.add(px, qx)))
+    return x3, f.sub(f.mul(lam, f.sub(px, x3)), py)
 
 
-def ec_is_two_torsion(curve: WeierstrassCurve, pt: CurvePoint) -> bool:
-    if pt.is_infinity:
-        return True
+def ec_is_two_torsion(curve: WeierstrassCurve, pt) -> bool:
     _require_on_curve(curve, pt)
-    return pt.y == 0  # 2P = O iff P = -P
+    return pt is O or pt[1] == 0  # 2P = O iff P = -P
 
 
 def vertical_fiber(field: FieldSpec, tbar: int) -> WeierstrassCurve:
@@ -124,9 +110,9 @@ def verify_vertical_sum(es: EvaluationSet, l: int, j: int) -> bool:
     xs, ys, ts = es.xyt[:, ver.start:ver.stop:ver.step].tolist()
     curve = vertical_fiber(fld, ts[0])
     total = O
-    for x, y in zip(xs, ys):
-        total = ec_add(curve, total, CurvePoint(x, y))
-    return total == O
+    for pt in zip(xs, ys):
+        total = ec_add(curve, total, pt)
+    return total is O
 
 
 def horizontal_quartic(es: EvaluationSet, l: int, i: int):
@@ -157,9 +143,8 @@ def horizontal_sum_two_torsion(es: EvaluationSet, l: int, i: int) -> bool:
             raise PointNotOnCurve(
                 f"(t, y) = ({t}, {y}) is off the quartic model")
         w = fld.add(y, fld.mul(alpha, fld.mul(t, t)))
-        img = CurvePoint(
-            fld.mul(two, fld.mul(alpha, w)),
-            fld.mul(four, fld.mul(fld.mul(alpha, alpha), fld.mul(t, w))))
+        img = (fld.mul(two, fld.mul(alpha, w)),
+               fld.mul(four, fld.mul(fld.mul(alpha, alpha), fld.mul(t, w))))
         total = ec_add(curve, total, img)  # raises PointNotOnCurve off it
     return ec_is_two_torsion(curve, total)
 

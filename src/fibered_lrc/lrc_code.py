@@ -20,16 +20,17 @@ on one line, so no array holds n·q counters; it returns the best of the first
 
 Encoding is F_p-linear: an element is the digit vector of Σ c_i·X^i, so
 the generator matrix, of rank k checked over F_q, expands to a (k·m) x
-(n·m) matrix over F_p, and a block of messages encodes as one exact
-float64 (BLAS) matrix product mod p.  `encode`, the generic search (r > 3)
-and `simulate.run_simulation` all go through it.
+(n·m) matrix over F_p, and a block of messages encodes as one float64
+(BLAS) matrix product mod p, exact because `generator_matrix` refuses a
+code whose k·m digit products could sum past 2^53.  `encode`, the generic
+search (r > 3) and `simulate.run_simulation` all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -62,14 +63,26 @@ class BoundsViolation(AssertionError):
     """
 
 
+def in_basis(i: int, j: int, r: int) -> bool:
+    """Is x^i t^j a message monomial?  1 <= i <= r-2 and 0 <= j <= r-1, or
+    i = r-1 and j <= r-2: a range test, without listing the r^2 - r - 1."""
+    check_locality(r)
+    return 1 <= i <= r - 2 and 0 <= j <= r - 1 or i == r - 1 and 0 <= j <= r - 2
+
+
 @cache
 def basis(r: int) -> tuple[tuple[int, int], ...]:
     """Exponent pairs (i, j), sorted, of the monomials x^i t^j spanning the
-    messages: 1 <= i <= r-2, 0 <= j <= r-1, plus x^{r-1} t^h, h <= r-2."""
+    messages: those that pass `in_basis`."""
     check_locality(r)
-    monos = [(i, j) for i in range(1, r - 1) for j in range(r)]
-    monos += [(r - 1, h) for h in range(r - 1)]
-    return tuple(sorted(monos))
+    return tuple((i, j) for i in range(1, r) for j in range(r) if in_basis(i, j, r))
+
+
+def basis_vertices(r: int) -> tuple[tuple[int, int], ...]:
+    """The corners of the convex hull of basis(r): a linear form in (i, j)
+    takes its max and min over the basis at one of them."""
+    check_locality(r)
+    return ((1, 0), (1, r - 1), (r - 2, r - 1), (r - 1, r - 2), (r - 1, 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,9 +108,16 @@ class GeneratorMatrix:
         return self.es.n
 
 
+_FLOAT_EXACT = 2**53 - 1  # float64 holds every integer up to this one
+
+
 def generator_matrix(es: EvaluationSet) -> GeneratorMatrix:
     fld, mons = es.field, np.asarray(basis(es.r))
     k, m = len(mons), fld.m
+    # a codeword digit sums k·m digit products; _encode_block needs it exact
+    if k * m * (fld.p - 1) ** 2 > _FLOAT_EXACT:
+        raise ValueError(f"k·m = {k * m} digit products of up to (p - 1)^2 "
+                         f"sum past 2^53 over {fld.label}: float64 is inexact")
     LOG, EXP = (fld.np_tables()[name] for name in ("LOG", "EXP"))
     # x and t are nonzero at every point (build_evaluation_set checks it),
     # so x^i·t^j = EXP[(i·log x + j·log t) mod (q - 1)]
@@ -129,23 +149,16 @@ def _rank(fld: FieldSpec, mat: np.ndarray) -> int:
     return rank
 
 
-_FLOAT_EXACT = 2**53 - 1  # float64 holds every integer up to this one
-
-
 def _encode_block(gm: GeneratorMatrix, msgs) -> np.ndarray:
     """Codewords of a (B, k) array of messages, as a (B, n) int64 array."""
     fld = gm.es.field
-    p, step = fld.p, _FLOAT_EXACT // (fld.p - 1) ** 2
-    # sums of `step` digit products are exact; one chunk if k·m <= 8192, p <= 2^20
+    p = fld.p
+    # exact: generator_matrix keeps every sum of k·m digit products <= 2^53 - 1
     coords = digits(msgs, p, fld.m).reshape(len(msgs), gm.k * fld.m).astype(np.float64)
-    parts = ((coords[:, lo:lo + step] @ gm.over_fp[lo:lo + step]).astype(np.int64)
-             for lo in range(0, coords.shape[1], step))
-    out = next(parts)
-    for part in chain([0], parts):  # out %= p after each chunk, in under half the time
-        out += part
-        quot = out // p         # in place: no more block-sized arrays than % p
-        quot *= p
-        out -= quot
+    out = (coords @ gm.over_fp).astype(np.int64)
+    quot = out // p     # out %= p in place, in under half the time and no
+    quot *= p           # more block-sized arrays than % p
+    out -= quot
     return out.reshape(len(msgs), gm.n, fld.m) @ p ** np.arange(fld.m)
 
 

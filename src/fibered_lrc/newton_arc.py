@@ -10,11 +10,10 @@ yields the generic distance lower bound n - (2r^2 - 2r - 3).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .construction import SurfaceParams, defining_coefficients
 from .gf import FieldSpec
-from .lrc_code import basis
+from .lrc_code import in_basis
 from .poly import UniPoly, factor_monic, poly
 
 
@@ -167,20 +166,15 @@ def splitting_at_infinity(params: SurfaceParams) -> ValuationTable:
     return ValuationTable(r, case, tuple(places), ss, tuple(read))
 
 
-@cache
-def _basis_set(r: int) -> frozenset:
-    return frozenset(basis(r))
-
-
 def monomial_valuations(vt: ValuationTable, i: int, j: int) -> dict:
     """Per-place valuation of x^i t^j for a basis monomial (i, j)."""
-    if (i, j) not in _basis_set(vt.r):
+    if not in_basis(i, j, vt.r):
         raise ValueError(f"monomial ({i}, {j}) is outside the basis range")
     return {pl.name: i * pl.v_x + j * pl.v_t for pl in vt.places}
 
 
 def pole_degree(i: int, j: int, r: int) -> int:
     """Degree of the pole divisor of the basis monomial x^i t^j."""
-    if (i, j) not in _basis_set(r):
+    if not in_basis(i, j, r):
         raise ValueError(f"monomial ({i}, {j}) is outside the basis range")
     return i * (r + 1) + j * r

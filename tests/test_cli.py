@@ -327,9 +327,19 @@ def test_verify_newton(capsys):
 
 
 def test_verify_newton_large_r_is_quick():
-    # r = 99 has 9701 basis monomials, each looked up twice in the basis
+    # r = 99 has 9701 basis monomials; the bound reads only the 5 corners
     proc = run_python("-m", "fibered_lrc.cli", "verify", "newton",
                       "--field", "101", "--r", "99", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "newton checks: ok" in proc.stdout
+
+
+def test_verify_newton_huge_r_fits_in_memory():
+    # r = 27593 has about 7.6e8 basis monomials; the bound is read off the
+    # five corners of the basis, so 1.5 GB of address space is plenty
+    proc = run_python("-m", "fibered_lrc.cli", "verify", "newton",
+                      "--field", "1048573", "--r", "27593", timeout=60,
+                      preexec_fn=cap_address_space)
     assert proc.returncode == 0, proc.stderr
     assert "newton checks: ok" in proc.stdout
 
@@ -348,16 +358,37 @@ def test_verify_elliptic_exit_codes(capsys):
         "error: elliptic checks apply to locality r = 3 only\n")
 
 
-def test_verify_elliptic_matches_golden(golden_dir, capsys):
-    # the full stdout and exit code per field, byte for byte
+def _transcript(argvs, capsys) -> bytes:
+    """Each command line, its full stdout and its exit code, as one text."""
     transcript = []
-    for label in ("7^2", "11^2", "13^2", "5^4", "3^4"):
-        argv = ["verify", "elliptic", "--field", label]
+    for argv in argvs:
         code = main(argv)
         transcript.append(f"$ {' '.join(argv)}\n{capsys.readouterr().out}"
                           f"exit {code}\n")
-    golden = (golden_dir / "verify_elliptic.txt").read_bytes()
-    assert "".join(transcript).encode() == golden
+    return "".join(transcript).encode()
+
+
+def test_verify_elliptic_matches_golden(golden_dir, capsys):
+    # the full stdout and exit code per field, byte for byte
+    got = _transcript([["verify", "elliptic", "--field", label]
+                       for label in ("7^2", "11^2", "13^2", "5^4", "3^4")],
+                      capsys)
+    assert got == (golden_dir / "verify_elliptic.txt").read_bytes()
+
+
+def test_verify_newton_matches_golden(golden_dir, capsys):
+    # the six `verify newton` commands of the bench, byte for byte
+    got = _transcript([["verify", "newton", "--field", label, "--r", str(r)]
+                       for label, r in (("13^2", 3), ("7", 5), ("13", 5),
+                                        ("17", 7), ("11", 9), ("5^4", 3))],
+                      capsys)
+    assert got == (golden_dir / "verify_newton.txt").read_bytes()
+
+
+def test_verify_invariants_matches_golden(golden_dir, capsys):
+    got = _transcript([["verify", "invariants", "--field", label]
+                       for label in ("7^2", "11^2", "13^2", "5^4")], capsys)
+    assert got == (golden_dir / "verify_invariants.txt").read_bytes()
 
 
 def test_verify_invariants(prof49, capsys):

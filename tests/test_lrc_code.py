@@ -23,12 +23,14 @@ from fibered_lrc.lrc_code import (
     NotSingleOrbit,
     RankDeficient,
     basis,
+    basis_vertices,
     code_profile,
     distance_b1,
     distance_lower_bound,
     encode,
     f_min_message,
     generator_matrix,
+    in_basis,
     min_distance,
     singleton_availability_upper,
     _default_chunk,
@@ -77,6 +79,31 @@ def test_basis_bad_locality():
     for r in (1, 2, 4):
         with pytest.raises(BadLocality):
             basis(r)
+        with pytest.raises(BadLocality):
+            in_basis(1, 0, r)
+        with pytest.raises(BadLocality):
+            basis_vertices(r)
+
+
+def test_basis_ranges_and_vertices():
+    rng = random.Random(11)
+    for r in range(3, 40, 2):
+        # 1 <= i <= r-2 with 0 <= j <= r-1, and x^{r-1} t^h with h <= r-2
+        mono = {(i, j) for i in range(1, r - 1) for j in range(r)}
+        mono |= {(r - 1, h) for h in range(r - 1)}
+        assert basis(r) == tuple(sorted(mono)) and len(mono) == r * r - r - 1
+        grid = {(i, j) for i in range(-1, r + 2) for j in range(-1, r + 2)}
+        assert {ij for ij in grid if in_basis(*ij, r)} == mono
+        corners = basis_vertices(r)
+        assert set(corners) <= mono
+        # the pole degree, v_P1 and random linear forms in (i, j)
+        forms = [(r + 1, r), (r + 1, -1)]
+        forms += [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(8)]
+        for a, b in forms:
+            values = [a * i + b * j for i, j in mono]
+            at_corners = [a * i + b * j for i, j in corners]
+            assert max(at_corners) == max(values)
+            assert min(at_corners) == min(values)
 
 
 def test_generator_matrix_shape_and_columns(es49, gm49, f49):
@@ -183,25 +210,31 @@ def test_encode_block_matches_encode(pm):
             [encode(gm, msg) for msg in msgs.tolist()]
 
 
-# F_49 and F_625, two orbits each; the float64 product sums 10 and 20 terms
+# F_49 and F_625, two orbits each; a codeword digit sums 10 and 20 products
 @pytest.mark.parametrize("pm", [(7, 2), (5, 4)], ids=["7^2", "5^4"])
-@pytest.mark.parametrize("terms", [1, 3])
-def test_encode_block_in_chunks(pm, terms, monkeypatch):
-    """With the exact-sum limit cut to 1 or 3 digit products, the product
-    runs in several chunks, each reduced mod p, and encodes the same."""
+@pytest.mark.parametrize("cut", ["below", "at"])
+def test_generator_matrix_needs_exact_sums(pm, cut, monkeypatch, capsys):
+    """With the exact-sum limit cut one below k·m·(p - 1)^2, the generator
+    matrix is refused, and a CLI path through it exits 1; at that limit
+    the product is built and encodes exactly."""
     fld = make_field(*pm)
     es = build_evaluation_set(surface_params(fld, 3), (0, 1))
+    need = 5 * fld.m * (fld.p - 1) ** 2
+    monkeypatch.setattr(lrc_code, "_FLOAT_EXACT", need - (cut == "below"))
+    label = f"{pm[0]}^{pm[1]}"
+    if cut == "below":
+        with pytest.raises(ValueError, match="past 2\\^53"):
+            generator_matrix(es)
+        assert cli.main(["verify", "invariants", "--field", label]) == 1
+        assert "float64 is inexact" in capsys.readouterr().err
+        return
     gm = generator_matrix(es)
-    rng = np.random.default_rng([*pm, terms])
-    blocks = [rng.integers(0, fld.order, size=(size, gm.k)) for size in (1, 64, 65)]
-    whole = [_encode_block(gm, msgs) for msgs in blocks]
-    monkeypatch.setattr(lrc_code, "_FLOAT_EXACT", terms * (fld.p - 1) ** 2)
-    for msgs, want in zip(blocks, whole):
-        got = _encode_block(gm, msgs)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
-        assert [tuple(row) for row in got.tolist()] == \
-            [naive_encode(es, msg) for msg in msgs.tolist()]
+    msgs = np.random.default_rng(pm).integers(0, fld.order, size=(65, gm.k))
+    got = _encode_block(gm, msgs)
+    assert got.dtype == np.int64
+    assert [tuple(row) for row in got.tolist()] == \
+        [naive_encode(es, msg) for msg in msgs.tolist()]
+    assert cli.main(["verify", "invariants", "--field", label]) == 0
 
 
 # m = 1, 2, 4 and 6, up to q = 65537; r = 5 has k = 19; on F_65537 the

@@ -13,7 +13,8 @@ when the tree won at least nine tenths of the pairs and the medians differ
 by more than the revision's interquartile range.  The wall-clock `pass_s`
 and `op_p50_ms` lines that `bench/run.py` prints before its result follow,
 with each side's median and quartiles only: host drift moves them, so
-they get no verdict.  Any run with `failed` not 0 is printed too.
+they get no verdict.  Any run with `failed` not 0 is printed as it ends,
+and makes the script exit 1 after the summary.
 """
 
 import argparse
@@ -61,7 +62,7 @@ def main(argv=None) -> None:
     if args.pairs < 1:
         sys.exit("--pairs must be at least 1")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = {"rev": [], "tree": []}
+    runs, failed = {"rev": [], "tree": []}, []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT,
                                  capture_output=True)
@@ -75,8 +76,9 @@ def main(argv=None) -> None:
                 out = bench(trees[side], args.workload, seed, args.seconds)
                 runs[side].append(out)
                 if out["failed"]:
-                    print(f"seed {seed} {side}: failed {out['failed']} "
-                          f"of {out['attempted']}")
+                    failed.append(f"seed {seed} {side}: failed {out['failed']} "
+                                  f"of {out['attempted']}")
+                    print(failed[-1])
             print(f"pair {seed}: " + ", ".join(
                 f"{m['name']} {runs['rev'][-1]['metrics'][m['name']]:.4g} -> "
                 f"{runs['tree'][-1]['metrics'][m['name']]:.4g}" for m in metrics),
@@ -100,6 +102,8 @@ def main(argv=None) -> None:
                                       for side in ("rev", "tree"))
         print(f"  {name:12} rev {r2:.4g} [{r1:.4g}, {r3:.4g}]  "
               f"tree {t2:.4g} [{t1:.4g}, {t3:.4g}]  (wall clock, no verdict)")
+    if failed:
+        sys.exit(f"{len(failed)} runs had failed operations:\n" + "\n".join(failed))
 
 
 if __name__ == "__main__":

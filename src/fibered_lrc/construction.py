@@ -137,8 +137,9 @@ def find_nice_orbits(params: SurfaceParams) -> tuple[NiceOrbit, ...]:
     """All nice orbits with their fiber roots, sorted by representative.
 
     One array pass over the field's tables: s = -A(x) / (x^2 - x) at each
-    x outside {0, 1} in canonical order (A by Horner on ``vmul``/``vsum``),
-    then a stable sort by log s buckets each fiber's roots in that order.
+    x outside {0, 1} in canonical order (A by ``UniPoly.eval_nonzero``, so
+    only its at most five nonzero terms cost a pass, whatever r is), then a
+    stable sort by log s buckets each fiber's roots in that order.
     A bucket is a nice orbit when it holds r+1 roots and s = g^{(r+1)k} is
     a nonzero (r+1)-th power; members g^{k + j(q-1)/(r+1)}, least first.
     """
@@ -146,9 +147,7 @@ def find_nice_orbits(params: SurfaceParams) -> tuple[NiceOrbit, ...]:
     rp1, q = r + 1, fld.order
     tabs = fld.np_tables()
     xs = tabs["EXP"][1:q - 1]
-    a = 0
-    for c in reversed(specialize_P(params, 0).coeffs):
-        a = fld.vsum(fld.vmul(a, xs), c)
+    a = specialize_P(params, 0).eval_nonzero(xs)
     x2_x = fld.vsum(fld.vmul(xs, xs), tabs["NEG"][xs])
     logs = tabs["LOG"][fld.vmul(tabs["NEG"][a], tabs["INV"][x2_x])]
     order = np.argsort(logs, kind="stable")

@@ -194,11 +194,6 @@ class FieldSpec:
     def from_log(self, k: int) -> int:
         return self._exp[k % (self.order - 1)]
 
-    def elements(self):
-        """All elements in canonical order (zero, then powers of gen)."""
-        yield 0
-        yield from itertools.islice(self._exp, self.order - 1)
-
     # -- squares -------------------------------------------------------------
 
     def is_square(self, a: int) -> bool:

@@ -2,16 +2,19 @@
 
 Coefficients are raw element encodings, ascending degree, no trailing
 zeros; the zero polynomial has an empty coefficient tuple and degree -1.
-Everything here is scalar-path code: the exhaustive search kernels never
-route through this module.  One distinct-degree loop serves Ben-Or's
-irreducibility test and the Cantor-Zassenhaus factoring, which takes X^v,
-degree-1 parts and split quadratics without random draws.
+The ring operations are scalar; the exhaustive search kernels never route
+through this module.  One array evaluator, ``UniPoly.eval_nonzero``, serves
+the root scan and the orbit catalog.  Factoring divides out the roots that
+the scan finds and checks what is left with Ben-Or's irreducibility test,
+which is all the verify polynomials need.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .gf import DivisionByZero, FieldMismatch, FieldSpec
 
@@ -119,6 +122,21 @@ class UniPoly:
             acc = f.add(f.mul(acc, x), c)
         return acc
 
+    def eval_nonzero(self, xs) -> np.ndarray:
+        """f at each element of an array of nonzero elements (the zero f
+        gives the scalar 0).  Only the nonzero coefficients are read: c·x^k
+        is EXP[log c + k·log x mod (q - 1)], and the terms are added three
+        at a time by ``vsum``."""
+        fld = self.field
+        tabs, q1 = fld.np_tables(), fld.order - 1
+        logs = tabs["LOG"][xs]
+        terms = (tabs["EXP"][fld.log(c) + k * logs % q1]
+                 for k, c in enumerate(self.coeffs) if c)
+        acc = 0
+        while batch := list(itertools.islice(terms, 3)):
+            acc = fld.vsum(acc, *batch)
+        return acc
+
     def derivative(self) -> "UniPoly":
         f = self.field   # the integer i is the prime-subfield element i mod p
         return poly(f, [f.mul(i % f.p, c) for i, c in enumerate(self.coeffs[1:], 1)])
@@ -180,14 +198,20 @@ def pow_mod(base: UniPoly, e: int, mod: UniPoly) -> UniPoly:
 
 
 def is_irreducible(f: UniPoly) -> bool:
-    """Ben-Or's test, f squarefree or not: f is irreducible iff the
-    distinct-degree loop yields its first part at d = deg f, not at a lower
-    d with the part f itself, as two cubics do at d = 3."""
+    """Ben-Or's test, f squarefree or not: f is irreducible iff no
+    irreducible of degree d <= deg(f)/2 divides it, i.e. iff each
+    gcd(X^(q^d) - X, f) is 1; X^(q^d) mod f advances by one q-th power per
+    step, and the loop stops at the first factor."""
     if f.degree < 1:
         return False
     if f.coeffs[0] == 0:  # divisible by X
         return f.degree == 1
-    return next(_distinct_degree_split(f))[0] == f.degree
+    x = h = x_poly(f.field)
+    for _ in range(f.degree // 2):
+        h = pow_mod(h, f.field.order, f)
+        if poly_gcd(h - x, f).degree > 0:
+            return False
+    return True
 
 
 def splits_completely_distinct(f: UniPoly) -> bool:
@@ -205,106 +229,48 @@ def splits_completely_distinct(f: UniPoly) -> bool:
 
 
 def all_roots(f: UniPoly) -> tuple[int, ...]:
-    """Roots in the field, by exhaustive scan, in canonical element order."""
+    """Roots in the field, in canonical element order: zero when the
+    constant term is 0, then each power of the generator at which
+    ``eval_nonzero`` reads 0."""
     if f.is_zero:
         raise ValueError("zero polynomial vanishes everywhere")
-    return tuple(v for v in f.field.elements() if f.eval_at(v) == 0)
-
-
-def _equal_degree_split(g: UniPoly, d: int, rng: random.Random) -> list[UniPoly]:
-    """Irreducible factors, each of degree d, of the squarefree monic g: a
-    quadratic (d = 1) by the quadratic formula, a larger g by random draws."""
-    if g.degree == d:
-        return [g]
-    field = g.field
-    if g.degree == 2:  # X^2 + bX + c = (X + (b + s)/2)(X + (b - s)/2)
-        c, b = g.coeffs[0], g.coeffs[1]
-        disc = field.sub(field.mul(b, b), field.mul(4 % field.p, c))
-        if disc == 0 or not field.is_square(disc):
-            raise ArithmeticError(f"{g} has no two distinct roots to split")
-        s, half = field.sqrt(disc), field.inv(2 % field.p)
-        return [UniPoly(field, (field.mul(field.add(b, r), half), 1))
-                for r in (s, field.neg(s))]
-    exp = (field.order**d - 1) // 2
-    for _ in range(200):  # a draw splits g with probability about 1/2
-        a = poly(field, [rng.randrange(field.order) for _ in range(g.degree)])
-        if a.degree < 1:
-            continue
-        w = poly_gcd(pow_mod(a, exp, g) - constant(field, 1), g)
-        if 0 < w.degree < g.degree:
-            return (_equal_degree_split(w, d, rng)
-                    + _equal_degree_split(g // w, d, rng))
-    raise ArithmeticError(f"200 draws left deg {g.degree} unsplit")
-
-
-def _distinct_degree_split(g: UniPoly):
-    """(d, product of the degree-d factors) of the squarefree g, d ascending;
-    X^(q^d) mod g advances by one q-th power per step."""
-    x = x_poly(g.field)
-    h, d = x, 0
-    while g.degree >= 2 * (d + 1):
-        d += 1
-        h = pow_mod(h, g.field.order, g)
-        w = poly_gcd(h - x, g)
-        if w.degree > 0:
-            yield d, w
-            g = g // w
-            h = h % g
-    if g.degree > 0:  # below 2(d + 1): one irreducible factor is left
-        yield g.degree, g
+    fld = f.field
+    powers = fld.np_tables()["EXP"][:fld.order - 1]
+    zero = (0,) if f.coeffs[0] == 0 else ()
+    return zero + tuple(powers[f.eval_nonzero(powers) == 0].tolist())
 
 
 def factor_monic(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
-    """Irreducible monic factors with multiplicities, canonically ordered.
+    """Irreducible monic factors with multiplicities, canonically ordered,
+    of an f that splits into lines but for at most one irreducible factor
+    of multiplicity 1, as every verify polynomial does.
 
-    Cantor-Zassenhaus with a fixed-seed splitter, so the run is
-    reproducible.  Odd characteristic only (all fields here are odd).
     The unit leading coefficient of f is discarded.  X^v (v the index of
-    the first nonzero coefficient) and each degree-1 part are recorded at
-    once; quadratics split without draws (`_equal_degree_split`).
+    the first nonzero coefficient) comes off first, and a line is kept as
+    it is; otherwise each root of ``all_roots`` is divided out with its
+    multiplicity.  What is left has no root, and unless it is a constant
+    it must pass ``is_irreducible``.  A leftover that fails, or a root
+    that divides nothing, raises ArithmeticError.
     """
     field = f.field
-    if field.p == 2:
-        raise ValueError("factorization supports odd characteristic only")
     if f.degree < 1:
         raise ValueError("nothing to factor")
-    rng = random.Random(0x5EED)
     g = f.monic()
     v = next(i for i, c in enumerate(g.coeffs) if c)
-    found: dict[tuple[int, ...], list] = {}
-    if v:
-        found[(0, 1)] = [x_poly(field), v]
-    stack = [(UniPoly(field, g.coeffs[v:]), 1)]
-    while stack:
-        g, mult = stack.pop()
-        if g.degree < 1:
-            continue
-        if g.degree == 1:
-            found.setdefault(g.coeffs, [g, 0])[1] += mult
-            continue
-        der = g.derivative()
-        if der.is_zero:
-            # g = h(X^p): extract the p-th root coefficientwise
-            root = poly(field, [field.pow(c, field.order // field.p)
-                                for c in g.coeffs[::field.p]])
-            stack.append((root, mult * field.p))
-            continue
-        squarefree_part = g // poly_gcd(g, der)
-        for d, part in _distinct_degree_split(squarefree_part):
-            for piece in _equal_degree_split(part, d, rng):
-                e = 0
-                while g.degree >= piece.degree:
-                    quo, rem = divmod(g, piece)
-                    if not rem.is_zero:
-                        break
-                    g, e = quo, e + 1
-                if e == 0:  # a sound split piece divides g: fail, not spin
-                    raise ArithmeticError(f"split piece {piece} divides nothing")
-                item = found.setdefault(piece.coeffs, [piece, 0])
-                item[1] += mult * e
-        stack.append((g, mult))  # factors with p | multiplicity remain here
-    out = tuple(sorted(((p_, m) for p_, m in found.values()),
-                       key=lambda it: (it[0].degree, it[0].coeffs)))
-    if sum(p_.degree * m for p_, m in out) != f.degree:
-        raise ArithmeticError(f"factor degrees do not add up to deg {f.degree}")
-    return out
+    found = [(x_poly(field), v)] if v else []
+    g = UniPoly(field, g.coeffs[v:])
+    for root in all_roots(g) if g.degree > 1 else ():
+        line, e = UniPoly(field, (field.neg(root), 1)), 0
+        while g.degree > 0:
+            quo, rem = divmod(g, line)
+            if not rem.is_zero:
+                break
+            g, e = quo, e + 1
+        if e == 0:  # a sound root divides g: fail, not skip
+            raise ArithmeticError(f"root {root} of {f} divides nothing")
+        found.append((line, e))
+    if g.degree > 0:
+        if not is_irreducible(g):
+            raise ArithmeticError(f"{g} has no root and is not irreducible")
+        found.append((g, 1))
+    return tuple(sorted(found, key=lambda it: (it[0].degree, it[0].coeffs)))

@@ -1,6 +1,7 @@
-"""The step-by-step field build, digit-wise field addition, the canonical
-element order, the scalar orbit catalog, direct-evaluation checks of the encoder and kernels, the
-fiber check rows one formula at a time, and the one-trial-at-a-time simulator."""
+"""The step-by-step field build, digit-wise field addition, the elements
+in canonical order, the scalar orbit catalog, direct-evaluation checks of
+the encoder and kernels, the fiber check rows one formula at a time, and
+the one-trial-at-a-time simulator."""
 
 import itertools
 from functools import reduce
@@ -74,7 +75,7 @@ def scalar_nice_orbits(params) -> tuple[NiceOrbit, ...]:
     rp1 = r + 1
     a = specialize_P(params, 0)
     buckets: dict[int, list[int]] = {}
-    for x in fld.elements():
+    for x in elements(fld):
         if x not in (0, 1):
             s = fld.div(fld.neg(a.eval_at(x)), fld.mul(x, fld.sub(x, 1)))
             buckets.setdefault(s, []).append(x)
@@ -89,6 +90,12 @@ def scalar_nice_orbits(params) -> tuple[NiceOrbit, ...]:
         raise NoNiceElements(f"no nice elements in {fld.label} for r={r}")
     orbits.sort(key=lambda ob: order_key(fld, ob.representative))
     return tuple(orbits)
+
+
+def elements(fld):
+    """All elements in canonical order (zero, then powers of gen)."""
+    yield 0
+    yield from (fld.from_log(k) for k in range(fld.order - 1))
 
 
 def order_key(fld, a: int) -> int:

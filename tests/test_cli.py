@@ -344,6 +344,17 @@ def test_verify_newton_huge_r_fits_in_memory():
     assert "newton checks: ok" in proc.stdout
 
 
+def test_construct_huge_r_finds_no_nice_elements_quickly():
+    # A = P_0 has at most five nonzero terms at any r; a Horner pass over
+    # all r + 2 coefficients at each of the q elements ran for minutes
+    proc = run_python("-m", "fibered_lrc.cli", "construct",
+                      "--field", "1048573", "--r", "27593", timeout=30,
+                      preexec_fn=cap_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert "no nice elements" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_elliptic_exit_codes(capsys):
     assert main(["verify", "elliptic", "--field", "7^2"]) == 0
     assert "elliptic checks: ok" in capsys.readouterr().out

@@ -23,7 +23,7 @@ from fibered_lrc.construction import (
     surface_params,
 )
 from fibered_lrc.poly import all_roots, poly, splits_completely_distinct
-from kernel_oracle import order_key, scalar_nice_orbits
+from kernel_oracle import elements, order_key, scalar_nice_orbits
 
 # (p, m_total) -> (expected q, expected m, expected orbit count M).
 # Orbit counts were cross-checked by brute-force root counting of the
@@ -45,10 +45,11 @@ def is_nice_element(sp, t):
 
 def oracle_catalog(sp):
     """Nice orbits by splitting test: the least member of each zeta-orbit
-    is tested, and a nice orbit's roots come from an exhaustive scan."""
+    is tested, and a nice orbit's roots come from a scalar ``eval_at``
+    scan, so the oracle shares no evaluation code with the catalog."""
     fld = sp.field
     seen, orbits = set(), []
-    for t in fld.elements():
+    for t in elements(fld):
         if t == 0 or t in seen:
             continue
         members = [t]
@@ -56,8 +57,9 @@ def oracle_catalog(sp):
             members.append(fld.mul(members[-1], sp.zeta))
         seen.update(members)
         if is_nice_element(sp, t):
-            orbits.append(NiceOrbit(t, tuple(members),
-                                    all_roots(specialize_P(sp, t))))
+            P_t = specialize_P(sp, t)
+            roots = tuple(x for x in elements(fld) if P_t.eval_at(x) == 0)
+            orbits.append(NiceOrbit(t, tuple(members), roots))
     return tuple(orbits)
 
 

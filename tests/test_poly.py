@@ -13,7 +13,6 @@ import fibered_lrc
 from fibered_lrc.gf import DivisionByZero, FieldMismatch, make_field
 from fibered_lrc.poly import (
     UniPoly,
-    _equal_degree_split,
     all_roots,
     constant,
     factor_monic,
@@ -24,7 +23,7 @@ from fibered_lrc.poly import (
     splits_completely_distinct,
     x_poly,
 )
-from kernel_oracle import order_key
+from kernel_oracle import elements, order_key
 
 
 def rand_poly(field, rng, max_deg):
@@ -84,17 +83,18 @@ def test_divmod_by_zero(f49):
     "gf.FieldSpec.neg = lambda self, a: "
     "self._exp[self._log[a] + (self.order - 1) // 2 + 1]\n"
     "gf.make_field(3, 4)",
-    # X^2 - 2 is irreducible over F_13, so no draw splits it into lines
+    # X^2 - 2 has no root in F_13; a scan that names one anyway must not
+    # be taken on trust
     "f = gf.make_field(13, 1)\n"
-    "poly._equal_degree_split(poly.poly(f, [11, 0, 1]), 1, random.Random(0))",
-], ids=["neg-off-by-one", "unsplittable"])
+    "poly.all_roots = lambda g: (5,)\n"
+    "poly.factor_monic(poly.poly(f, [11, 0, 1]))",
+], ids=["neg-off-by-one", "root-divides-nothing"])
 def test_broken_arithmetic_fails_fast(snippet):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(fibered_lrc.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", "import random\nfrom fibered_lrc import gf, "
-         "poly\n" + snippet], capture_output=True, text=True, env=env,
-        timeout=30)
+        [sys.executable, "-c", "from fibered_lrc import gf, poly\n" + snippet],
+        capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[-1].startswith("ArithmeticError"), \
         proc.stderr
@@ -160,8 +160,8 @@ def test_frobenius_fixes_prime_subfield(f169):
 def test_is_irreducible_counts(f5):
     # Gauss: (1/d) sum_{e|d} mu(d/e) q^e monic irreducibles of degree d
     f3 = make_field(3, 1)
-    # degree 6 over F_3 includes products of two cubics, where the
-    # distinct-degree loop's first gcd is f itself
+    # degree 6 over F_3 includes products of two cubics, where the first
+    # gcd above 1 in Ben-Or's loop is f itself
     for fld, d, count in ((f5, 1, 5), (f5, 2, 10), (f5, 3, 40), (f5, 4, 150),
                           (f3, 4, 18), (f3, 6, 116)):
         q = fld.order
@@ -198,6 +198,36 @@ def test_all_roots_order_and_content(f49):
     assert splits_completely_distinct(f)
 
 
+_field = functools.cache(make_field)
+FACTOR_FIELDS = [(7, 1), (7, 2), (3, 4), (5, 4)]
+
+
+@st.composite
+def sparse_or_dense_polys(draw):
+    """Nonzero f over a small field: up to 12 coefficients, each zero with
+    probability 0 (dense) to 0.9 (sparse); two times in three the constant
+    term is then set to 0 or to a nonzero value."""
+    fld = _field(*draw(st.sampled_from(FACTOR_FIELDS)))
+    density = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    coeff = st.integers(1, fld.order - 1)
+    coeffs = [draw(coeff) if draw(st.floats(0, 1)) < density else 0
+              for _ in range(draw(st.integers(1, 12)))]
+    const = draw(st.sampled_from(["as drawn", "zero", "nonzero"]))
+    if const != "as drawn":
+        coeffs[0] = draw(coeff) if const == "nonzero" else 0
+    coeffs.append(draw(coeff))
+    return poly(fld, coeffs)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(sparse_or_dense_polys())
+def test_all_roots_matches_scalar_scan(f):
+    fld = f.field
+    powers = list(elements(fld))[1:]
+    assert f.eval_nonzero(powers).tolist() == [f.eval_at(x) for x in powers]
+    assert all_roots(f) == tuple(x for x in elements(fld) if f.eval_at(x) == 0)
+
+
 def _power(g, e):
     out = constant(g.field, 1)
     for _ in range(e):
@@ -207,8 +237,8 @@ def _power(g, e):
 
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (5, 1)])
 def test_factor_monic_multiplicity_divisible_by_p(p, m):
-    # a factor whose multiplicity p divides leaves g' = 0, so the p-th root
-    # branch takes it apart
+    # a line whose multiplicity p divides is divided out as often as it
+    # divides, like any other
     fld = make_field(p, m)
     x = x_poly(fld)
 
@@ -233,15 +263,22 @@ def test_factor_monic_multiplicity_divisible_by_p(p, m):
     assert product == f
 
 
-_field = functools.cache(make_field)
+def first_irreducible(fld, degree, start):
+    """The first monic irreducible of the degree whose lower coefficients,
+    read as base-q digits, come at or after start (wrapping around)."""
+    q, size = fld.order, fld.order ** degree
+    return next(h for h in (poly(fld, [i % size // q**k % q
+                                       for k in range(degree)] + [1])
+                            for i in range(start, start + size))
+                if is_irreducible(h))
 
 
 @st.composite
 def factored_polys(draw):
     """(f, expected factor_monic(f)) for f = c X^v prod (X - r_i)^e_i
-    prod h_j^k_j: distinct nonzero r_i, distinct monic irreducible
-    quadratics h_j, v in 0..9 and multiplicities in 1..p+1, so p | e too."""
-    fld = _field(*draw(st.sampled_from([(7, 1), (7, 2), (3, 4), (5, 4)])))
+    times at most one monic irreducible h of degree 2 or 3: distinct
+    nonzero r_i, v in 0..9 and multiplicities in 1..p+1, so p | e too."""
+    fld = _field(*draw(st.sampled_from(FACTOR_FIELDS)))
     q, mult = fld.order, st.integers(1, fld.p + 1)
     factors = {}
     v = draw(st.integers(0, 9))
@@ -249,12 +286,10 @@ def factored_polys(draw):
         factors[x_poly(fld).coeffs] = v
     for r in draw(st.lists(st.integers(1, q - 1), max_size=3, unique=True)):
         factors[(fld.neg(r), 1)] = draw(mult)
-    for start in draw(st.lists(st.integers(0, q * q - 1), max_size=2)):
-        # the first irreducible X^2 + bX + c at or after (b, c) = start
-        h = next(h for h in (poly(fld, [i % q, i // q % q, 1])
-                             for i in range(start, start + q * q))
-                 if is_irreducible(h))
-        factors.setdefault(h.coeffs, draw(mult))
+    if draw(st.booleans()):
+        degree = draw(st.integers(2, 3))
+        h = first_irreducible(fld, degree, draw(st.integers(0, q**degree - 1)))
+        factors[h.coeffs] = 1
     f = constant(fld, draw(st.integers(1, q - 1)))
     for coeffs, e in factors.items():
         f = f * _power(poly(fld, coeffs), e)
@@ -289,15 +324,24 @@ def test_factor_monic_rejects_constants(f49):
 
 def test_quadratic_splits_by_formula(f49):
     # products of two distinct monic lines over F_49 come back as their
-    # two lines, without a random draw
-    class NoDraws(random.Random):
-        def randrange(self, *args):
-            raise AssertionError("a quadratic took a random draw")
-
+    # two lines, each once
     x = x_poly(f49)
     for a in range(0, 49, 5):
         for b in range(a + 1, 49, 7):
             lines = [x - constant(f49, a), x - constant(f49, b)]
-            pieces = _equal_degree_split(lines[0] * lines[1], 1, NoDraws())
-            assert sorted(g.coeffs for g in pieces) == sorted(
-                g.coeffs for g in lines)
+            out = factor_monic(lines[0] * lines[1])
+            assert [(g.coeffs, e) for g, e in out] == sorted(
+                (g.coeffs, 1) for g in lines)
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (7, 2), (3, 4)])
+def test_factor_monic_rejects_two_rootless_factors(p, m):
+    # a rootless leftover must be irreducible: h1 h2 and h^2 are not
+    fld = _field(p, m)
+    h1 = first_irreducible(fld, 2, 0)
+    h2 = first_irreducible(fld, 2, h1.coeffs[0] + fld.order * h1.coeffs[1] + 1)
+    assert h1 != h2
+    line = x_poly(fld) - constant(fld, 1)
+    for f in (h1 * h2, _power(h1, 2), line * h1 * h2):
+        with pytest.raises(ArithmeticError, match="not irreducible"):
+            factor_monic(f)

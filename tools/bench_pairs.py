@@ -8,9 +8,18 @@ repository's `.git` is only read.  Pair k runs `bench/run.py --workload W
 tree, the revision first in odd pairs and the tree first in even ones.  For
 every end-to-end metric of `BENCHMARK.json` the script prints each side's
 median and quartiles, the change's median over the revision's, and the
-pairs the tree won (ties count for neither side).  A metric reads "gain"
-when the tree won at least nine tenths of the pairs and the medians differ
-by more than the revision's interquartile range.  The wall-clock `pass_s`
+pairs the tree won (ties count for neither side), with its verdicts:
+
+- "gain" when the tree won at least nine tenths of the pairs and the
+  medians differ by more than the revision's interquartile range;
+- "worse" when the tree's median is worse than the revision's by more than
+  the metric's `bound` in `BENCHMARK.json`, relative to the revision's
+  median;
+- "unresolved" when the revision's own interquartile range, relative to
+  its median, is wider than that bound, so that the pairs cannot tell.
+
+A change that claims no gain shows that it costs nothing by reading neither
+"worse" nor "unresolved" on any metric.  The wall-clock `pass_s`
 and `op_p50_ms` lines that `bench/run.py` prints before its result follow,
 with each side's median and quartiles only: host drift moves them, so
 they get no verdict.  Any run with `failed` not 0 is printed as it ends,
@@ -93,10 +102,14 @@ def main(argv=None) -> None:
         (r1, r2, r3), (t1, t2, t3) = quartiles(rev), quartiles(tree)
         better = t2 < r2 if lower else t2 > r2
         gain = better and 10 * wins >= 9 * args.pairs and abs(t2 - r2) > r3 - r1
+        worse = (t2 - r2 if lower else r2 - t2) > m["bound"] * r2
+        unresolved = r3 - r1 > m["bound"] * r2
+        verdicts = [word for word, holds in (("gain", gain), ("worse", worse),
+                                             ("unresolved", unresolved)) if holds]
         ratio = f"{t2 / r2:.3f}x" if r2 else "-"
         print(f"  {name:12} rev {r2:.4g} [{r1:.4g}, {r3:.4g}]  "
               f"tree {t2:.4g} [{t1:.4g}, {t3:.4g}]  {ratio}  "
-              f"won {wins}/{args.pairs}{'  gain' if gain else ''}")
+              f"won {wins}/{args.pairs}" + "".join(f"  {v}" for v in verdicts))
     for name in WALL:
         (r1, r2, r3), (t1, t2, t3) = (quartiles([r["wall"][name] for r in runs[side]])
                                       for side in ("rev", "tree"))

@@ -236,8 +236,11 @@ def all_roots(f: UniPoly) -> tuple[int, ...]:
         raise ValueError("zero polynomial vanishes everywhere")
     fld = f.field
     powers = fld.np_tables()["EXP"][:fld.order - 1]
-    zero = (0,) if f.coeffs[0] == 0 else ()
-    return zero + tuple(powers[f.eval_nonzero(powers) == 0].tolist())
+    roots = [0] if f.coeffs[0] == 0 else []
+    for lo in range(0, len(powers), 1 << 16):   # blocks bound the temporaries
+        block = powers[lo:lo + (1 << 16)]
+        roots += block[f.eval_nonzero(block) == 0].tolist()
+    return tuple(roots)
 
 
 def factor_monic(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:

@@ -1,25 +1,25 @@
 """Deterministic storage-failure repair simulator.
 
 Each trial encodes a random message, knocks out a set of storage nodes,
-and peels the surviving symbols with both recovery sets.  Randomness comes
-from numpy's PCG64 stream seeded per scenario, so a fixed seed gives a
-byte-identical report.  Each trial draws its message and then its failed
-nodes, in trial order, into one block of BLOCK trials, and a (nodes,
-symbols per node) table marks the block's erasures in one assignment.  A
-block is encoded by one float64 (BLAS) product, exact below 2^53, and
-peeled by one `recovery._peel_block` call, so working memory is one
-block's (the report keeps two counts per trial); each repaired symbol is
-checked against the encoded one.
+and peels the surviving symbols with both recovery sets.  The draws read
+PCG64's raw words (seeded per scenario) and are exactly those of
+``Generator.integers`` and ``choice``, so a seed fixes the report byte for
+byte through PCG64's raw stream alone, which NEP 19 keeps stable.  A block
+of BLOCK trials draws as arrays, encodes by one float64 (BLAS) product,
+exact below 2^53, and peels by one `recovery._peel_block` call, so working
+memory is one block's (the report keeps two counts per trial); each
+repaired symbol is checked against the encoded one.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .construction import EvaluationSet
-from .lrc_code import _encode_block, generator_matrix
+from .lrc_code import GeneratorMatrix, _encode_block, generator_matrix
 from .recovery import _peel_block
 from .serialize import SCHEMA
 
@@ -45,6 +45,10 @@ class StorageScenario:
     @property
     def node_count(self) -> int:
         return len(set(self.node_of))
+
+    @cached_property
+    def gm(self) -> GeneratorMatrix:   # built on first use; not a field
+        return generator_matrix(self.es)
 
 
 def storage_scenario(es: EvaluationSet, failures: int, trials: int, seed: int,
@@ -82,11 +86,91 @@ class SimReport:
         return {"schema": SCHEMA, "kind": "sim-report", **asdict(self)}
 
 
+class _Words:
+    """PCG64's outputs as 32-bit words, low half first, as ``Generator``
+    reads them; ``buf`` holds the words drawn and not yet read."""
+
+    def __init__(self, seed: int):
+        self.raw, self.buf = np.random.PCG64(seed).random_raw, np.empty(0, np.uint64)
+
+    def peek(self, n: int) -> np.ndarray:   # the next n words, as uint64
+        if n > len(self.buf):
+            more = self.raw((n - len(self.buf) + 1) // 2).astype("<u8").view("<u4")
+            self.buf = np.concatenate((self.buf, more))
+        return self.buf[:n]
+
+    def __iter__(self):   # read one word at a time
+        while True:
+            for word in self.peek(256).tolist():
+                self.buf = self.buf[1:]
+                yield word
+
+
+def _bounded(words, bound: int) -> int:
+    """A draw in [0, bound), 2 <= bound <= 2^32, by Lemire's multiply-shift:
+    a word whose product has a low half below 2^32 mod bound is rejected."""
+    threshold = (1 << 32) % bound
+    while (m := next(words) * bound) & 0xFFFFFFFF < threshold:
+        pass
+    return m >> 32
+
+
+def _floyd(draws, nodes: int, f: int, taken) -> np.ndarray:
+    """``choice``'s picks from each row of draws: Floyd's sample, a repeat
+    found in the (B, nodes) mask ``taken`` replaced by j, then shuffled."""
+    rows, cols = np.arange(len(draws)), iter(draws.T)
+    picks = np.empty((len(draws), f), dtype=np.int64)
+    for c, j in enumerate(range(nodes - f, nodes)):
+        v = next(cols) if j else 0
+        picks[:, c] = np.where(taken[rows, v], j, v)
+        taken[rows, picks[:, c]] = True
+    taken[rows[:, None], picks] = False   # clear for the next block
+    for i in range(f - 1, 0, -1):
+        j = next(cols)
+        held = picks[rows, j]
+        picks[rows, j], picks[:, i] = picks[:, i], held
+    return picks
+
+
+def _tail_shuffle(row: list, k: int, nodes: int, f: int) -> list:
+    """A trial's message, then the last f of arange(nodes) after its swaps
+    (``choice``'s tail shuffle); only the swapped entries are kept."""
+    moved = {}
+    for i, j in zip(range(nodes - 1, 0, -1), row[k:]):
+        moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+    return row[:k] + [moved.get(i, i) for i in range(nodes - f, nodes)]
+
+
+def _draws(seed: int, trials: int, k: int, q: int, nodes: int, f: int):
+    """Each block's (B, k) messages and (B, f) picks: per trial, those of
+    ``integers(0, q, size=k)`` then ``choice(nodes, size=f, replace=False)``."""
+    words, tail = _Words(seed), nodes > 10000 and f > nodes // 50
+    # a trial's bounds: q per message symbol; then i + 1 for the tail shuffle's
+    # i = nodes-1 .. lo, or j + 1 for Floyd's j in [lo, nodes) (j = 0 draws
+    # nothing) and i + 1 for the shuffle's i = f-1 .. 1
+    lo = max(nodes - f, 1)
+    span = np.arange(nodes, lo, -1) if tail else np.r_[lo + 1:nodes + 1, f:1:-1]
+    bounds = np.concatenate((np.full(k, q), span)).astype(np.uint64)
+    threshold, order = (1 << 32) % bounds, bounds.tolist()
+    taken = np.zeros((min(BLOCK, trials), 0 if tail else nodes), dtype=bool)
+    for start in range(0, trials, BLOCK):
+        count = min(BLOCK, trials - start)
+        m = None if tail else words.peek(count * len(order)).reshape(count, -1) * bounds
+        if m is None or ((m & 0xFFFFFFFF) < threshold).any():
+            it = iter(words)   # from the block's first word, one draw at a time
+            vals = np.array([_tail_shuffle(row, k, nodes, f) if tail else row
+                             for row in ([_bounded(it, b) for b in order]
+                                         for _ in range(count))], dtype=np.int64)
+        else:
+            words.buf = words.buf[m.size:]
+            vals = (m >> 32).astype(np.int64)
+        yield vals[:, :k], vals[:, k:] if tail else _floyd(vals[:, k:], nodes, f, taken)
+
+
 def run_simulation(scenario: StorageScenario) -> SimReport:
     es = scenario.es
     fld = es.field
-    gm = generator_matrix(es)
-    rng = np.random.Generator(np.random.PCG64(scenario.seed))
+    gm = scenario.gm
     nodes = scenario.node_count
 
     symbols_on = {}
@@ -98,15 +182,11 @@ def run_simulation(scenario: StorageScenario) -> SimReport:
 
     repaired_counts, unrecovered_counts = [], []
     hist = {"V": 0, "H": 0}
-    msgs = np.empty((min(BLOCK, scenario.trials), gm.k), dtype=np.int64)
-    picks = np.empty((len(msgs), scenario.failures), dtype=np.int64)
-    for start in range(0, scenario.trials, BLOCK):
-        count = min(BLOCK, scenario.trials - start)
-        for trial in range(count):
-            msgs[trial] = rng.integers(0, fld.order, size=gm.k)
-            picks[trial] = rng.choice(nodes, size=scenario.failures, replace=False)
-        cws = _encode_block(gm, msgs[:count])
-        lost = table[picks[:count]].reshape(count, -1)   # by trial, in pick order
+    for msgs, picks in _draws(scenario.seed, scenario.trials, gm.k, fld.order,
+                              nodes, scenario.failures):
+        count = len(msgs)
+        cws = _encode_block(gm, msgs)
+        lost = table[picks].reshape(count, -1)   # by trial, in pick order
         erased = np.zeros(cws.shape, dtype=bool)
         erased[np.arange(count)[:, None], lost] = True
         work = np.where(erased, 0, cws)

@@ -1,7 +1,8 @@
 """The step-by-step field build, digit-wise field addition, the elements
 in canonical order, the scalar orbit catalog, direct-evaluation checks of
-the encoder and kernels, the fiber check rows one formula at a time, and
-the one-trial-at-a-time simulator."""
+the encoder and kernels, the fiber check rows one formula at a time, the
+simulation draws of numpy's Generator, and the one-trial-at-a-time
+simulator."""
 
 import itertools
 from functools import reduce
@@ -449,6 +450,19 @@ def scan_distance(es, gm):
     for msg in [(0, 0, 0, 1, v) for v in range(q)] + [(0, 0, 0, 0, 1)]:
         best = _better(encode(gm, msg).count(0), msg, *best)
     return es.n - best[0], best[1]
+
+
+def generator_draws(seed, trials, k, q, nodes, f):
+    """(trials, k) messages and (trials, f) picks, one trial at a time from
+    numpy's ``Generator(PCG64(seed))``: ``integers(0, q, size=k)``, then
+    ``choice(nodes, size=f, replace=False)``."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    msgs = np.empty((trials, k), dtype=np.int64)
+    picks = np.empty((trials, f), dtype=np.int64)
+    for trial in range(trials):
+        msgs[trial] = rng.integers(0, q, size=k)
+        picks[trial] = rng.choice(nodes, size=f, replace=False)
+    return msgs, picks
 
 
 def reference_simulation(scenario) -> SimReport:

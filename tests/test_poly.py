@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,24 @@ def test_all_roots_order_and_content(f49):
     keys = [order_key(f49, r) for r in roots]
     assert keys == sorted(keys)
     assert splits_completely_distinct(f)
+
+
+def test_all_roots_scans_the_powers_in_blocks():
+    # F_262103 has four blocks of 2^16 powers: roots from every block come
+    # back in canonical order, and the scan holds one block's temporaries
+    # (a single pass over this six-term f peaked at 18 MB)
+    fld = make_field(262103, 1)
+    exp = fld.np_tables()["EXP"]
+    roots = [int(exp[e]) for e in (3, 70000, 140000, 262101)]
+    f = x_poly(fld)
+    for a in roots + roots[:1]:
+        f = f * poly(fld, [fld.neg(a), 1])
+    tracemalloc.start()
+    try:
+        assert all_roots(f) == (0, *roots)
+        assert tracemalloc.get_traced_memory()[1] < 8 << 20
+    finally:
+        tracemalloc.stop()
 
 
 _field = functools.cache(make_field)

@@ -1,5 +1,6 @@
 """Simulator determinism, repair-path accounting, and failure sweeps."""
 
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -16,9 +17,10 @@ from fibered_lrc import simulate
 from fibered_lrc.gf import make_field
 from fibered_lrc.lrc_code import generator_matrix
 from fibered_lrc.serialize import save_json
-from fibered_lrc.simulate import (BadScenario, RepairMismatch, StorageScenario,
-                                  run_simulation, storage_scenario)
-from kernel_oracle import reference_simulation
+from fibered_lrc.simulate import (BLOCK, BadScenario, RepairMismatch,
+                                  StorageScenario, run_simulation,
+                                  storage_scenario)
+from kernel_oracle import generator_draws, reference_simulation
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +194,108 @@ def test_simulation_memory_bounded_by_block(es625):
 
     run_simulation(storage_scenario(es625, 2, 1, seed=7))   # fill the caches
     assert peak(2000) - peak(64) < 1 << 20
+
+
+def test_generator_matrix_built_once_per_scenario(es49, monkeypatch):
+    built = []
+
+    def counted(es):
+        built.append(es)
+        return generator_matrix(es)
+
+    monkeypatch.setattr(simulate, "generator_matrix", counted)
+    sc = storage_scenario(es49, 2, 10, seed=4)
+    assert run_simulation(sc) == run_simulation(sc)
+    assert built == [es49]
+    # cached beside the five fields, not in them: equality and hashing
+    # ignore it
+    fresh = storage_scenario(es49, 2, 10, seed=4)
+    assert fresh == sc and hash(fresh) == hash(sc)
+    assert [fl.name for fl in dataclasses.fields(StorageScenario)] == \
+        ["es", "failures", "trials", "seed", "node_of"]
+
+
+def _count_sequential_draws(monkeypatch) -> list:
+    """Record the bound of every draw taken one word at a time."""
+    bounds, bounded = [], simulate._bounded
+
+    def counted(words, bound):
+        bounds.append(bound)
+        return bounded(words, bound)
+
+    monkeypatch.setattr(simulate, "_bounded", counted)
+    return bounds
+
+
+def _assert_draws_match(seed, trials, k, q, nodes, f):
+    blocks = list(simulate._draws(seed, trials, k, q, nodes, f))
+    assert [len(m) for m, _ in blocks] == \
+        [min(BLOCK, trials - start) for start in range(0, trials, BLOCK)]
+    msgs, picks = generator_draws(seed, trials, k, q, nodes, f)
+    assert np.array_equal(np.concatenate([m for m, _ in blocks]), msgs)
+    assert np.array_equal(np.concatenate([p for _, p in blocks]), picks)
+
+
+@st.composite
+def draw_cases(draw, max_nodes=300):
+    """(seed, trials, k, q, nodes, f) for ``simulate._draws``: one node,
+    no failure and every node failed come often, and trial counts sit
+    around the 64-trial block; odd k and trial counts give blocks an odd
+    number of words."""
+    nodes = draw(st.one_of(st.just(1), st.integers(1, max_nodes)))
+    f = draw(st.one_of(st.just(0), st.just(nodes), st.integers(0, nodes)))
+    k = draw(st.integers(1, 9))
+    q = draw(st.one_of(st.sampled_from([2, 3, 625, 1048573, 2**31 + 12345, 2**32]),
+                       st.integers(2, 2**32)))
+    trials = draw(st.one_of(st.sampled_from([1, 63, 64, 65, 127, 128, 129]),
+                            st.integers(1, 140)))
+    # a trial draws up to k + 2f words: keep each case to a few 10^5
+    trials = min(trials, max(1, 300_000 // (k + 2 * f)))
+    return draw(st.integers(0, 2**32)), trials, k, q, nodes, f
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(draw_cases())
+def test_draws_match_generator(case):
+    _assert_draws_match(*case)
+
+
+@pytest.mark.nightly
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(draw_cases(max_nodes=20_000))
+def test_draws_match_generator_up_to_20000_nodes(case):
+    _assert_draws_match(*case)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_draws_where_half_the_words_are_rejected(seed, monkeypatch):
+    # 2^32 mod (2^31 + 12345) rejects almost half of all words, so every
+    # block is drawn again one word at a time, and one that ends halfway
+    # through a PCG64 output leaves its high half to the next
+    sequential = _count_sequential_draws(monkeypatch)
+    _assert_draws_match(seed, 200, 3, 2**31 + 12345, 7, 3)
+    assert len(sequential) == 200 * (3 + 3 + 2)
+
+
+@pytest.mark.parametrize("f", [200, 201])
+def test_draws_either_side_of_the_tail_shuffle(f, monkeypatch):
+    # choice takes its tail shuffle above 10000 nodes once f > nodes // 50:
+    # 200 of 10001 is Floyd's sample, drawn as arrays, and 201 the shuffle,
+    # drawn one word at a time
+    sequential = _count_sequential_draws(monkeypatch)
+    _assert_draws_match(5, 66, 5, 625, 10001, f)
+    assert bool(sequential) == (f == 201)
+
+
+@pytest.fixture(scope="module")
+def es_huge():
+    return build_evaluation_set(surface_params(make_field(1048573, 1), 3), (0,))
+
+
+# seeds below 4000 whose first block on this code rejects a word
+@pytest.mark.parametrize("seed", [1220, 2600, 2866])
+def test_huge_field_block_with_a_rejection(es_huge, seed, monkeypatch):
+    sequential = _count_sequential_draws(monkeypatch)
+    sc = storage_scenario(es_huge, 2, 65, seed)
+    assert _report_text(run_simulation(sc)) == _report_text(reference_simulation(sc))
+    assert len(sequential) == 64 * (5 + 2 + 1)   # the first block only

@@ -20,9 +20,10 @@ on one line, so no array holds n·q counters; it returns the best of the first
 
 Encoding is F_p-linear: an element is the digit vector of Σ c_i·X^i, so
 the generator matrix, of rank k checked over F_q, expands to a (k·m) x
-(n·m) matrix over F_p, and a block of messages encodes as one float64
-(BLAS) matrix product mod p, exact because `generator_matrix` refuses a
-code whose k·m digit products could sum past 2^53.  `encode`, the generic
+(n·m) matrix over F_p, and a block of messages encodes by float64 (BLAS)
+matrix products mod p, 2^13 // (n·m) messages each, so that no temporary
+passes 64 KB; they are exact because `generator_matrix` refuses a code
+whose k·m digit products could sum past 2^53.  `encode`, the generic
 search (r > 3) and `simulate.run_simulation` all go through it.
 """
 
@@ -149,17 +150,24 @@ def _rank(fld: FieldSpec, mat: np.ndarray) -> int:
     return rank
 
 
-def _encode_block(gm: GeneratorMatrix, msgs) -> np.ndarray:
-    """Codewords of a (B, k) array of messages, as a (B, n) int64 array."""
+def _encode_block(gm: GeneratorMatrix, msgs, out=None) -> np.ndarray:
+    """Codewords of a (B, k) array of messages, as a (B, n) int64 array
+    (written into `out` when given), a few messages at a time so that no
+    temporary passes 64 KB."""
     fld = gm.es.field
-    p = fld.p
-    # exact: generator_matrix keeps every sum of k·m digit products <= 2^53 - 1
-    coords = digits(msgs, p, fld.m).reshape(len(msgs), gm.k * fld.m).astype(np.float64)
-    out = (coords @ gm.over_fp).astype(np.int64)
-    quot = out // p     # out %= p in place, in under half the time and no
-    quot *= p           # more block-sized arrays than % p
-    out -= quot
-    return out.reshape(len(msgs), gm.n, fld.m) @ p ** np.arange(fld.m)
+    p, m = fld.p, fld.m
+    out = np.empty((len(msgs), gm.n), dtype=np.int64) if out is None else out
+    rows = max(1, 2**13 // (gm.n * m))   # k <= n, so a chunk's digits fit too
+    for at in range(0, len(msgs), rows):
+        # exact: generator_matrix keeps every sum of k·m digit products <= 2^53 - 1
+        coords = digits(msgs[at:at + rows], p, m).reshape(-1, gm.k * m).astype(np.float64)
+        prod = coords @ gm.over_fp
+        quot = prod / p   # prod %= p: floor(x / p) is exact below 2^53
+        np.floor(quot, out=quot)
+        quot *= p
+        prod -= quot
+        out[at:at + rows] = prod.reshape(-1, gm.n, m) @ float(p) ** np.arange(m)
+    return out
 
 
 def encode(gm: GeneratorMatrix, message) -> tuple[int, ...]:

@@ -5,10 +5,11 @@ and peels the surviving symbols with both recovery sets.  The draws read
 PCG64's raw words (seeded per scenario) and are exactly those of
 ``Generator.integers`` and ``choice``, so a seed fixes the report byte for
 byte through PCG64's raw stream alone, which NEP 19 keeps stable.  A block
-of BLOCK trials draws as arrays, encodes by one float64 (BLAS) product,
-exact below 2^53, and peels by one `recovery._peel_block` call, so working
-memory is one block's (the report keeps two counts per trial); each
-repaired symbol is checked against the encoded one.
+of BLOCK trials draws as arrays, encodes in chunks of float64 (BLAS)
+products, exact below 2^53, into one buffer that every block of the run
+reuses, and is peeled in place by one `recovery._peel_block` call, so
+working memory is one block's (the report keeps two counts per trial);
+each repaired symbol is checked against the encoded one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .lrc_code import GeneratorMatrix, _encode_block, generator_matrix
 from .recovery import _peel_block
 from .serialize import SCHEMA
 
-BLOCK = 64      # trials per encode product: a fixed memory bound
+BLOCK = 128     # trials per block: a fixed memory bound (at 256 the peel faults pages)
 
 
 class BadScenario(ValueError):
@@ -182,16 +183,20 @@ def run_simulation(scenario: StorageScenario) -> SimReport:
 
     repaired_counts, unrecovered_counts = [], []
     hist = {"V": 0, "H": 0}
+    buf = np.empty((min(BLOCK, scenario.trials), es.n), dtype=np.int64)
     for msgs, picks in _draws(scenario.seed, scenario.trials, gm.k, fld.order,
                               nodes, scenario.failures):
         count = len(msgs)
-        cws = _encode_block(gm, msgs)
+        cws = _encode_block(gm, msgs, buf[:count])
         lost = table[picks].reshape(count, -1)   # by trial, in pick order
         erased = np.zeros(cws.shape, dtype=bool)
         erased[np.arange(count)[:, None], lost] = True
-        work = np.where(erased, 0, cws)
-        path = _peel_block(es, work, erased)
-        wrong = (path > 0) & (work != cws)
+        gone, flat = np.flatnonzero(erased), cws.reshape(-1)
+        sent = flat[gone]   # peeled in place, and checked against these
+        flat[gone] = 0
+        path = _peel_block(es, cws, erased)
+        wrong = path > 0
+        wrong.reshape(-1)[gone] &= flat[gone] != sent
         if wrong.any():
             trial = int(wrong.any(axis=1).argmax())
             pos = next(at for at in lost[trial] if wrong[trial, at])

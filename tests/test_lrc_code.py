@@ -44,6 +44,7 @@ from fibered_lrc.lrc_code import (
     _r3_pencils,
     _r3_scan_prefixes,
 )
+from fibered_lrc.simulate import BLOCK
 from kernel_oracle import (_rank, dense_scan_prefixes, naive_encode,
                            naive_generic_search, pencil_agreement,
                            prefix_agreement, scan_distance, scan_reference,
@@ -201,13 +202,30 @@ def test_encode_block_matches_encode(pm):
     es = build_evaluation_set(surface_params(fld, 3))
     gm = generator_matrix(es)
     rng = np.random.default_rng(pm)
-    for size in (1, 64, 65):
+    rows = max(1, 2**13 // (es.n * fld.m))   # messages per encode chunk
+    for size in (1, 64, 65, rows, rows + 1, BLOCK, BLOCK + 1):
         msgs = rng.integers(0, fld.order, size=(size, gm.k))
         msgs[size // 2] = 0
         block = _encode_block(gm, msgs)
         assert block.shape == (size, es.n) and block.dtype == np.int64
         assert [tuple(row) for row in block.tolist()] == \
             [encode(gm, msg) for msg in msgs.tolist()]
+
+
+def test_encode_block_temporaries_stay_small(f625):
+    # a simulation block of F_625 codewords with all 8 orbits (n = 128)
+    # encodes in chunks: the temporaries never hold the whole block's digits
+    es = build_evaluation_set(surface_params(f625, 3))
+    gm = generator_matrix(es)
+    msgs = np.random.default_rng(625).integers(0, f625.order, size=(BLOCK, gm.k))
+    tracemalloc.start()
+    try:
+        got = _encode_block(gm, msgs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (BLOCK, 128)
+    assert peak < got.nbytes + (256 << 10), peak
 
 
 # F_49 and F_625, two orbits each; a codeword digit sums 10 and 20 products

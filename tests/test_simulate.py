@@ -240,8 +240,8 @@ def _assert_draws_match(seed, trials, k, q, nodes, f):
 def draw_cases(draw, max_nodes=300):
     """(seed, trials, k, q, nodes, f) for ``simulate._draws``: one node,
     no failure and every node failed come often, and trial counts sit
-    around the 64-trial block; odd k and trial counts give blocks an odd
-    number of words."""
+    around 64 and `BLOCK` (128) trials; odd k and trial counts give blocks
+    an odd number of words."""
     nodes = draw(st.one_of(st.just(1), st.integers(1, max_nodes)))
     f = draw(st.one_of(st.just(0), st.just(nodes), st.integers(0, nodes)))
     k = draw(st.integers(1, 9))
@@ -296,6 +296,6 @@ def es_huge():
 @pytest.mark.parametrize("seed", [1220, 2600, 2866])
 def test_huge_field_block_with_a_rejection(es_huge, seed, monkeypatch):
     sequential = _count_sequential_draws(monkeypatch)
-    sc = storage_scenario(es_huge, 2, 65, seed)
+    sc = storage_scenario(es_huge, 2, BLOCK + 1, seed)
     assert _report_text(run_simulation(sc)) == _report_text(reference_simulation(sc))
-    assert len(sequential) == 64 * (5 + 2 + 1)   # the first block only
+    assert len(sequential) == BLOCK * (5 + 2 + 1)   # the first block only

@@ -9,14 +9,19 @@ fibers.  t -> ζt (ζ⁴ = 1) maps the code onto itself, and so does the
 Frobenius power (x, t) -> (x^(p^k), t^(p^k)) when it keeps the chosen
 orbits; the best messages form a set closed under the group G these
 generate, and one fiber triple per G-orbit inside one half of a G-closed
-split of the fibers is searched with the images of its best messages:
-about C(n, 3)·n/16 work when the halves balance, whatever q is.  A
-budgeted search instead scans message classes in lex order (first nonzero
-coordinate = 1), each prefix a(t) on its n point-lines in the (u, v)
-plane, where two lines cross at a linear form in (a0, a1, a2), counted
-once, on the line of lesser t̄, through the pairs of crossings that meet
-on one line, so no array holds n·q counters; it returns the best of the first
-`budget` classes, in whole chunks.
+split of the fibers is searched with the images of its best messages.  A
+point on a pick's own fiber t̄ lies on the pencil's member of key -1/t̄
+whatever the picks, so each member is scored in closed form there and
+by log-difference keys, sorted row by row, at the n - 3(r + 1) points
+off the triple's fibers: about C(n, 3)·(n - 3(r + 1))/16 work when the
+halves balance, whatever q is; a block that cannot reach the best found
+so far builds no witness.  A budgeted search instead scans message
+classes in lex order (first nonzero coordinate = 1), each prefix a(t) on
+its n point-lines in the (u, v) plane, where two lines cross at a linear
+form in (a0, a1, a2), counted once, on the line of lesser t̄, through the
+pairs of crossings that meet on one line, so no array holds n·q
+counters; it returns the best of the first `budget` classes, in whole
+chunks.
 
 Encoding is F_p-linear: an element is the digit vector of Σ c_i·X^i, so
 the generator matrix, of rank k checked over F_q, expands to a (k·m) x
@@ -325,7 +330,20 @@ def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
     return best, (stop - lo) * q * q, stop == hi
 
 
-def _r3_pencils(es, picks, images=((1, 1),)):
+@cache
+def _key_codes(fld):
+    """(NLOG, CODE): CODE[LOG[s1] + NLOG[s2]] is LOG[s1] - LOG[s2] mod
+    (q - 1), or q - 1 if s1 = 0, q if s2 = 0 and q + 1 if both are.
+    NLOG[a] = q - 1 - LOG[a], and 3q - 2 at a = 0; as LOG[0] = 2(q - 1),
+    the four cases fall in disjoint ranges of the index."""
+    q, LOG = fld.order, fld.np_tables()["LOG"]
+    code = np.full(5 * q - 3, q)
+    code[:2 * q - 1] = np.arange(2 * q - 1) % (q - 1)
+    code[2 * q - 1:3 * q - 2], code[-1] = q - 1, q + 1
+    return np.where(LOG < q - 1, q - 1 - LOG, 3 * q - 2), code
+
+
+def _r3_pencils(es, picks, images=((1, 1),), floor=-1):
     """Best (zeros, message) on the pencils through point triples.
 
     The array picks (F, 3, C) holds C points on each fiber of F fiber
@@ -334,14 +352,22 @@ def _r3_pencils(es, picks, images=((1, 1),)):
     three points on distinct fibers are a = -u·I[x] - v·I[x·t], I[y]
     interpolating y at their t̄.  Point p vanishes iff u·s1 + v·s2 = 0,
     s1 = x_p - I[x](t_p) and s2 = x_p·t_p - I[x·t](t_p): it picks the key
-    v/u = -s1/s2 (q for (u, v) = (0, 1)), or every member if s1 = s2 = 0.
+    v/u = -s1/s2, or every member if s1 = s2 = 0.  On the fiber t̄_k of
+    pick k, s = (x_p - x_k)·(1, t̄_k): the picks lie on every member and
+    the other r points on the member of key -1/t̄_k, whatever the picks.
+    So s is computed only at the n - 3(r + 1) points off the triple's
+    fibers, and a member scores 3 + (off points on every member) + (off
+    points on its key) + r if its key is one of the three -1/t̄_k.
     I[y] = Σ_k y_k·L_k over the fiber triple's Lagrange basis, so the C³
-    triples share their terms.  The witness is the least normalized
+    triples share their terms.  Keys compare as codes LOG[s1] - LOG[s2]
+    mod (q - 1), three more codes for s1 = 0, s2 = 0 and both (_key_codes),
+    counted by a sort of each row and its run lengths.  A best below floor
+    returns (best, None); else the witness is the least normalized
     message among the best (triple, key) pairs and their images
     f^(w)(x, z·t), (w, z) in images: each coefficient c -> c^w, w = p^e,
     then (a0, a1, a2, u, v) scaled by (1, z, z², 1, z).
     """
-    fld, q = es.field, es.field.order
+    fld, q, r = es.field, es.field.order, es.r
     NEG, INV, LOG, EXP = (fld.np_tables()[name]
                           for name in ("NEG", "INV", "LOG", "EXP"))
     mul, add = fld.vmul, fld.vsum
@@ -352,23 +378,44 @@ def _r3_pencils(es, picks, images=((1, 1),)):
     # L_k = c_k·(t - tl)(t - th); w = -y_k·c_k at each pick: 2 x F x 3 x C
     c = INV[mul(add(tk, NEG[tl]), add(tk, NEG[th]))]
     w = mul(y[:, picks], NEG[c][..., None])
-    at = mul(add(t, NEG[tl][..., None]), add(t, NEG[th][..., None]))
-    part = mul(w[..., None], at[:, :, None])         # 2 x F x 3 x C x n
-    s = add(y[:, None, None, None, None], part[:, :, 0, :, None, None],
-            part[:, :, 1, None, :, None], part[:, :, 2, None, None])
-    s1, s2 = s.reshape(2, -1, es.n)                  # T x n, T = F·C³
-    key = np.where(s2 != 0, mul(NEG[s1], INV[s2]), np.where(s1 != 0, q, q + 1))
-    # a member's zeros: the all-member points (key q + 1) + its key's count
-    keys, mult = np.unique(key + np.arange(len(key))[:, None] * (q + 2),
-                           return_counts=True)
-    row, kv = np.divmod(keys, q + 2)
-    score = np.where(kv > q, -1, (key > q).sum(axis=1)[row] + mult)
-    best = int(score.max())
-    row, kv = row[score == best], kv[score == best]
-    u = (kv < q).astype(np.int64)[:, None]
-    v = np.where(kv < q, kv, 1)[:, None]
+    off = np.nonzero((t != tk[..., None]).all(axis=1))[1].reshape(len(tk), -1)
+    F, C3, M = len(tk), picks.shape[2] ** 3, off.shape[1]
+    to = t[off][:, None]
+    at = mul(add(to, NEG[tl][..., None]), add(to, NEG[th][..., None]))
+    part = mul(w[..., None], at[:, :, None])         # 2 x F x 3 x C x M
+    s1, s2 = add(y[:, off][:, :, None, None, None], part[:, :, 0, :, None, None],
+                 part[:, :, 1, None, :, None],
+                 part[:, :, 2, None, None]).reshape(2, -1, M)   # F·C³ x M
+    NLOG, CODE = _key_codes(fld)
+    code = np.sort(CODE[LOG[s1] + NLOG[s2]], axis=1).ravel()
+    # the runs of equal codes in each row: first index, code, row, length
+    start = np.ones(len(code), dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=start[1:])
+    start[::M] = True
+    first = np.flatnonzero(start)
+    kv, row = code[first], first // M
+    run = np.diff(first, append=len(code))
+    # a row's base: the picks and the points on every member (code q + 1);
+    # a run on one of its triple's -1/t̄_k scores r more
+    base = np.full(F * C3, 3)
+    base[row[kv > q]] += run[kv > q]
+    fkey = (q - 1 - LOG[tk]) % (q - 1)
+    byf = code.reshape(F, -1)
+    own = (byf == fkey[:, :1]) | (byf == fkey[:, 1:2]) | (byf == fkey[:, 2:])
+    score = np.where(kv > q, -1, base[row] + run + r * own.ravel()[first])
+    best = max(int(score.max()), r + int(base.max()))
+    if best < floor:
+        return best, None
+    # the best runs, and the three -1/t̄_k of each row whose base + r is
+    # best: no off point hits them there, or they would score more
+    lone = np.flatnonzero(base + r == best)
+    row = np.concatenate([row[score == best], np.repeat(lone, 3)])
+    kv = np.concatenate([kv[score == best], fkey[lone // C3].ravel()])
+    # code -> member: (1, -s1/s2) = (1, -EXP[code]), (1, 0) or (0, 1)
+    u = (kv != q).astype(np.int64)[:, None]
+    v = np.where(kv < q - 1, NEG[EXP[kv]], kv - (q - 1))[:, None]
     # a = Σ_k a(t_k)·c_k·(t - tl)(t - th), a(t_k) = -(u·x_k + v·x_k·t_k)
-    f, *choice = np.unravel_index(row, s.shape[1:-1])
+    f, *choice = np.unravel_index(row, (F,) + picks.shape[2:] * 3)
     wk = w[:, f[:, None], [0, 1, 2], np.stack(choice, axis=1)]  # 2 x R x 3
     ak = add(mul(u, wk[0]), mul(v, wk[1]))
     lag = np.stack([mul(tl, th), NEG[add(tl, th)], np.ones_like(tl)], axis=-1)[f]
@@ -405,7 +452,7 @@ def _fiber_orbit_triples(perms) -> np.ndarray:
     """The fiber triples lex-least among their images under the group
     perms, G = <shift, σ^k> of _fiber_group: one per G-orbit."""
     nf = perms.shape[1]
-    tri = np.asarray(list(combinations(range(nf), 3)))
+    tri = np.asarray(list(combinations(range(nf), 3)), dtype=np.int64).reshape(-1, 3)
     rank = np.sort(perms[:, tri], axis=2) @ [nf * nf, nf, 1]
     return tri[rank.min(axis=0) == tri @ [nf * nf, nf, 1]]
 
@@ -424,9 +471,14 @@ def _fiber_halves(perms) -> np.ndarray:
 
 
 def _half_triples(perms) -> np.ndarray:
-    """The _fiber_orbit_triples of perms with all three fibers in one half."""
-    tri, half = _fiber_orbit_triples(perms), _fiber_halves(perms)
-    return tri[(half[tri] == half[tri[:, :1]]).all(axis=1)]
+    """The _fiber_orbit_triples of perms with all three fibers in one half,
+    found inside each half: a half is a union of G-orbits, so G maps it
+    onto itself, and a triple inside it has its lex-least image there."""
+    half = _fiber_halves(perms)
+    # perms restricted to a half, its fibers numbered in order
+    return np.concatenate([
+        fib[_fiber_orbit_triples(np.searchsorted(fib, perms[:, fib]))]
+        for fib in (np.flatnonzero(half), np.flatnonzero(~half))])
 
 
 def _r3_pencil_search(es):
@@ -456,9 +508,10 @@ def _r3_pencil_search(es):
         best = _better(2 * rp1, msg, *best)
     images, perms = _fiber_group(es, tf)
     ftri = _half_triples(perms)
-    per = (1 << 15) // (es.n * rp1 ** 3) or 1  # 2^15 pairs fit in cache
+    per = (1 << 15) // ((es.n - 3 * rp1) * rp1 ** 3) or 1  # 2^15 keys fit in cache
     for s in range(0, len(ftri), per):
-        best = _better(*_r3_pencils(es, fibers[ftri[s:s + per]], images), *best)
+        best = _better(*_r3_pencils(es, fibers[ftri[s:s + per]], images,
+                                    best[0]), *best)
     return best
 
 

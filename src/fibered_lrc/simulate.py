@@ -5,7 +5,8 @@ and peels the surviving symbols with both recovery sets.  The draws read
 PCG64's raw words (seeded per scenario) and are exactly those of
 ``Generator.integers`` and ``choice``, so a seed fixes the report byte for
 byte through PCG64's raw stream alone, which NEP 19 keeps stable.  A block
-of BLOCK trials draws as arrays, encodes in chunks of float64 (BLAS)
+of BLOCK trials draws as arrays (a trial that meets a rejected word draws
+again one word at a time), encodes in chunks of float64 (BLAS)
 products, exact below 2^53, into one buffer that every block of the run
 reuses, and is peeled in place by one `recovery._peel_block` call, so
 working memory is one block's (the report keeps two counts per trial);
@@ -144,7 +145,10 @@ def _tail_shuffle(row: list, k: int, nodes: int, f: int) -> list:
 
 def _draws(seed: int, trials: int, k: int, q: int, nodes: int, f: int):
     """Each block's (B, k) messages and (B, f) picks: per trial, those of
-    ``integers(0, q, size=k)`` then ``choice(nodes, size=f, replace=False)``."""
+    ``integers(0, q, size=k)`` then ``choice(nodes, size=f, replace=False)``.
+    Lemire's rejections are rare below 2^32, so the trials before the first
+    rejected word are read as arrays, that trial one draw at a time, and so
+    on from the next; the tail shuffle draws one at a time throughout."""
     words, tail = _Words(seed), nodes > 10000 and f > nodes // 50
     # a trial's bounds: q per message symbol; then i + 1 for the tail shuffle's
     # i = nodes-1 .. lo, or j + 1 for Floyd's j in [lo, nodes) (j = 0 draws
@@ -155,16 +159,22 @@ def _draws(seed: int, trials: int, k: int, q: int, nodes: int, f: int):
     threshold, order = (1 << 32) % bounds, bounds.tolist()
     taken = np.zeros((min(BLOCK, trials), 0 if tail else nodes), dtype=bool)
     for start in range(0, trials, BLOCK):
-        count = min(BLOCK, trials - start)
-        m = None if tail else words.peek(count * len(order)).reshape(count, -1) * bounds
-        if m is None or ((m & 0xFFFFFFFF) < threshold).any():
-            it = iter(words)   # from the block's first word, one draw at a time
-            vals = np.array([_tail_shuffle(row, k, nodes, f) if tail else row
-                             for row in ([_bounded(it, b) for b in order]
-                                         for _ in range(count))], dtype=np.int64)
-        else:
-            words.buf = words.buf[m.size:]
-            vals = (m >> 32).astype(np.int64)
+        left, rows = min(BLOCK, trials - start), []
+        while left:
+            ok = 0
+            if not tail:   # the trials before the first rejected word, as arrays
+                m = words.peek(left * len(order)).reshape(left, -1) * bounds
+                low = (m & 0xFFFFFFFF) < threshold
+                ok = int(low.argmax()) // len(order) if low.any() else left
+                words.buf = words.buf[ok * len(order):]
+                rows.append((m[:ok] >> 32).astype(np.int64))
+            if ok < left:   # then that trial, one draw at a time
+                it = iter(words)
+                row = [_bounded(it, b) for b in order]
+                rows.append([_tail_shuffle(row, k, nodes, f) if tail else row])
+                ok += 1
+            left -= ok
+        vals = np.concatenate(rows, dtype=np.int64)
         yield vals[:, :k], vals[:, k:] if tail else _floyd(vals[:, k:], nodes, f, taken)
 
 

@@ -583,13 +583,17 @@ def test_pencil_kernel_matches_naive_pencil(case):
 
 
 # (0, 1, 2) and (0, 1, 3): a fourth point lies on every member of the
-# pencil; (8, 32, 45) and (0, 22, 28): the least best member is (0, 1)
+# pencil; (8, 32, 45) and (0, 22, 28): the least best member is (0, 1);
+# (18, 19, 32) and (10, 42, 60): it kills the fiber of point 32 or 42,
+# whose key -1/t̄ the kernel scores without evaluating that fiber
 @pytest.mark.parametrize("pm, orbits, triple", [
     ((13, 2), (0, 2, 3, 4), (0, 1, 2)),
     ((13, 2), (0, 2, 3, 4), (8, 32, 45)),
     ((11, 2), (0, 1, 2), (0, 1, 2)),
     ((11, 2), (0, 1, 2), (0, 22, 28)),
     ((3, 4), (0,), (0, 1, 3)),
+    ((11, 2), (0, 1, 2), (18, 19, 32)),
+    ((13, 2), (0, 2, 3, 4), (10, 42, 60)),
 ])
 def test_pencil_kernel_special_triples(pm, orbits, triple):
     es = build_evaluation_set(surface_params(make_field(*pm), 3), orbits)

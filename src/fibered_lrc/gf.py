@@ -241,6 +241,11 @@ class FieldSpec:
         acc = tabs["SPREAD"][terms[0]]
         for term in terms[1:]:  # not +=: a later term may broadcast wider
             acc = acc + tabs["SPREAD"][term]
+        return self.unspread(acc)
+
+    def unspread(self, acc) -> np.ndarray:
+        """The elements whose sums of up to four SPREAD values are `acc`."""
+        tabs = self._np
         return tabs["RED_LO"][acc & self._mask] + tabs["RED_HI"][acc >> self._shift]
 
     def vmul(self, a, b) -> np.ndarray:

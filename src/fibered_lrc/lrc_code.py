@@ -115,6 +115,7 @@ class GeneratorMatrix:
 
 
 _FLOAT_EXACT = 2**53 - 1  # float64 holds every integer up to this one
+_MAX_CROSSINGS = 1 << 22  # a scan peaks near 160 bytes a crossing: under 700 MB
 
 
 def generator_matrix(es: EvaluationSet) -> GeneratorMatrix:
@@ -269,50 +270,72 @@ def _r3_scan_prefixes(es, a0val, lo, hi, chunk, budget_left):
     meet at the one a2 = (R_i - R_j)/(E2_j - E2_i) if E2 differs, at every
     a2 if (R, E2) agree, else never.  So a point's count is, for its least
     crossing i, 1 + A_i (the later crossings agreeing with i) + the pairs
-    (i, j) meeting there: one np.unique over keys (a2, i) per block of about
-    2¹⁴ pairs, each crossing with all its pairs.  At every other a2 a line
+    (i, j) meeting there.  The pairs go in blocks of about 2¹⁴, each
+    crossing with all its pairs; E2 and -E2 are spread (gf SPREAD) once
+    per scan and R and -R once per row, so a pair's two differences are
+    two gathers, an add and one reduction.  The keys a2·P + i of the pairs
+    that meet inside the row, int32 while (g + 1)·P ≤ 2³¹, are sorted
+    once: a run of equal keys is a point and its length the pairs meeting
+    there, and each a2 keeps its best point.  At every other a2 a line
     counts its largest 1 + A_i, and it weighs r+1 at its one
     a2 = -(a0 + a1·t̄)/t̄² (t̄ ≠ 0).  The witness is the least best point of
     the first best prefix (a later prefix loses every tie).  It holds a
     crossing: only the largest-t̄ fiber's lines hold none, and if that fiber
     is killed its line meets each other line at a count ≥ r+1.  The budget,
-    checked before each chunk, admits ⌈budget_left / (chunk·q²)⌉ chunks.
+    checked before each chunk, admits ⌈budget_left / (chunk·q²)⌉ chunks;
+    a scan it leaves empty builds nothing.  A code of more than
+    _MAX_CROSSINGS crossings P = n(n - r - 1)/2 raises ValueError first.
     Returns (best, candidates, completed).
     """
     fld, q, n, r = es.field, es.field.order, es.n, es.r
-    NEG, INV = (fld.np_tables()[name] for name in ("NEG", "INV"))
+    stop = hi if budget_left is None else min(
+        hi, lo + max(0, -(-budget_left // (chunk * q * q))) * chunk)
+    if stop == lo:
+        return (-1, None), 0, lo == hi
+    P = n * (n - r - 1) // 2    # crossings: the pairs of points on two fibers
+    if P > _MAX_CROSSINGS:
+        raise ValueError(f"a budgeted scan of n = {n} points has {P} crossings, "
+                         f"more than the {_MAX_CROSSINGS} it can hold")
+    NEG, INV, SPREAD = (fld.np_tables()[name] for name in ("NEG", "INV", "SPREAD"))
     tc, nix = es.xyt[2], NEG[INV[es.xyt[0]]]
     tt = fld.vmul(tc, tc)
     ci, cj = np.nonzero(tc[:, None] < tc[None, :])
     ke = np.stack([nix, fld.vmul(tc, nix), fld.vmul(tt, nix)])  # k = Σ a·ke
     e0, e1, e2 = fld.vmul(fld.vsum(ke[:, ci], NEG[ke][:, cj]),
                           INV[fld.vsum(tc[ci], NEG[tc[cj]])])
-    P = len(ci)
     later = np.searchsorted(ci, ci, side="right") - 1 - np.arange(P)
     pairs = np.concatenate([[0], np.cumsum(later)])  # pairs before crossing i
+    jump = np.arange(1, P + 1) - pairs[:-1]  # pair t of crossing i is (i, t + jump_i)
     cuts = [*np.flatnonzero(np.diff(pairs[:-1] >> 14, prepend=-1)), P]
-    stop = hi if budget_left is None else min(
-        hi, lo + max(0, -(-budget_left // (chunk * q * q))) * chunk)
+    se2, sne2 = SPREAD[e2], SPREAD[NEG[e2]]
     best, s = (-1, None), lo
     while s < stop:
         a1, first = divmod(s, q)
         g = min(q - first, stop - s)
         s += g
+        kdt = np.int32 if (g + 1) * P <= 2**31 else np.int64   # keys a2·P + i
         rr = fld.vsum(fld.vmul(a0val, e0), fld.vmul(a1, e1))
+        sr, snr = SPREAD[rr], SPREAD[NEG[rr]]
         kill = fld.vmul(NEG[fld.vsum(a0val, fld.vmul(a1, tc))], INV[tt]) - first
         zmax, line = np.zeros(g, dtype=np.int64), np.zeros(n, dtype=np.int64)
         for b0, b1 in zip(cuts, cuts[1:]):
             pi = np.repeat(np.arange(b0, b1), later[b0:b1])
-            pj = pi + 1 + np.arange(pairs[b0], pairs[b1]) - pairs[pi]
-            dr, de = fld.vsum(rr[pi], NEG[rr[pj]]), fld.vsum(e2[pj], NEG[e2[pi]])
-            own = 1 + np.bincount(pi[(dr == 0) & (de == 0)] - b0, minlength=b1 - b0)
+            pj = np.arange(pairs[b0], pairs[b1]) + np.repeat(jump[b0:b1], later[b0:b1])
+            dr, de = fld.unspread(sr[pi] + snr[pj]), fld.unspread(se2[pj] + sne2[pi])
+            own = 1 + np.bincount(pi[(dr | de) == 0] - b0, minlength=b1 - b0)
             np.maximum.at(line, ci[b0:b1], own)
-            a2 = fld.vmul(dr, INV[de]) - first
-            keep = (de != 0) & (a2 >= 0) & (a2 < g)
-            key, hits = np.unique(a2[keep] * P + pi[keep], return_counts=True)
-            a2, i = divmod(key, P)
-            np.maximum.at(zmax, a2, own[i - b0] + hits
-                          + np.where(kill[ci[i]] == a2, r + 1, 1))
+            # a2 - first as unsigned: every a2 outside the row's g, or where
+            # E2 agrees, becomes g, and its key sorts past g·P
+            a2 = np.minimum((fld.vmul(dr, INV[de]) - first).view(np.uint64), g)
+            a2[de == 0] = g
+            key = np.sort((a2.view(np.int64) * P + pi).astype(kdt))
+            key = key[:np.searchsorted(key, g * P)]
+            head = np.flatnonzero(np.diff(key, prepend=-1))
+            a2 = key[head] // P
+            i = key[head] - a2 * P
+            val = (own[i - b0] + np.diff(head, append=len(key))
+                   + 1 + r * (kill[ci[i]] == a2))
+            np.maximum.at(zmax, a2, val)
         zmax = np.maximum(zmax, line.max() + 1)
         on = (kill >= 0) & (kill < g)
         np.maximum.at(zmax, kill[on], line[on] + r + 1)

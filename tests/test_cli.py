@@ -344,6 +344,16 @@ def test_verify_newton_huge_r_fits_in_memory():
     assert "newton checks: ok" in proc.stdout
 
 
+def test_mindist_budget_on_a_code_too_large_to_scan_exits_1():
+    # all 10941 orbits of F_1048573: n = 175056 points, whose crossings alone
+    # would need 28.5 GiB; the scan is refused before it allocates them
+    proc = run_python("-m", "fibered_lrc.cli", "mindist", "--field", "1048573",
+                      "--budget", "5", timeout=60, preexec_fn=cap_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert "n = 175056 points has 15321951456 crossings" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_construct_huge_r_finds_no_nice_elements_quickly():
     # A = P_0 has at most five nonzero terms at any r; a Horner pass over
     # all r + 2 coefficients at each of the q elements ran for minutes

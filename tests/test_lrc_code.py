@@ -514,6 +514,41 @@ def test_min_distance_budget_on_625(f625, orbits, d):
         d=d, witness=(1, 0, 1, 0, 0), exact=False, enumerated=156250000)
 
 
+def test_budgeted_scan_keys_past_int32():
+    # one whole row of F_3^12 0..6: the keys a2·P + i reach
+    # g·P = 531441·6048 ≈ 3.2e9, past int32
+    es = build_evaluation_set(surface_params(make_field(3, 12), 3), tuple(range(7)))
+    q = es.field.order
+    assert es.n * (es.n - 4) // 2 == 6048
+    assert _r3_scan_prefixes(es, 1, 0, q, 1, None) == (
+        (8, (1, 0, 1, 0, 0)), 150094635296999121, True)
+
+
+@pytest.mark.parametrize("budget_left", [0, -5])
+def test_empty_budgeted_scan_builds_nothing(es49_full, monkeypatch, budget_left):
+    # a budget that admits no prefix returns before any field arithmetic
+    def refuse(*args):
+        raise AssertionError("field arithmetic in an empty scan")
+
+    for name in ("vsum", "vmul", "unspread"):
+        monkeypatch.setattr(type(es49_full.field), name, refuse)
+    q = es49_full.field.order
+    assert _r3_scan_prefixes(es49_full, 0, q, 2 * q, 2, budget_left) == (
+        (-1, None), 0, False)
+    assert _r3_scan_prefixes(es49_full, 0, q, q, 2, budget_left) == (
+        (-1, None), 0, True)
+
+
+def test_budgeted_scan_refuses_too_many_crossings(f625, monkeypatch):
+    # F_625 0..6: n = 112 points, 112·108/2 = 6048 crossings
+    es = build_evaluation_set(surface_params(f625, 3), tuple(range(7)))
+    monkeypatch.setattr(lrc_code, "_MAX_CROSSINGS", 6047)
+    with pytest.raises(ValueError, match="n = 112 points has 6048 crossings"):
+        min_distance(es, budget=1)
+    monkeypatch.setattr(lrc_code, "_MAX_CROSSINGS", 6048)
+    assert min_distance(es, budget=1).enumerated == _default_chunk(625, 112) * 625**2
+
+
 @st.composite
 def kernel_cases(draw):
     """An orbit subset of F_81, F_121 or F_169 and one x-block prefix.

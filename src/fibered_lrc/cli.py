@@ -10,11 +10,10 @@ import functools
 import itertools
 import sys
 
-from .construction import (build_evaluation_set, find_nice_orbits,
-                           recovery_indices, specialize_P, surface_params)
-from .elliptic_verify import (NonSquareTwist, SingularFiber,
-                              discriminant_profile, horizontal_sum_two_torsion,
-                              verify_vertical_sum)
+from .construction import (build_evaluation_set, defining_coefficients,
+                           find_nice_orbits, recovery_indices, surface_params)
+from .elliptic_verify import (NONSQUARE, SINGULAR, SUM_O, SUM_TWO_TORSION,
+                              discriminant_profile, fiber_sums)
 from .gf import parse_field_label
 from .lrc_code import (basis_vertices, code_profile, distance_b1,
                        distance_lower_bound, encode, f_min_message,
@@ -242,28 +241,22 @@ def _cmd_verify_elliptic(args) -> int:
     es = _build_es(args)
     if es.r != 3:
         raise ValueError("elliptic checks apply to locality r = 3 only")
+    vertical = {SUM_O: "sum O",
+                SINGULAR: "SINGULAR (tbar^4 = 1), group sum undefined"}
+    horizontal = {SUM_O: "sum 2-torsion", SUM_TWO_TORSION: "sum 2-torsion",
+                  NONSQUARE: "NONSQUARE TWIST (x - x^2 not a square)",
+                  SINGULAR: "SINGULAR, group sum undefined"}
     lines, bad = [], 0
-    for l in range(es.b):
-        for j in range(es.r + 1):
-            t = es.t_value(l, j)
-            try:
-                good = verify_vertical_sum(es, l, j)
-                verdict = "sum O" if good else "SUM NOT O"
-                bad += 0 if good else 1
-            except SingularFiber:
-                verdict = "SINGULAR (tbar^4 = 1), group sum undefined"
-                bad += 1
-            lines.append(f"vertical (l={l}, j={j}) t={t}: {verdict}")
-        for i in range(es.r + 1):
-            x = es.roots[l][i]
-            try:
-                good = horizontal_sum_two_torsion(es, l, i)
-                verdict = "sum 2-torsion" if good else "SUM NOT 2-TORSION"
-                bad += 0 if good else 1
-            except NonSquareTwist:
-                verdict = "NONSQUARE TWIST (x - x^2 not a square)"
-                bad += 1
-            lines.append(f"horizontal (l={l}, i={i}) x={x}: {verdict}")
+    for l, (orbit, (ver, hor)) in enumerate(zip(es.orbits,
+                                                fiber_sums(es).tolist())):
+        for j, verdict in enumerate(ver):
+            bad += verdict != SUM_O
+            lines.append(f"vertical (l={l}, j={j}) t={orbit.members[j]}: "
+                         + vertical.get(verdict, "SUM NOT O"))
+        for i, verdict in enumerate(hor):
+            bad += verdict not in (SUM_O, SUM_TWO_TORSION)
+            lines.append(f"horizontal (l={l}, i={i}) x={orbit.roots[i]}: "
+                         + horizontal.get(verdict, "SUM NOT 2-TORSION"))
     profile = discriminant_profile(es.params)
     orders = sorted((o for _, o in profile), reverse=True)
     lines.append("discriminant vanishing orders: "
@@ -280,16 +273,20 @@ def _cmd_verify_invariants(args) -> int:
     fld, r = es.field, es.r
     gm = generator_matrix(es)
     prof = code_profile(es)
-    xs, ys, ts = es.xyt.tolist()
-    P_at = {t: specialize_P(es.params, t) for t in set(ts)}  # b·(r+1) fibers
+    xs, ys, ts = es.xyt
+    # P_t(x) by Horner in x below its monic top, coefficients read at each t
+    *low, _ = defining_coefficients(fld, r)
+    on_P, x_half = 1, 1
+    for coeff in reversed(low):
+        on_P = fld.vsum(fld.vmul(on_P, xs), coeff.eval_nonzero(ts))
+    for _ in range((r + 1) // 2):
+        x_half = fld.vmul(x_half, xs)
     checks = [
         ("k = r(r-1)-1 generator rank", gm.k == r * (r - 1) - 1),
         ("n = b(r+1)^2", es.n == es.b * (r + 1) ** 2),
-        ("points on multisection",
-         all(P_at[t].eval_at(x) == 0 for x, t in zip(xs, ts))),
+        ("points on multisection", not on_P.any()),
         ("points on section y = x^{(r+1)/2} + 1",
-         all(y == fld.add(fld.pow(x, (r + 1) // 2), 1)
-             for x, y in zip(xs, ys))),
+         bool((ys == fld.vsum(x_half, 1)).all())),
         ("bounds ordered", prof.d_lower <= prof.d_upper),
     ]
     disjoint = True

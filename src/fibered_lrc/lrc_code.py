@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -116,6 +117,7 @@ class GeneratorMatrix:
 
 _FLOAT_EXACT = 2**53 - 1  # float64 holds every integer up to this one
 _MAX_CROSSINGS = 1 << 22  # a scan peaks near 160 bytes a crossing: under 700 MB
+_MAX_PENCIL_WORK = 1 << 28  # C(n, 3)·n/16 steps: admits n <= 400, b <= 25
 
 
 def generator_matrix(es: EvaluationSet) -> GeneratorMatrix:
@@ -549,6 +551,12 @@ def _min_distance_r3(es: EvaluationSet, budget) -> DistanceResult:
     q = es.field.order
     # the prefix scan completes, and so is exact, iff budget > q^4 + q^3
     if budget is None or budget > q**4 + q**3:
+        work = comb(es.n, 3) * es.n // 16
+        if work > _MAX_PENCIL_WORK:
+            raise ValueError(
+                f"an exact search over n = {es.n} points takes about {work} "
+                f"steps, more than the {_MAX_PENCIL_WORK} it allows; pass "
+                "--budget to scan part of the message classes")
         zeros, msg = _r3_pencil_search(es)
         return DistanceResult(es.n - zeros, msg, True, (q**5 - 1) // (q - 1))
     chunk = _default_chunk(q, es.n)
@@ -613,7 +621,8 @@ def min_distance(es: EvaluationSet, budget: int | None = None,
     number of enumerated projective classes (block granularity); a
     truncated search returns the best of the classes it scanned, flagged
     exact=False — an upper bound.  For r = 3 a budget above q^4 + q^3,
-    which the scan would finish, takes the exact pencil search instead.
+    which the scan would finish, takes the exact pencil search instead;
+    one of more than _MAX_PENCIL_WORK steps raises ValueError first.
     threads is accepted for compatibility and has no effect.
     """
     if budget is not None and budget < 1:

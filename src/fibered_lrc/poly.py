@@ -251,9 +251,9 @@ def factor_monic(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
     The unit leading coefficient of f is discarded.  X^v (v the index of
     the first nonzero coefficient) comes off first, and a line is kept as
     it is; otherwise each root of ``all_roots`` is divided out with its
-    multiplicity.  What is left has no root, and unless it is a constant
-    it must pass ``is_irreducible``.  A leftover that fails, or a root
-    that divides nothing, raises ArithmeticError.
+    multiplicity by synthetic division.  What is left has no root, and
+    unless it is a constant it must pass ``is_irreducible``.  A leftover
+    that fails, or a root that divides nothing, raises ArithmeticError.
     """
     field = f.field
     if f.degree < 1:
@@ -263,15 +263,19 @@ def factor_monic(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
     found = [(x_poly(field), v)] if v else []
     g = UniPoly(field, g.coeffs[v:])
     for root in all_roots(g) if g.degree > 1 else ():
-        line, e = UniPoly(field, (field.neg(root), 1)), 0
+        e = 0
         while g.degree > 0:
-            quo, rem = divmod(g, line)
-            if not rem.is_zero:
+            # Ruffini: the running values are the quotient, then g(root)
+            acc, quo = 0, []
+            for c in reversed(g.coeffs):
+                acc = field.add(field.mul(acc, root), c)
+                quo.append(acc)
+            if acc:
                 break
-            g, e = quo, e + 1
+            g, e = UniPoly(field, tuple(reversed(quo[:-1]))), e + 1
         if e == 0:  # a sound root divides g: fail, not skip
             raise ArithmeticError(f"root {root} of {f} divides nothing")
-        found.append((line, e))
+        found.append((UniPoly(field, (field.neg(root), 1)), e))
     if g.degree > 0:
         if not is_irreducible(g):
             raise ArithmeticError(f"{g} has no root and is not irreducible")

@@ -1,16 +1,22 @@
 """The step-by-step field build, digit-wise field addition, the elements
 in canonical order, the scalar orbit catalog, direct-evaluation checks of
 the encoder and kernels, the fiber check rows one formula at a time, the
-simulation draws of numpy's Generator, and the one-trial-at-a-time
-simulator."""
+scalar group law on the elliptic fibers and the fiber sums it gives one
+fiber at a time, the simulation draws of numpy's Generator, and the
+one-trial-at-a-time simulator."""
 
 import itertools
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
 
 from fibered_lrc.construction import NiceOrbit, NoNiceElements, specialize_P
+from fibered_lrc.elliptic_verify import (NONSQUARE, SINGULAR, SUM_O,
+                                         SUM_OTHER, SUM_TWO_TORSION,
+                                         PointNotOnCurve, SingularFiber)
+from fibered_lrc.gf import FieldSpec
 from fibered_lrc.gf import _prime_factors, digits
 from fibered_lrc.lrc_code import (DistanceResult, _better, _default_chunk,
                                   _r3_pencils, _r3_scan_prefixes, basis, encode,
@@ -144,6 +150,138 @@ def horizontal_check_row(fld, zeta: int, rp1: int, j: int) -> tuple[int, ...]:
     row = [fld.neg(fld.pow(zeta, k - j)) for k in range(rp1)]
     row[j] = 0
     return tuple(row)
+
+
+O = None  # the identity of the scalar law; every other point is an (x, y) pair
+
+
+@dataclass(frozen=True)
+class WeierstrassCurve:
+    """y^2 = x^3 + a2 x^2 + a4 x over a field, with (0, 0) on it.
+
+    Smooth by construction: a zero discriminant raises SingularFiber here,
+    so the group law never has to check it.
+    """
+
+    field: FieldSpec
+    a2: int
+    a4: int
+
+    def __post_init__(self):
+        f = self.field  # the discriminant is 0 iff a4 = 0 or a2^2 = 4 a4
+        if self.a4 == 0 or f.mul(self.a2, self.a2) == f.mul(4 % f.p, self.a4):
+            raise SingularFiber(
+                f"Weierstrass model over {self.field.label} is singular")
+
+    def contains(self, pt) -> bool:
+        if pt is O:
+            return True
+        f, (x, y) = self.field, pt
+        rhs = f.mul(x, f.add(f.mul(x, f.add(x, self.a2)), self.a4))
+        return f.mul(y, y) == rhs
+
+
+def _require_on_curve(curve: WeierstrassCurve, pt) -> None:
+    if not curve.contains(pt):
+        raise PointNotOnCurve(f"{pt} not on the curve")
+
+
+def ec_add(curve: WeierstrassCurve, p, q):
+    """p + q for points (x, y) or O; both are checked on the curve."""
+    _require_on_curve(curve, p)
+    _require_on_curve(curve, q)
+    if p is O:
+        return q
+    if q is O:
+        return p
+    f, (px, py), (qx, qy) = curve.field, p, q
+    if qx == px and qy == f.neg(py):  # q = -p
+        return O
+    if p == q:
+        # slope (3x^2 + 2 a2 x + a4) / 2y
+        num = f.add(f.mul(px, f.add(f.mul(3 % f.p, px),
+                                    f.mul(2 % f.p, curve.a2))), curve.a4)
+        den = f.mul(2 % f.p, py)
+    else:
+        num, den = f.sub(qy, py), f.sub(qx, px)
+    lam = f.div(num, den)
+    x3 = f.sub(f.mul(lam, lam), f.add(curve.a2, f.add(px, qx)))
+    return x3, f.sub(f.mul(lam, f.sub(px, x3)), py)
+
+
+def ec_is_two_torsion(curve: WeierstrassCurve, pt) -> bool:
+    _require_on_curve(curve, pt)
+    return pt is O or pt[1] == 0  # 2P = O iff P = -P
+
+
+def vertical_fiber(field: FieldSpec, tbar: int) -> WeierstrassCurve:
+    """The cubic y^2 = x^3 - x^2(u + 1) + x u, u = tbar^4; its discriminant
+    16 u^2 (u - 1)^2 makes it raise SingularFiber for u in {0, 1}."""
+    u = field.pow(tbar, 4)
+    return WeierstrassCurve(field, field.neg(field.add(u, 1)), u)
+
+
+def horizontal_quartic(es, l: int, i: int):
+    """(A, B) of the genus-1 model y^2 = A t^4 + B over root (l, i)."""
+    fld = es.field
+    xbar = es.xyt.item(0, es.point_index(l, i, 0))
+    c = fld.sub(xbar, fld.mul(xbar, xbar))
+    return c, fld.neg(fld.mul(c, xbar))
+
+
+def _sum_verdict(curve, total) -> int:
+    if total is O:
+        return SUM_O
+    return SUM_TWO_TORSION if ec_is_two_torsion(curve, total) else SUM_OTHER
+
+
+def scalar_fiber_sums(es) -> list:
+    """elliptic_verify.fiber_sums one fiber at a time by ec_add, as nested
+    lists [l][family][index]: each vertical cubic's points in order of i,
+    each horizontal quartic's mapped by X = 2a(y + a t^2),
+    Y = 4a^2 t (y + a t^2), a^2 = A, in order of j."""
+    fld = es.field
+    two, four = 2 % fld.p, 4 % fld.p
+    out = []
+    for l in range(es.b):
+        ver, hor = [], []
+        for j in range(4):
+            try:
+                curve = vertical_fiber(fld, es.t_value(l, j))
+            except SingularFiber:
+                ver.append(SINGULAR)
+                continue
+            total = O
+            for i in range(4):
+                x, y, _ = es.xyt[:, es.point_index(l, i, j)].tolist()
+                total = ec_add(curve, total, (x, y))
+            ver.append(_sum_verdict(curve, total))
+        for i in range(4):
+            A, B = horizontal_quartic(es, l, i)
+            if A == 0 or not fld.is_square(A):
+                hor.append(NONSQUARE)
+                continue
+            alpha = fld.sqrt(A)
+            try:
+                curve = WeierstrassCurve(
+                    fld, 0, fld.neg(fld.mul(four, fld.mul(A, B))))
+            except SingularFiber:
+                hor.append(SINGULAR)
+                continue
+            total = O
+            for j in range(4):
+                _, y, t = es.xyt[:, es.point_index(l, i, j)].tolist()
+                if fld.mul(y, y) != fld.add(fld.mul(A, fld.pow(t, 4)), B):
+                    raise PointNotOnCurve(
+                        f"(t, y) = ({t}, {y}) is off the quartic model")
+                w = fld.add(y, fld.mul(alpha, fld.mul(t, t)))
+                img = (fld.mul(two, fld.mul(alpha, w)),
+                       fld.mul(four, fld.mul(fld.mul(alpha, alpha),
+                                             fld.mul(t, w))))
+                total = ec_add(curve, total, img)
+            hor.append(_sum_verdict(curve, total))
+        out.append([ver, hor])
+    return out
 
 
 def naive_encode(es, message) -> tuple[int, ...]:

@@ -354,6 +354,16 @@ def test_mindist_budget_on_a_code_too_large_to_scan_exits_1():
     assert "Traceback" not in proc.stderr
 
 
+def test_mindist_exact_on_a_code_too_large_to_search_exits_1():
+    # all 5440 orbits of F_3^12: n = 87040 points, past any exact search;
+    # it is refused before a fiber triple is built
+    proc = run_python("-m", "fibered_lrc.cli", "mindist", "--field", "3^12",
+                      timeout=60, preexec_fn=cap_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert "exact search over n = 87040 points" in proc.stderr
+    assert "pass --budget" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_construct_huge_r_finds_no_nice_elements_quickly():
     # A = P_0 has at most five nonzero terms at any r; a Horner pass over
     # all r + 2 coefficients at each of the q elements ran for minutes
@@ -410,6 +420,15 @@ def test_verify_invariants_matches_golden(golden_dir, capsys):
     got = _transcript([["verify", "invariants", "--field", label]
                        for label in ("7^2", "11^2", "13^2", "5^4")], capsys)
     assert got == (golden_dir / "verify_invariants.txt").read_bytes()
+
+
+@pytest.mark.parametrize("check", ["elliptic", "invariants"])
+def test_verify_large_b_matches_golden(check, golden_dir, capsys):
+    # recorded from the fiber-by-fiber checks; these fields carry the most
+    # fibers (b up to 91 on 3^8), singular and nonsquare ones included
+    got = _transcript([["verify", check, "--field", label]
+                       for label in ("17^2", "23^2", "7^4", "3^8")], capsys)
+    assert got == (golden_dir / f"verify_{check}_large_b.txt").read_bytes()
 
 
 def test_verify_invariants(prof49, capsys):

@@ -1,30 +1,32 @@
 """Tests for fiber group law, sum invariants, and the discriminant profile."""
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from fibered_lrc import elliptic_verify
+from fibered_lrc import cli, elliptic_verify
 from fibered_lrc.cli import main
 from fibered_lrc.construction import build_evaluation_set, surface_params
 from fibered_lrc.elliptic_verify import (
-    O,
+    SINGULAR,
+    SUM_O,
     NonSquareTwist,
     PointNotOnCurve,
     SingularFiber,
-    WeierstrassCurve,
+    _add_points,
     _discriminant,
     discriminant_profile,
-    ec_add,
-    ec_is_two_torsion,
-    horizontal_quartic,
+    fiber_sums,
     horizontal_sum_two_torsion,
     verify_vertical_sum,
-    vertical_fiber,
 )
 from fibered_lrc.lrc_code import BadLocality
 from fibered_lrc.poly import constant, factor_monic, poly, x_poly
-from kernel_oracle import elements
+from kernel_oracle import (O, WeierstrassCurve, ec_add, ec_is_two_torsion,
+                           elements, horizontal_quartic, scalar_fiber_sums,
+                           vertical_fiber)
 
 
 def general_discriminant(a1, a2, a3, a4, a6, const):
@@ -83,19 +85,32 @@ def test_singular_fiber_rejected(f49, f81):
         vertical_fiber(f49, 1)  # tbar^4 = 1
     # the nice orbit of this field sits entirely over tbar^4 = 1
     es = build_evaluation_set(surface_params(f81, 3))
+    assert (fiber_sums(es)[0, 0] == SINGULAR).all()
     for j in range(4):
         with pytest.raises(SingularFiber):
             verify_vertical_sum(es, 0, j)
+
+
+def _batch_add(curve, p, q):
+    """ec_add's signature on the batched law, one point pair at a time."""
+    po = p is O
+    x, y, o = _add_points(curve.field, np.array(curve.a2), np.array(curve.a4),
+                          (np.array(0 if po else p[0]),
+                           np.array(0 if po else p[1]), np.array(po)),
+                          (np.array(q[0]), np.array(q[1])))
+    return O if o else (int(x), int(y))
 
 
 def test_two_torsion_subgroup(f49):
     curve = vertical_fiber(f49, 3)
     u = f49.pow(3, 4)
     t2 = [(0, 0), (1, 0), (u, 0)]
-    for a in range(3):  # sum of two distinct halves is the third
-        b, c = (a + 1) % 3, (a + 2) % 3
-        assert ec_add(curve, t2[a], t2[b]) == t2[c]
-        assert ec_add(curve, t2[a], t2[a]) == O
+    for add in (ec_add, _batch_add):
+        for a in range(3):  # sum of two distinct halves is the third
+            b, c = (a + 1) % 3, (a + 2) % 3
+            assert add(curve, t2[a], t2[b]) == t2[c]
+            assert add(curve, t2[a], t2[a]) == O
+            assert add(curve, O, t2[a]) == t2[a]
 
 
 def test_discriminant_matches_general_form(f49, f169):
@@ -162,6 +177,32 @@ def test_group_law_axioms(f49):
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("p, m", [(7, 2), (3, 4)])
+def test_batched_law_matches_scalar_law(field_cache, p, m):
+    # every sum p + q, p a point or O and q a point, of a vertical cubic
+    # and a horizontal model: chords, tangents, q = -p and 2-torsion
+    # doubled, in an odd characteristic and in characteristic 3
+    fld = field_cache(p, m)
+    es = build_evaluation_set(surface_params(fld, 3))
+    A, B = horizontal_quartic(es, 0, 0)
+    tbar = next(t for t in range(2, fld.order) if fld.pow(t, 4) != 1)
+    for curve in (vertical_fiber(fld, tbar),
+                  WeierstrassCurve(fld, 0, fld.neg(fld.mul(4 % p, fld.mul(A, B))))):
+        pts = _fiber_points(curve)
+        pairs = [(a, b) for a in pts for b in pts[1:]]
+        px, py = (np.array([0 if a is O else a[k] for a, _ in pairs])
+                  for k in (0, 1))
+        qx, qy = np.array([b for _, b in pairs]).T
+        x, y, o = _add_points(fld, np.full(len(pairs), curve.a2),
+                              np.full(len(pairs), curve.a4),
+                              (px, py, np.array([a is O for a, _ in pairs])),
+                              (qx, qy))
+        got = [O if oo else (xx, yy)
+               for xx, yy, oo in zip(x.tolist(), y.tolist(), o.tolist())]
+        assert got == [ec_add(curve, a, b) for a, b in pairs]
+        assert O in got and sum(b[1] == 0 for _, b in pairs) >= 3
+
+
 def test_point_not_on_curve(f49):
     curve = vertical_fiber(f49, 5)
     good = _fiber_points(curve, limit=4)[1]
@@ -195,18 +236,78 @@ def test_vertical_sums(field_cache):
         assert skips == expect_skips
 
 
+def _with_y(es, pos, y):
+    """A copy of es whose point at position pos has y-coordinate y."""
+    xyt = es.xyt.copy()
+    xyt[1, pos] = y
+    return replace(es, xyt=xyt)
+
+
 def test_vertical_sum_negated_point_breaks(f49):
     es = build_evaluation_set(surface_params(f49, 3))
     for l in range(2):
         for j in range(4):
-            pts = [es.xyt[:, es.point_index(l, i, j)].tolist()
-                   for i in range(4)]
-            curve = vertical_fiber(f49, pts[0][2])
-            total = (pts[0][0], f49.neg(pts[0][1]))
-            for x, y, _ in pts[1:]:
-                total = ec_add(curve, total, (x, y))
+            pos = es.point_index(l, 0, j)
+            y0 = es.xyt.item(1, pos)
+            negated = fiber_sums(_with_y(es, pos, f49.neg(y0)))
             # sum with one point negated is 2P0, nonzero since y0 != 0
-            assert pts[0][1] != 0 and total != O
+            assert y0 != 0 and negated[l, 0, j] != SUM_O
+            assert negated.tolist() == scalar_fiber_sums(
+                _with_y(es, pos, f49.neg(y0)))
+            assert verify_vertical_sum(es, l, j)
+
+
+def test_off_curve_point_raises(f49, f81, monkeypatch, capsys):
+    es = build_evaluation_set(surface_params(f49, 3))
+    bad = _with_y(es, es.point_index(1, 2, 3),
+                  f49.add(es.xyt.item(1, es.point_index(1, 2, 3)), 1))
+    with pytest.raises(PointNotOnCurve, match="not on the curve$") as batch:
+        fiber_sums(bad)
+    with pytest.raises(PointNotOnCurve) as scalar:
+        scalar_fiber_sums(bad)
+    assert str(batch.value) == str(scalar.value)
+    with pytest.raises(PointNotOnCurve):
+        horizontal_sum_two_torsion(bad, 0, 0)
+    monkeypatch.setattr(cli, "build_evaluation_set", lambda *args: bad)
+    assert main(["verify", "elliptic", "--field", "7^2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invariant violation: {batch.value}\n"
+    # every vertical fiber of F_81 is refused, so the quartic check of the
+    # horizontal fiber is the one that sees a changed point
+    es = build_evaluation_set(surface_params(f81, 3))
+    bad = _with_y(es, 6, f81.add(es.xyt.item(1, 6), 1))
+    with pytest.raises(PointNotOnCurve,
+                       match=r"^\(t, y\) = .* is off the quartic model$"):
+        fiber_sums(bad)
+
+
+def test_partial_sums_are_checked(f49, monkeypatch):
+    # a group law that goes wrong after two points is caught by the check of
+    # the running sum, not passed on as a verdict
+    def off_by_one(fld, a2, a4, p, q):
+        x, y, o = _add_points(fld, a2, a4, p, q)
+        return x, fld.vsum(y, 1), o
+
+    monkeypatch.setattr(elliptic_verify, "_add_points", off_by_one)
+    es = build_evaluation_set(surface_params(f49, 3))
+    with pytest.raises(PointNotOnCurve, match="not on the curve$"):
+        fiber_sums(es)
+
+
+@pytest.mark.parametrize("p, m", [(3, 4), (7, 2), (11, 2), (13, 2), (5, 4),
+                                  (17, 2), (19, 2), (23, 2), (29, 2), (7, 4)])
+def test_fiber_sums_match_scalar_law(field_cache, p, m):
+    # verdict for verdict, SINGULAR and NONSQUARE fibers included
+    es = build_evaluation_set(surface_params(field_cache(p, m), 3))
+    sums = fiber_sums(es)
+    assert sums.shape == (es.b, 2, 4)
+    assert sums.tolist() == scalar_fiber_sums(es)
+
+
+def test_fiber_sums_refuse_other_localities(f49):
+    with pytest.raises(BadLocality):
+        fiber_sums(build_evaluation_set(surface_params(f49, 5)))
 
 
 # (p, m): count of horizontal fibers whose twist is a nonsquare

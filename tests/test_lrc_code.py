@@ -549,6 +549,18 @@ def test_budgeted_scan_refuses_too_many_crossings(f625, monkeypatch):
     assert min_distance(es, budget=1).enumerated == _default_chunk(625, 112) * 625**2
 
 
+def test_exact_search_refuses_too_much_work(f625, monkeypatch):
+    # F_625 0..6: n = 112 points, C(112, 3)·112/16 = 1595440 steps
+    es = build_evaluation_set(surface_params(f625, 3), tuple(range(7)))
+    monkeypatch.setattr(lrc_code, "_MAX_PENCIL_WORK", 1595439)
+    with pytest.raises(ValueError, match="n = 112 points takes about 1595440"):
+        min_distance(es)
+    with pytest.raises(ValueError, match="pass --budget"):
+        min_distance(es, budget=625**4 + 625**3 + 1)   # the exact search too
+    monkeypatch.setattr(lrc_code, "_MAX_PENCIL_WORK", 1595440)
+    assert min_distance(es).exact
+
+
 @st.composite
 def kernel_cases(draw):
     """An orbit subset of F_81, F_121 or F_169 and one x-block prefix.

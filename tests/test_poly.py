@@ -325,6 +325,48 @@ def test_factor_monic_matches_construction(case):
     assert [(g.coeffs, e) for g, e in factor_monic(f)] == expected
 
 
+@st.composite
+def products_of_lines(draw):
+    """c prod (X - r_i)^e_i over a small field: up to five roots, zero
+    allowed, each with multiplicity 1 to p + 2."""
+    fld = _field(*draw(st.sampled_from(FACTOR_FIELDS)))
+    roots = draw(st.lists(st.integers(0, fld.order - 1), min_size=1,
+                          max_size=5, unique=True))
+    f = constant(fld, draw(st.integers(1, fld.order - 1)))
+    for r in roots:
+        f = f * _power(x_poly(fld) - constant(fld, r), draw(
+            st.integers(1, fld.p + 2)))
+    return f
+
+
+def _lines_by_divmod(f):
+    """The lines of f with multiplicities, each root divided out by the
+    generic divmod for as long as the remainder is zero."""
+    g, out = f.monic(), []
+    for root in all_roots(g):
+        line, e = x_poly(f.field) - constant(f.field, root), 0
+        while (split := divmod(g, line))[1].is_zero:
+            g, e = split[0], e + 1
+        out.append((line.coeffs, e))
+    return sorted(out), g
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(products_of_lines())
+def test_factor_monic_deflation_matches_divmod(f):
+    lines, rest = _lines_by_divmod(f)
+    assert rest.degree == 0
+    assert [(g.coeffs, e) for g, e in factor_monic(f)] == lines
+
+
+def test_factor_monic_root_that_divides_nothing_raises(f49, monkeypatch):
+    # broken root finding that reports a non-root fails loudly
+    f = (x_poly(f49) - constant(f49, 3)) * (x_poly(f49) - constant(f49, 5))
+    monkeypatch.setattr(fibered_lrc.poly, "all_roots", lambda g: (3, 7))
+    with pytest.raises(ArithmeticError, match="root 7 of .* divides nothing"):
+        factor_monic(f)
+
+
 @pytest.mark.parametrize("coeffs,expected", [
     ([3, 5], [((2, 1), 1)]),                          # 5X + 3 = 5(X + 2)
     ([0] * 9 + [4], [((0, 1), 9)]),                   # 4 X^9
